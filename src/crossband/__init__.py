@@ -5,8 +5,8 @@ corner descriptor and an iterative consensus scheme, then fuses the aligned
 pair with a multi-scale high-pass/low-pass blend and color restoration.
 """
 
-from .descriptor import (EdgeDescriptor, best_match, build_descriptor,
-                         build_descriptors, same_grad, similarity)
+from .descriptor import (EdgeDescriptor, build_descriptor, build_descriptors,
+                         same_grad, score_matrix, similarity)
 from .edges import CannyConfig, EdgeMap, canny, quantize_direction
 from .errors import (DegenerateFitError, ImageIOError, RegistrationError,
                      SingularTransformError)
@@ -31,13 +31,13 @@ __all__ = [
     "DegenerateFitError", "EdgeDescriptor", "EdgeMap", "FusionConfig",
     "HarrisConfig", "ImageIOError", "Match", "RansacConfig",
     "RegistrationError", "RegistrationResult", "SimulationSpec",
-    "SingularTransformError", "TransformKind", "best_match",
+    "SingularTransformError", "TransformKind",
     "brute_force_translation", "build_descriptor", "build_descriptors",
     "canny", "detect_corners", "fit_least_squares", "fuse_hplp", "fuse_pair",
     "fuse_scales", "fuse_single_scale", "gaussian_blur", "gradients", "harris_score_map",
     "load_transform", "match_all", "quantize_direction", "ransac_once",
     "read_image", "register", "replicate3", "residual", "restore_color",
-    "run_benchmark", "same_grad", "similarity", "simulate_pair",
+    "run_benchmark", "same_grad", "score_matrix", "similarity", "simulate_pair",
     "split_frequencies", "synthetic_texture", "to_luminance",
     "translation_error", "warp_affine", "write_image",
 ]

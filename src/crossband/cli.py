@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -104,27 +105,16 @@ def _settings_from(args) -> dict:
     return settings
 
 
-def _atomic_bytes(path: str, data: bytes) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Call write(tmp) on a temporary sibling of path, then rename it onto
+    path. The temporary name ends in path's name, so it keeps the extension
+    that write_image reads the format from."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
                                suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_image(path: str, img, bits: int = 8) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    suffix = "." + str(path).rsplit(".", 1)[-1]
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=suffix)
     os.close(fd)
     try:
-        write_image(tmp, img, bitdepth=bits)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -155,7 +145,8 @@ def _cmd_register(args) -> int:
           f"support={result.support} inliers={len(result.inliers)}")
     payload = json.dumps(to_json_dict(result.transform, result.support,
                                       len(result.inliers)), indent=2) + "\n"
-    _atomic_bytes(args.out_transform, payload.encode("utf-8"))
+    _atomic_write(args.out_transform,
+                  lambda tmp: Path(tmp).write_bytes(payload.encode("utf-8")))
     print(f"transform written to {args.out_transform}")
     return _EXIT_OK
 
@@ -171,7 +162,8 @@ def _cmd_warp(args) -> int:
         arr = as_color(img)
         planes = [warp_affine(arr[:, :, c], t, fill=args.fill) for c in range(3)]
         out = np.stack(planes, axis=2)
-    _atomic_image(args.output, out, bits=args.bits)
+    _atomic_write(args.output,
+                  lambda tmp: write_image(tmp, out, bitdepth=args.bits))
     print(f"warped image written to {args.output}")
     return _EXIT_OK
 
@@ -189,14 +181,14 @@ def _cmd_fuse(args) -> int:
             f"{infrared.shape[1]}x{infrared.shape[0]}")
     fusion_cfg = cfgmod.fusion_config(settings)
     fused, fused_color = fuse_pair(visible, infrared, fusion_cfg)
-    _atomic_image(args.out_gray, fused)
-    _atomic_image(args.out_color, fused_color)
+    _atomic_write(args.out_gray, lambda tmp: write_image(tmp, fused))
+    _atomic_write(args.out_color, lambda tmp: write_image(tmp, fused_color))
     print(f"fused images written to {args.out_gray} and {args.out_color}")
     if args.dump_scales:
         scales = fuse_scales(to_luminance(visible), infrared, fusion_cfg)
         for sigma, img in zip(fusion_cfg.sigmas, scales):
             path = f"{args.dump_scales}-{sigma:g}.png"
-            _atomic_image(path, clamp01(img))
+            _atomic_write(path, lambda tmp: write_image(tmp, clamp01(img)))
             print(f"per-scale fusion written to {path}")
     return _EXIT_OK
 
@@ -221,7 +213,8 @@ def _cmd_eval(args) -> int:
         window=cfgmod.descriptor_window(settings),
         ransac_cfg=cfgmod.ransac_config(settings),
         polarity=cfgmod.polarity_mode(settings))
-    _atomic_bytes(args.out_csv, report.to_csv().encode("utf-8"))
+    csv = report.to_csv().encode("utf-8")
+    _atomic_write(args.out_csv, lambda tmp: Path(tmp).write_bytes(csv))
     print(f"trials={len(report.rows)} failures={report.failures} "
           f"mean_error={report.mean_error:.4f}px "
           f"median_error={report.median_error:.4f}px")

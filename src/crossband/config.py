@@ -7,7 +7,7 @@ command-line `-o key=value` overrides take precedence over file values.
 
 from __future__ import annotations
 
-from .descriptor import DEFAULT_WINDOW
+from .descriptor import DEFAULT_WINDOW, POLARITIES
 from .edges import CannyConfig
 from .features import HarrisConfig
 from .fusion import FusionConfig
@@ -15,7 +15,6 @@ from .evaluation import MODALITY_MODELS, SimulationSpec
 from .registration import RansacConfig
 from .transform import TransformKind
 
-_POLARITIES = ("direct", "flipped", "both")
 _MODELS = tuple(k.value for k in TransformKind)
 
 
@@ -50,7 +49,7 @@ SCHEMA: dict[str, tuple] = {
     "canny.low_ratio": (_float, 0.1, "low hysteresis threshold / max magnitude"),
     "canny.high_ratio": (_float, 0.2, "high hysteresis threshold / max magnitude"),
     "descriptor.window": (_int, DEFAULT_WINDOW, "odd descriptor window side"),
-    "matching.polarity": (_choice(_POLARITIES), "both",
+    "matching.polarity": (_choice(POLARITIES), "both",
                           "direction handling: direct, flipped, or both"),
     "ransac.model": (_choice(_MODELS), "translation",
                      "transform model: translation, similarity, or affine"),

@@ -22,7 +22,6 @@ import numpy as np
 
 from .edges import EdgeMap
 from .features import Corner
-from .transform import AffineTransform
 
 DEFAULT_WINDOW = 31
 
@@ -77,21 +76,13 @@ def build_descriptors(corners, edge_map: EdgeMap,
     return out
 
 
-def same_grad(gp, gq, n_bins: int = 16, wraparound: bool = True):
-    """True when two direction bins differ by at most one bin.
-
-    With wraparound (the default) the distance is circular, so the first and
-    last bins are adjacent. wraparound=False reproduces the plain
-    |gp - gq| mod n_bins <= 1 comparison, which treats the wrap seam as
-    distant. Accepts scalars or arrays.
+def same_grad(gp, gq, n_bins: int = 16):
+    """True when two direction bins differ by at most one bin, circularly
+    (the first and last bins are adjacent). Accepts scalars or arrays.
     """
     d = np.mod(np.asarray(gp, dtype=np.int64) - np.asarray(gq, dtype=np.int64),
                n_bins)
-    if wraparound:
-        hit = np.minimum(d, n_bins - d) <= 1
-    else:
-        hit = np.mod(np.abs(np.asarray(gp, dtype=np.int64)
-                            - np.asarray(gq, dtype=np.int64)), n_bins) <= 1
+    hit = np.minimum(d, n_bins - d) <= 1
     if np.isscalar(gp) and np.isscalar(gq):
         return bool(hit)
     return hit
@@ -106,8 +97,7 @@ def _check_compatible(dp: EdgeDescriptor, dq: EdgeDescriptor) -> None:
             f"descriptor direction bins differ: {dp.n_bins} vs {dq.n_bins}")
 
 
-def similarity(dp: EdgeDescriptor, dq: EdgeDescriptor,
-               wraparound: bool = True) -> float:
+def similarity(dp: EdgeDescriptor, dq: EdgeDescriptor) -> float:
     """Direction-gated edge correlation, normalized by sqrt of dq's count.
 
     Returns 0 when dq carries no edge pixels (the formula would otherwise
@@ -117,94 +107,57 @@ def similarity(dp: EdgeDescriptor, dq: EdgeDescriptor,
     _check_compatible(dp, dq)
     if dq.edge_count == 0:
         return 0.0
-    hits = same_grad(dp.directions, dq.directions, dp.n_bins, wraparound)
+    hits = same_grad(dp.directions, dq.directions, dp.n_bins)
     num = int(np.count_nonzero((dp.edges != 0) & (dq.edges != 0) & hits))
     return math.sqrt(num * num / dq.edge_count)
 
 
-class DescriptorStack:
-    """Candidate descriptors flattened into arrays for batch scoring."""
-
-    def __init__(self, descriptors: list[EdgeDescriptor]):
-        if not descriptors:
-            raise ValueError("descriptor list must be nonempty")
-        window = descriptors[0].window
-        n_bins = descriptors[0].n_bins
-        for d in descriptors[1:]:
-            _check_compatible(descriptors[0], d)
-        self.window = window
-        self.n_bins = n_bins
-        self.edges = np.stack([d.edges.ravel() != 0 for d in descriptors])
-        self.directions = np.stack(
-            [d.directions.ravel() for d in descriptors]).astype(np.int16)
-        self.counts = np.array([d.edge_count for d in descriptors], dtype=np.int64)
-        self.positions = np.array([[d.x, d.y] for d in descriptors], dtype=np.float64)
-        # direction-difference lookup: bin distance d -> predicate hit
-        lut = np.zeros(n_bins, dtype=bool)
-        for v in (0, 1, n_bins - 1):
-            lut[v % n_bins] = True
-        self.lut_direct = lut
-        half = n_bins // 2
-        self.lut_flipped = np.roll(lut, half)
-
-    def scores(self, dp: EdgeDescriptor, candidate_rows: np.ndarray,
-               polarity: str = "direct") -> np.ndarray:
-        """Similarity of dp against the selected candidate rows."""
-        if polarity not in ("direct", "flipped", "both"):
-            raise ValueError(f"unknown polarity mode {polarity!r}")
-        if dp.window != self.window:
-            raise ValueError(
-                f"descriptor windows differ: {dp.window} vs {self.window}")
-        if dp.n_bins != self.n_bins:
-            raise ValueError(
-                f"descriptor direction bins differ: {dp.n_bins} vs {self.n_bins}")
-        idx = np.flatnonzero(dp.edges.ravel())
-        counts = self.counts[candidate_rows]
-        if idx.size == 0 or candidate_rows.size == 0:
-            return np.zeros(candidate_rows.size, dtype=np.float64)
-        sub_e = self.edges[np.ix_(candidate_rows, idx)]
-        diff = (dp.directions.ravel()[idx].astype(np.int16)[None, :]
-                - self.directions[np.ix_(candidate_rows, idx)]) % self.n_bins
-        nums = []
-        if polarity in ("direct", "both"):
-            nums.append((sub_e & self.lut_direct[diff]).sum(axis=1))
-        if polarity in ("flipped", "both"):
-            nums.append((sub_e & self.lut_flipped[diff]).sum(axis=1))
-        num = np.maximum.reduce(nums).astype(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.sqrt(num * num / counts)
-        return np.where(counts > 0, s, 0.0)
+POLARITIES = ("direct", "flipped", "both")
 
 
-def best_match(dp: EdgeDescriptor, candidates: list[EdgeDescriptor],
-               gate: tuple[AffineTransform, float] | None = None,
-               polarity: str = "direct") -> tuple[int, float] | None:
-    """Index and score of the most similar candidate, or None.
+def score_matrix(src: list[EdgeDescriptor], dst: list[EdgeDescriptor],
+                 polarity: str = "direct") -> np.ndarray:
+    """similarity(src[i], dst[j]) for every pair, as an (n_src, n_dst) array.
 
-    An optional gate (transform, max_distance) admits only candidates whose
-    position lies within max_distance of dp's transformed position. Returns
-    None when every candidate is gated out or the best score is 0; ties go
-    to the smallest candidate index.
+    polarity "flipped" scores src[i] with its directions shifted by
+    -(n_bins // 2) bins, half a circle; "both" keeps the larger of the
+    direct and flipped scores.
+
+    The numerator is a sum over direction bins c of the product of two 0/1
+    matrices: the source edge pixels in bin c (c + n_bins // 2 when
+    flipped) and the candidate edge pixels within one bin of c. Each entry
+    is an integer no larger than window**2, so the float32 product is exact
+    below 2**24 and the scores equal the scalar similarity bit for bit.
     """
-    stack = DescriptorStack(candidates)
-    return _best_against_stack(dp, stack, gate, polarity)
+    if polarity not in POLARITIES:
+        raise ValueError(f"unknown polarity mode {polarity!r}")
+    if not src or not dst:
+        raise ValueError("descriptor lists must be nonempty")
+    for d in (*src, *dst):
+        _check_compatible(src[0], d)
+    n_bins = src[0].n_bins
+    dtype = np.float32 if src[0].window ** 2 < 2 ** 24 else np.float64
+    src_edges, src_bins = _flatten(src)
+    dst_edges, dst_bins = _flatten(dst)
+    bins = np.arange(n_bins)
+    near = same_grad(bins[:, None], bins[None, :], n_bins)  # near[c, g]
+    shifts = {"direct": (0,), "flipped": (n_bins // 2,),
+              "both": (0, n_bins // 2)}[polarity]
+    num = np.zeros((len(shifts), len(src), len(dst)), dtype=dtype)
+    for c in range(n_bins):
+        in_reach = (dst_edges & near[c].take(dst_bins)).astype(dtype)
+        for k, shift in enumerate(shifts):
+            in_bin = src_edges & (src_bins == (c + shift) % n_bins)
+            num[k] += in_bin.astype(dtype) @ in_reach.T
+    num = num.max(axis=0).astype(np.float64)
+    counts = np.array([d.edge_count for d in dst], dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.sqrt(num * num / counts)
+    return np.where(counts > 0, scores, 0.0)
 
 
-def _best_against_stack(dp: EdgeDescriptor, stack: DescriptorStack,
-                        gate: tuple[AffineTransform, float] | None,
-                        polarity: str) -> tuple[int, float] | None:
-    if gate is None:
-        rows = np.arange(stack.counts.size)
-    else:
-        t, max_dist = gate
-        projected = t.apply(np.array([dp.x, dp.y], dtype=np.float64))
-        dist = np.hypot(stack.positions[:, 0] - projected[0],
-                        stack.positions[:, 1] - projected[1])
-        rows = np.flatnonzero(dist <= max_dist)
-        if rows.size == 0:
-            return None
-    s = stack.scores(dp, rows, polarity)
-    j = int(np.argmax(s))
-    if s[j] <= 0.0:
-        return None
-    return int(rows[j]), float(s[j])
+def _flatten(descriptors: list[EdgeDescriptor]) -> tuple[np.ndarray, np.ndarray]:
+    """(n, window**2) edge flags and direction bins reduced mod n_bins."""
+    edges = np.stack([d.edges.ravel() != 0 for d in descriptors])
+    bins = np.stack([d.directions.ravel() for d in descriptors]).astype(np.intp)
+    return edges, bins % descriptors[0].n_bins

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import as_color, as_gray, clamp01, gaussian_blur, to_luminance
+from .image import (as_color, as_gray, clamp01, gaussian_blur, require_finite,
+                    to_luminance)
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,7 @@ def fuse_pair(visible, infrared, cfg: FusionConfig | None = None
     """Full fusion of a registered pair: returns (fused gray, fused color)."""
     if cfg is None:
         cfg = FusionConfig()
-    v = as_color(visible)
-    fused = fuse_hplp(to_luminance(v), infrared, cfg)
+    v = require_finite(as_color(visible), "visible")
+    ir = require_finite(as_gray(infrared), "infrared")
+    fused = fuse_hplp(to_luminance(v), ir, cfg)
     return fused, restore_color(fused, v, cfg.color_eps)

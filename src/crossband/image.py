@@ -37,6 +37,14 @@ def as_color(img) -> np.ndarray:
     return arr
 
 
+def require_finite(img: np.ndarray, name: str) -> np.ndarray:
+    """Return img, or raise ValueError naming it if any pixel is NaN or inf."""
+    bad = img.size - np.count_nonzero(np.isfinite(img))
+    if bad:
+        raise ValueError(f"{name} image has {bad} non-finite pixel(s) (NaN or inf)")
+    return img
+
+
 def replicate3(gray) -> np.ndarray:
     """Stack a gray image into an R=G=B color image."""
     g = as_gray(gray)

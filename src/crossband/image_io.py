@@ -9,6 +9,7 @@ round-half-up. 16-bit samples are big-endian in both formats.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -113,16 +114,23 @@ def _decode_png(path, data: bytes) -> np.ndarray:
     if w < 1 or h < 1:
         raise ImageIOError(path, "degenerate PNG dimensions")
 
-    try:
-        raw = zlib.decompress(b"".join(idat))
-    except zlib.error as exc:
-        raise ImageIOError(path, f"corrupt PNG pixel data: {exc}") from exc
-
     channels = 3 if colortype == 2 else 1
     sample_bytes = bitdepth // 8
     bpp = channels * sample_bytes
     stride = w * bpp
-    if len(raw) != h * (stride + 1):
+    size = h * (stride + 1)
+    inflater = zlib.decompressobj()
+    try:
+        # inflate at most one byte past the image, so hostile data cannot
+        # grow without bound and a longer stream still shows
+        raw = inflater.decompress(b"".join(idat), min(size + 1, sys.maxsize))
+    except zlib.error as exc:
+        raise ImageIOError(path, f"corrupt PNG pixel data: {exc}") from exc
+    if len(raw) > size:
+        raise ImageIOError(path, "PNG pixel data is longer than the image")
+    if not inflater.eof:
+        raise ImageIOError(path, "corrupt PNG pixel data: truncated stream")
+    if len(raw) != size:
         raise ImageIOError(path, "truncated PNG pixel data")
 
     scanlines = np.frombuffer(raw, dtype=np.uint8).reshape(h, stride + 1)

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor import DescriptorStack, EdgeDescriptor, _best_against_stack
+from .descriptor import EdgeDescriptor, score_matrix
 from .edges import CannyConfig, canny
 from .errors import DegenerateFitError, RegistrationError
 from .features import HarrisConfig, detect_corners, harris_score_map
-from .image import as_gray
+from .image import as_gray, require_finite
 from .transform import AffineTransform, TransformKind
 from . import descriptor as _descriptor
 
@@ -77,17 +77,31 @@ def match_all(src_descriptors: list[EdgeDescriptor],
               polarity: str = "direct") -> list[Match]:
     """Best destination candidate for every source descriptor.
 
+    An optional gate (transform, max_distance) admits only candidates whose
+    position lies within max_distance of the source's transformed position.
     Sources whose candidates are all gated out or all score zero produce no
-    match. The result is sorted by descending score (ties by source index).
+    match; ties go to the smallest destination index. The result is sorted
+    by descending score (ties by source index).
     """
-    if not src_descriptors or not dst_descriptors:
-        raise ValueError("descriptor lists must be nonempty")
-    stack = DescriptorStack(dst_descriptors)
-    matches = []
-    for p, dp in enumerate(src_descriptors):
-        hit = _best_against_stack(dp, stack, gate, polarity)
-        if hit is not None:
-            matches.append(Match(p, hit[0], hit[1]))
+    scores = score_matrix(src_descriptors, dst_descriptors, polarity)
+    return _best_matches(scores, positions_of(src_descriptors),
+                         positions_of(dst_descriptors), gate)
+
+
+def _best_matches(scores: np.ndarray, src_positions: np.ndarray,
+                  dst_positions: np.ndarray,
+                  gate: tuple[AffineTransform, float] | None) -> list[Match]:
+    """match_all on a precomputed (n_src, n_dst) score matrix."""
+    if gate is not None:
+        t, max_dist = gate
+        projected = t.apply(src_positions)
+        dist = np.hypot(projected[:, None, 0] - dst_positions[None, :, 0],
+                        projected[:, None, 1] - dst_positions[None, :, 1])
+        scores = np.where(dist <= max_dist, scores, 0.0)
+    best = np.argmax(scores, axis=1)
+    top = scores[np.arange(len(scores)), best]
+    matches = [Match(int(p), int(best[p]), float(top[p]))
+               for p in np.flatnonzero(top > 0.0)]
     matches.sort(key=lambda m: (-m.score, m.src_index, m.dst_index))
     return matches
 
@@ -289,6 +303,7 @@ def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
             raise ValueError(
                 f"{name} image must be at least {MIN_REGISTER_SIDE}x"
                 f"{MIN_REGISTER_SIDE}, got {img.shape}")
+        require_finite(img, name)
 
     descs = {}
     for name, img in (("visible", vis), ("infrared", ir)):
@@ -302,6 +317,7 @@ def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
     desc_v, desc_ir = descs["visible"], descs["infrared"]
     pos_v = positions_of(desc_v)
     pos_ir = positions_of(desc_ir)
+    scores = score_matrix(desc_v, desc_ir, polarity)
 
     rng = np.random.default_rng(cfg.rng_seed)
     per_iteration = []
@@ -316,7 +332,7 @@ def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
         else:
             gate = (t_prev, cfg.gate_dist_fine)
             consensus = cfg.inlier_dist_fine
-        matches = match_all(desc_v, desc_ir, gate=gate, polarity=polarity)
+        matches = _best_matches(scores, pos_v, pos_ir, gate)
         if len(matches) < cfg.model.min_matches:
             raise RegistrationError(
                 f"iteration {it} matching: {len(matches)} matches, need "

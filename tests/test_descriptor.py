@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from crossband.descriptor import (EdgeDescriptor, best_match, build_descriptor,
-                                  build_descriptors, same_grad, similarity)
+from hypothesis import given, settings, strategies as st
+
+from crossband.descriptor import (EdgeDescriptor, build_descriptor,
+                                  build_descriptors, same_grad, score_matrix,
+                                  similarity)
 from crossband.edges import CannyConfig, EdgeMap, canny
 from crossband.features import Corner
+from crossband.registration import Match, match_all
 from crossband.transform import AffineTransform
 
 from helpers import random_descriptor, similarity_oracle
@@ -95,13 +99,6 @@ def test_same_grad_examples():
     assert same_grad(0, 15, 16) is True      # circular distance 1
     assert same_grad(2, 7, 16) is False      # distance 5
     assert same_grad(0, 8, 16) is False      # opposite directions
-
-
-def test_same_grad_literal_flag():
-    # the non-circular variant treats the wrap seam as distant
-    assert same_grad(0, 15, 16, wraparound=False) is False
-    assert same_grad(15, 0, 16, wraparound=False) is False
-    assert same_grad(3, 4, 16, wraparound=False) is True
 
 
 def test_same_grad_arrays():
@@ -194,14 +191,60 @@ def test_similarity_is_asymmetric_with_symmetric_numerator():
         sqp * math.sqrt(dp.edge_count), abs=1e-12)
 
 
-# --- best_match ----------------------------------------------------------------
+# --- score_matrix ------------------------------------------------------------
+
+def _shifted(d, shift):
+    return EdgeDescriptor(
+        x=d.x, y=d.y, edges=d.edges,
+        directions=((d.directions.astype(int) + shift) % d.n_bins).astype(np.uint8),
+        n_bins=d.n_bins, edge_count=d.edge_count)
+
+
+@st.composite
+def _descriptor_sets(draw):
+    window = draw(st.sampled_from([5, 7, 9, 15, 51]))
+    n_bins = draw(st.integers(2, 17))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def one():
+        density = draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]))
+        return random_descriptor(rng, window=window, n_bins=n_bins,
+                                 density=density)
+    src = [one() for _ in range(draw(st.integers(1, 4)))]
+    dst = [one() for _ in range(draw(st.integers(1, 4)))]
+    return src, dst
+
+
+@settings(max_examples=150, deadline=None)
+@given(_descriptor_sets())
+def test_score_matrix_equals_scalar_similarity(sets):
+    src, dst = sets
+    half = src[0].n_bins // 2
+    direct = np.array([[similarity(p, q) for q in dst] for p in src])
+    flipped = np.array([[similarity(_shifted(p, -half), q) for q in dst]
+                        for p in src])
+    for polarity, expected in (("direct", direct), ("flipped", flipped),
+                               ("both", np.maximum(direct, flipped))):
+        got = score_matrix(src, dst, polarity)
+        assert got.shape == (len(src), len(dst))
+        assert np.array_equal(got, expected), polarity
+
+
+def test_score_matrix_rejects_mixed_windows():
+    rng = np.random.default_rng(14)
+    with pytest.raises(ValueError):
+        score_matrix([random_descriptor(rng, window=9)],
+                     [random_descriptor(rng, window=11)])
+
+
+# --- best match of one source (match_all) --------------------------------------
 
 def test_best_match_prefers_self():
     rng = np.random.default_rng(7)
     dp = random_descriptor(rng, density=0.4)
     disjoint = _descriptor(np.zeros((15, 15)), np.zeros((15, 15)))
-    hit = best_match(dp, [disjoint, dp])
-    assert hit == (1, math.sqrt(dp.edge_count))
+    assert match_all([dp], [disjoint, dp]) == [
+        Match(0, 1, math.sqrt(dp.edge_count))]
 
 
 def test_best_match_gate_excludes_everything():
@@ -209,7 +252,7 @@ def test_best_match_gate_excludes_everything():
     dp = random_descriptor(rng, x=10, y=10)
     dq = random_descriptor(rng, x=200, y=200)
     gate = (AffineTransform.identity(), 0.0)
-    assert best_match(dp, [dq], gate=gate) is None
+    assert match_all([dp], [dq], gate=gate) == []
 
 
 def test_best_match_three_synthetic_candidates():
@@ -220,22 +263,21 @@ def test_best_match_three_synthetic_candidates():
     e_three = np.zeros((9, 9)); e_three[4, 2:5] = 1
     c1 = _descriptor(e_three, g)                      # score 3/sqrt(3) = sqrt(3)
     c2 = _descriptor(np.roll(e_base, 3, axis=0), g)   # disjoint: score 0
-    hit = best_match(dp, [c0, c1, c2])
-    assert hit is not None
-    assert hit[0] == 0
-    assert hit[1] == pytest.approx(math.sqrt(5), abs=1e-12)
+    [hit] = match_all([dp], [c0, c1, c2])
+    assert hit.dst_index == 0
+    assert hit.score == pytest.approx(math.sqrt(5), abs=1e-12)
 
 
 def test_best_match_none_when_all_scores_zero():
     empty = _descriptor(np.zeros((5, 5)), np.zeros((5, 5)))
     dp = _descriptor(np.ones((5, 5)), np.zeros((5, 5)))
-    assert best_match(dp, [empty, empty]) is None
+    assert match_all([dp], [empty, empty]) == []
 
 
 def test_best_match_requires_candidates():
     dp = random_descriptor(np.random.default_rng(9))
     with pytest.raises(ValueError):
-        best_match(dp, [])
+        match_all([dp], [])
 
 
 def test_best_match_no_gate_equals_infinite_gate():
@@ -243,8 +285,9 @@ def test_best_match_no_gate_equals_infinite_gate():
     dp = random_descriptor(rng, density=0.35)
     candidates = [random_descriptor(rng, x=30 * i, y=10 * i, density=0.35)
                   for i in range(6)]
-    ungated = best_match(dp, candidates)
-    gated = best_match(dp, candidates, gate=(AffineTransform.identity(), np.inf))
+    ungated = match_all([dp], candidates)
+    gated = match_all([dp], candidates,
+                      gate=(AffineTransform.identity(), np.inf))
     assert ungated == gated
 
 
@@ -253,25 +296,22 @@ def test_best_match_tie_breaks_to_smallest_index():
     twin = EdgeDescriptor(x=d.x + 5, y=d.y, edges=d.edges.copy(),
                           directions=d.directions.copy(), n_bins=d.n_bins,
                           edge_count=d.edge_count)
-    hit = best_match(d, [twin, d])
-    assert hit[0] == 0
+    [hit] = match_all([d], [twin, d])
+    assert hit.dst_index == 0
 
 
 def test_best_match_flipped_polarity_finds_inverted_twin():
     rng = np.random.default_rng(12)
     d = random_descriptor(rng, density=0.4)
-    flipped = EdgeDescriptor(
-        x=d.x, y=d.y, edges=d.edges.copy(),
-        directions=((d.directions.astype(int) + 8) % 16).astype(np.uint8),
-        n_bins=16, edge_count=d.edge_count)
-    assert best_match(d, [flipped], polarity="direct") is None
-    hit = best_match(d, [flipped], polarity="flipped")
-    assert hit == (0, math.sqrt(d.edge_count))
-    hit_both = best_match(d, [flipped, d], polarity="both")
-    assert hit_both[1] == math.sqrt(d.edge_count)
+    flipped = _shifted(d, 8)
+    assert match_all([d], [flipped], polarity="direct") == []
+    assert match_all([d], [flipped], polarity="flipped") == [
+        Match(0, 0, math.sqrt(d.edge_count))]
+    [hit_both] = match_all([d], [flipped, d], polarity="both")
+    assert hit_both.score == math.sqrt(d.edge_count)
 
 
 def test_best_match_rejects_unknown_polarity():
     d = random_descriptor(np.random.default_rng(13))
     with pytest.raises(ValueError):
-        best_match(d, [d], polarity="sideways")
+        match_all([d], [d], polarity="sideways")

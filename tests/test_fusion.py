@@ -230,3 +230,12 @@ def test_fuse_pair_checkerboard_keeps_contrast():
 def test_fuse_pair_dimension_mismatch():
     with pytest.raises(ValueError):
         fuse_hplp(np.zeros((8, 8)), np.zeros((10, 10)))
+
+
+@pytest.mark.parametrize("band", ["visible", "infrared"])
+def test_fuse_pair_rejects_non_finite_pixels(band):
+    g = synthetic_texture(64, seed=9)
+    images = {"visible": replicate3(g), "infrared": g.copy()}
+    images[band].flat[500] = np.nan
+    with pytest.raises(ValueError, match=f"{band} image has 1 non-finite"):
+        fuse_pair(images["visible"], images["infrared"])

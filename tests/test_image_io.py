@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -101,6 +102,33 @@ def test_truncated_png(tmp_path):
     broken.write_bytes(src.read_bytes()[:-8])
     with pytest.raises(ImageIOError, match="truncated"):
         read_image(broken)
+
+
+def test_png_inflation_is_bounded_by_the_header(tmp_path):
+    # a 1x1 image whose IDAT inflates to 50 MB of zeros
+    deflate = zlib.compressobj(9)
+    zeros = bytes(1 << 20)
+    idat = b"".join(deflate.compress(zeros) for _ in range(50)) + deflate.flush()
+    path = tmp_path / "bomb.png"
+    _png(path, [(b"IHDR", _ihdr(1, 1, 8, 0)), (b"IDAT", idat), (b"IEND", b"")])
+    del zeros
+    tracemalloc.start()
+    try:
+        with pytest.raises(ImageIOError):
+            read_image(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_png_truncated_zlib_stream(tmp_path):
+    raw = b"\x00\x80"  # one 1x1 gray scanline, filter 0
+    idat = zlib.compress(raw)[:-4]  # drop the adler32 trailer
+    path = tmp_path / "cut.png"
+    _png(path, [(b"IHDR", _ihdr(1, 1, 8, 0)), (b"IDAT", idat), (b"IEND", b"")])
+    with pytest.raises(ImageIOError, match="truncated"):
+        read_image(path)
 
 
 def test_png_crc_mismatch(tmp_path):

@@ -342,6 +342,15 @@ def test_register_rejects_small_images():
         register(np.zeros((32, 128)), np.zeros((128, 128)))
 
 
+@pytest.mark.parametrize("band", ["visible", "infrared"])
+def test_register_rejects_non_finite_pixels(band):
+    images = {"visible": synthetic_texture(96, seed=27),
+              "infrared": synthetic_texture(96, seed=28)}
+    images[band][40, 50] = np.inf
+    with pytest.raises(ValueError, match=f"{band} image has 1 non-finite"):
+        register(images["visible"], images["infrared"])
+
+
 def test_register_featureless_image_fails_with_stage():
     flat = np.full((96, 96), 0.5)
     tex = synthetic_texture(96, seed=26)
