@@ -20,8 +20,7 @@ from .image import (gaussian_blur, gradients, replicate3, to_luminance,
                     warp_affine)
 from .image_io import read_image, write_image
 from .registration import (Match, RansacConfig, RegistrationResult,
-                           fit_least_squares, match_all, ransac_once, register,
-                           residual)
+                           fit_least_squares, match_all, ransac_once, register)
 from .transform import AffineTransform, TransformKind, load_transform
 
 __version__ = "0.1.0"
@@ -36,7 +35,7 @@ __all__ = [
     "canny", "detect_corners", "fit_least_squares", "fuse_hplp", "fuse_pair",
     "fuse_scales", "fuse_single_scale", "gaussian_blur", "gradients", "harris_score_map",
     "load_transform", "match_all", "quantize_direction", "ransac_once",
-    "read_image", "register", "replicate3", "residual", "restore_color",
+    "read_image", "register", "replicate3", "restore_color",
     "run_benchmark", "same_grad", "score_matrix", "similarity", "simulate_pair",
     "split_frequencies", "synthetic_texture", "to_luminance",
     "translation_error", "warp_affine", "write_image",

@@ -9,7 +9,6 @@ round-half-up. 16-bit samples are big-endian in both formats.
 from __future__ import annotations
 
 import struct
-import sys
 import zlib
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .errors import ImageIOError
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+MAX_PNG_PIXELS = 1 << 25  # larger IHDR dimensions are rejected before inflating
 
 
 def read_image(path) -> np.ndarray:
@@ -113,6 +113,9 @@ def _decode_png(path, data: bytes) -> np.ndarray:
         raise ImageIOError(path, "interlaced PNG is not supported")
     if w < 1 or h < 1:
         raise ImageIOError(path, "degenerate PNG dimensions")
+    if w * h > MAX_PNG_PIXELS:
+        raise ImageIOError(
+            path, f"PNG dimensions {w}x{h} exceed the {MAX_PNG_PIXELS}-pixel limit")
 
     channels = 3 if colortype == 2 else 1
     sample_bytes = bitdepth // 8
@@ -123,7 +126,7 @@ def _decode_png(path, data: bytes) -> np.ndarray:
     try:
         # inflate at most one byte past the image, so hostile data cannot
         # grow without bound and a longer stream still shows
-        raw = inflater.decompress(b"".join(idat), min(size + 1, sys.maxsize))
+        raw = inflater.decompress(b"".join(idat), size + 1)
     except zlib.error as exc:
         raise ImageIOError(path, f"corrupt PNG pixel data: {exc}") from exc
     if len(raw) > size:

@@ -11,6 +11,8 @@ radius, so the final transform is fitted from tightly consistent matches.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,8 @@ from .transform import AffineTransform, TransformKind
 from . import descriptor as _descriptor
 
 MIN_REGISTER_SIDE = 64   # below this, corner statistics collapse
-_MIN_DET = 1e-6          # consensus hypotheses with smaller |det| are discarded
+_MIN_DET = 1e-6          # fits with smaller |det| are discarded
+_SCORE_BLOCK = 1 << 16   # residuals per consensus scoring block
 
 
 @dataclass(frozen=True)
@@ -112,16 +115,17 @@ def _match_arrays(matches, src_positions, dst_positions):
     return src.reshape(-1, 2), dst.reshape(-1, 2)
 
 
-def residual(t: AffineTransform, match: Match, src_positions, dst_positions) -> float:
-    """Distance between the transformed source corner and its matched corner."""
-    p = t.apply(np.asarray(src_positions[match.src_index], dtype=np.float64))
-    q = np.asarray(dst_positions[match.dst_index], dtype=np.float64)
-    return float(np.hypot(p[0] - q[0], p[1] - q[1]))
+def _residuals(m: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Distances between the transformed source points and their partners.
 
-
-def _residuals(t: AffineTransform, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    projected = src @ t.m[:, :2].T + t.m[:, 2]
-    return np.hypot(projected[:, 0] - dst[:, 0], projected[:, 1] - dst[:, 1])
+    `m` is one 2x3 matrix, giving shape (n,), or a stack (b, 2, 3), giving
+    (b, n). The products are written out per component, so a matrix gets
+    the same residuals bit for bit alone or inside a stack.
+    """
+    m = np.asarray(m)[..., None]
+    x = m[..., 0, 0, :] * src[:, 0] + m[..., 0, 1, :] * src[:, 1] + m[..., 0, 2, :]
+    y = m[..., 1, 0, :] * src[:, 0] + m[..., 1, 1, :] * src[:, 1] + m[..., 1, 2, :]
+    return np.hypot(x - dst[:, 0], y - dst[:, 1])
 
 
 def fit_least_squares(matches: list[Match], src_positions, dst_positions,
@@ -129,8 +133,9 @@ def fit_least_squares(matches: list[Match], src_positions, dst_positions,
     """Least-squares transform over the matched corner pairs.
 
     Each match contributes two linear constraints; the normal equations are
-    solved directly. Raises DegenerateFitError for too few matches or
-    ill-conditioned (coincident/collinear) configurations.
+    solved directly. Raises DegenerateFitError for too few matches,
+    ill-conditioned (coincident/collinear) configurations, or a fitted
+    |det| below 1e-6.
     """
     model = TransformKind(model)
     if len(matches) < model.min_matches:
@@ -138,96 +143,129 @@ def fit_least_squares(matches: list[Match], src_positions, dst_positions,
             f"{model.value} fit needs at least {model.min_matches} matches, "
             f"got {len(matches)}")
     src, dst = _match_arrays(matches, src_positions, dst_positions)
-    return _fit_points(src, dst, model)
+    m, usable = _fit_points(src[None], dst[None], model)
+    if not usable[0]:
+        raise DegenerateFitError(
+            f"{model.value} fit is degenerate (coincident or collinear "
+            "points, or a near-singular transform)")
+    return AffineTransform(m[0], model)
 
 
 def _normalize(points: np.ndarray):
-    """Centroid shift + mean-distance scaling for numerical conditioning."""
-    centroid = points.mean(axis=0)
-    shifted = points - centroid
-    mean_dist = float(np.hypot(shifted[:, 0], shifted[:, 1]).mean())
-    if mean_dist < 1e-12:
-        raise DegenerateFitError("all points coincide")
-    scale = np.sqrt(2.0) / mean_dist
-    return shifted * scale, centroid, scale
+    """Centroid shift + mean-distance scaling of each set in a (B, k, 2)
+    batch, for numerical conditioning. Also returns the mask of sets whose
+    points do not all coincide."""
+    centroid = points.mean(axis=1)
+    shifted = points - centroid[:, None]
+    mean_dist = np.hypot(shifted[..., 0], shifted[..., 1]).mean(axis=1)
+    usable = mean_dist >= 1e-12
+    scale = np.sqrt(2.0) / np.where(usable, mean_dist, 1.0)
+    return shifted * scale[:, None, None], centroid, scale, usable
 
 
 def _fit_points(src: np.ndarray, dst: np.ndarray,
-                model: TransformKind) -> AffineTransform:
+                model: TransformKind) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fits of a batch of point sets: (B, k, 2) -> (B, 2, 3).
+
+    Returns the matrices and the mask of usable fits. A fit is unusable when
+    its points coincide (in a minimal sample, any two closer than 1e-9 on
+    either side; in any set, all within 1e-12 of their centroid), when its
+    normal matrix is not finite or has a condition number above 1e12, or
+    when the fitted |det| is below _MIN_DET. Unusable rows hold
+    placeholders.
+    """
+    b, k = src.shape[:2]
     if model == TransformKind.TRANSLATION:
-        t = (dst - src).mean(axis=0)
-        return AffineTransform.translation(float(t[0]), float(t[1]))
+        m = np.zeros((b, 2, 3))
+        m[:, 0, 0] = m[:, 1, 1] = 1.0
+        m[:, :, 2] = (dst - src).mean(axis=1)
+        return m, np.ones(b, dtype=bool)
 
-    ns, cs, ss = _normalize(src)
-    nd, cd, sd = _normalize(dst)
-    n = len(src)
+    usable = np.ones(b, dtype=bool)
+    if k == model.min_matches:
+        for i, j in itertools.combinations(range(k), 2):
+            for pts in (src, dst):
+                usable &= np.hypot(*(pts[:, i] - pts[:, j]).T) >= 1e-9
+    ns, cs, ss, src_spread = _normalize(src)
+    nd, cd, sd, dst_spread = _normalize(dst)
+    usable &= src_spread & dst_spread
+    x, y = ns[..., 0], ns[..., 1]
+    one, zero = np.ones_like(x), np.zeros_like(x)
     if model == TransformKind.SIMILARITY:
-        a_mat = np.zeros((2 * n, 4))
-        rhs = np.empty(2 * n)
-        a_mat[0::2, 0] = ns[:, 0]
-        a_mat[0::2, 1] = -ns[:, 1]
-        a_mat[0::2, 2] = 1.0
-        a_mat[1::2, 0] = ns[:, 1]
-        a_mat[1::2, 1] = ns[:, 0]
-        a_mat[1::2, 3] = 1.0
-        rhs[0::2] = nd[:, 0]
-        rhs[1::2] = nd[:, 1]
-        params = _solve_normal(a_mat, rhs)
-        an, bn, txn, tyn = params
-        # undo both normalizations: T = denorm(dst) o T_n o norm(src)
-        a = an * ss / sd
-        b = bn * ss / sd
-        lin = np.array([[a, -b], [b, a]])
-        t = (np.array([txn, tyn]) / sd + cd) - lin @ cs
-        return AffineTransform.similarity(a, b, float(t[0]), float(t[1]))
+        rows = ([x, -y, one, zero], [y, x, zero, one])
+    else:
+        rows = ([x, y, one, zero, zero, zero], [zero, zero, zero, x, y, one])
+    # each point's x and y constraints in turn, as in nd.reshape(b, 2 * k)
+    a_mat = np.stack([np.stack(r, axis=-1) for r in rows], axis=2)
+    params, conditioned = _solve_normal(a_mat.reshape(b, 2 * k, -1),
+                                        nd.reshape(b, 2 * k))
+    usable &= conditioned
 
-    a_mat = np.zeros((2 * n, 6))
-    rhs = np.empty(2 * n)
-    a_mat[0::2, 0] = ns[:, 0]
-    a_mat[0::2, 1] = ns[:, 1]
-    a_mat[0::2, 2] = 1.0
-    a_mat[1::2, 3] = ns[:, 0]
-    a_mat[1::2, 4] = ns[:, 1]
-    a_mat[1::2, 5] = 1.0
-    rhs[0::2] = nd[:, 0]
-    rhs[1::2] = nd[:, 1]
-    params = _solve_normal(a_mat, rhs)
-    lin_n = params.reshape(2, 3)[:, :2]
-    t_n = params.reshape(2, 3)[:, 2]
-    lin = lin_n * (ss / sd)
-    t = (t_n / sd + cd) - lin @ cs
-    return AffineTransform(np.column_stack([lin, t]), TransformKind.AFFINE)
+    # undo both normalizations: T = denorm(dst) o T_n o norm(src)
+    if model == TransformKind.SIMILARITY:
+        a = params[:, 0] * ss / sd
+        c = params[:, 1] * ss / sd
+        lin = np.array([[a, -c], [c, a]]).transpose(2, 0, 1)
+        t_n = params[:, 2:]
+    else:
+        lin = params.reshape(b, 2, 3)[:, :, :2] * (ss / sd)[:, None, None]
+        t_n = params.reshape(b, 2, 3)[:, :, 2]
+    t = (t_n / sd[:, None] + cd) - (lin @ cs[..., None])[..., 0]
+    det = lin[:, 0, 0] * lin[:, 1, 1] - lin[:, 0, 1] * lin[:, 1, 0]
+    usable &= np.abs(det) >= _MIN_DET
+    return np.concatenate([lin, t[..., None]], axis=2), usable
 
 
-def _solve_normal(a_mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    ata = a_mat.T @ a_mat
-    if not np.isfinite(ata).all() or np.linalg.cond(ata) > 1e12:
-        raise DegenerateFitError(
-            "normal matrix is singular or near-singular (degenerate geometry)")
-    return np.linalg.solve(ata, a_mat.T @ rhs)
+def _solve_normal(a_mat: np.ndarray, rhs: np.ndarray):
+    """Solve the normal equations of each system in a batch. Also returns
+    the mask of systems whose normal matrix is finite with a condition
+    number of at most 1e12; the others are solved against the identity."""
+    a_t = a_mat.transpose(0, 2, 1)
+    ata = a_t @ a_mat
+    eye = np.eye(ata.shape[-1])
+    ok = np.isfinite(ata).all(axis=(1, 2))
+    ata = np.where(ok[:, None, None], ata, eye)
+    ok &= np.linalg.cond(ata) <= 1e12
+    ata = np.where(ok[:, None, None], ata, eye)
+    return np.linalg.solve(ata, a_t @ rhs[..., None])[..., 0], ok
 
 
-def _degenerate_sample(src: np.ndarray, dst: np.ndarray) -> bool:
-    """Minimal samples with coincident points on either side are unusable."""
-    n = len(src)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (np.hypot(*(src[i] - src[j])) < 1e-9
-                    or np.hypot(*(dst[i] - dst[j])) < 1e-9):
-                return True
-    return False
+def _minimal_samples(n: int, k: int, count: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Index rows of one round's minimal samples, shape (B, k).
+
+    When the n matches have at most `count` k-subsets, every subset is
+    listed in lexicographic order and `rng` is left untouched. Otherwise
+    `count` subsets are drawn by Floyd's method: column j draws from
+    [0, n-k+j] and takes n-k+j instead when the draw repeats an earlier
+    column, so each row holds k distinct indices, a uniform k-subset.
+    """
+    if math.comb(n, k) <= count:
+        flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+        return np.fromiter(flat, dtype=np.intp).reshape(-1, k)
+    samples = np.empty((count, k), dtype=np.intp)
+    for j, top in enumerate(range(n - k, n)):
+        draw = rng.integers(0, top + 1, size=count)
+        repeat = (samples[:, :j] == draw[:, None]).any(axis=1)
+        samples[:, j] = np.where(repeat, top, draw)
+    return samples
 
 
 def ransac_once(matches: list[Match], src_positions, dst_positions,
                 cfg: RansacConfig, consensus_dist: float,
                 rng: np.random.Generator | None = None
                 ) -> tuple[AffineTransform, int]:
-    """One consensus round: sample minimal match subsets, fit, keep the
-    hypothesis with the largest support, then refit on its full inlier set.
+    """One consensus round: fit minimal match subsets, keep the hypothesis
+    with the largest support, then refit on its full inlier set.
 
-    The refit transform is returned only when its support is at least the
-    sampled winner's, so the returned support is maximal over everything
-    considered. Ties between sampled hypotheses go to the earlier sample.
+    The round fits every minimal subset when there are at most
+    cfg.samples_per_iter of them, without drawing from `rng`, and otherwise
+    cfg.samples_per_iter subsets drawn from `rng`. All samples are fitted
+    as one batch and scored in blocks; ties go to the earlier sample.
+    Support is the number of matches whose `_residuals` are at most
+    consensus_dist. The refit transform is returned only when its support
+    is at least the winner's, so the returned support is maximal over
+    everything considered.
     """
     sample_size = cfg.model.min_matches
     if len(matches) < sample_size:
@@ -239,39 +277,30 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
     src, dst = _match_arrays(matches, src_positions, dst_positions)
     n = len(matches)
 
-    best_support = -1
-    best_t = None
-    for _ in range(cfg.samples_per_iter):
-        sel = rng.choice(n, size=sample_size, replace=False)
-        s, d = src[sel], dst[sel]
-        if sample_size >= 2 and _degenerate_sample(s, d):
-            continue
-        try:
-            hypothesis = _fit_points(s, d, cfg.model)
-        except DegenerateFitError:
-            continue
-        if abs(hypothesis.det()) < _MIN_DET:
-            continue
-        support = int(np.count_nonzero(_residuals(hypothesis, src, dst)
-                                       <= consensus_dist))
-        if support > best_support:
-            best_support = support
-            best_t = hypothesis
-    if best_t is None:
+    samples = _minimal_samples(n, sample_size, cfg.samples_per_iter, rng)
+    hypotheses, usable = _fit_points(src[samples], dst[samples], cfg.model)
+    hypotheses = hypotheses[usable]
+    if len(hypotheses) == 0:
         raise RegistrationError(
-            f"all {cfg.samples_per_iter} sampled match subsets were degenerate")
+            f"all {len(samples)} sampled match subsets were degenerate")
+    per_block = max(1, _SCORE_BLOCK // n)
+    support = np.concatenate([
+        np.count_nonzero(_residuals(hypotheses[i:i + per_block], src, dst)
+                         <= consensus_dist, axis=1)
+        for i in range(0, len(hypotheses), per_block)])
+    best_t = hypotheses[np.argmax(support)]
 
     inlier_mask = _residuals(best_t, src, dst) <= consensus_dist
-    try:
-        refit = _fit_points(src[inlier_mask], dst[inlier_mask], cfg.model)
-        if abs(refit.det()) >= _MIN_DET:
+    best_support = int(np.count_nonzero(inlier_mask))
+    if best_support >= sample_size:
+        refit, ok = _fit_points(src[inlier_mask][None], dst[inlier_mask][None],
+                                cfg.model)
+        if ok[0]:
             refit_support = int(np.count_nonzero(
-                _residuals(refit, src, dst) <= consensus_dist))
+                _residuals(refit[0], src, dst) <= consensus_dist))
             if refit_support >= best_support:
-                return refit, refit_support
-    except DegenerateFitError:
-        pass
-    return best_t, best_support
+                return AffineTransform(refit[0], cfg.model), refit_support
+    return AffineTransform(best_t, cfg.model), best_support
 
 
 def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
@@ -347,7 +376,7 @@ def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
 
     t_final = per_iteration[-1][0]
     src, dst = _match_arrays(final_matches, pos_v, pos_ir)
-    inlier_mask = _residuals(t_final, src, dst) <= cfg.inlier_dist_fine
+    inlier_mask = _residuals(t_final.m, src, dst) <= cfg.inlier_dist_fine
     inliers = [m for m, ok in zip(final_matches, inlier_mask) if ok]
     return RegistrationResult(transform=t_final, inliers=inliers,
                               support=len(inliers),

@@ -67,3 +67,70 @@ def random_descriptor(rng, window=15, n_bins=16, density=0.3, x=100, y=100):
     g = rng.integers(0, n_bins, size=(window, window)).astype(np.uint8)
     return EdgeDescriptor(x=x, y=y, edges=e, directions=g, n_bins=n_bins,
                           edge_count=int(e.sum()))
+
+
+def residual(t, match, src_positions, dst_positions):
+    """Distance between one transformed source corner and its matched corner."""
+    p = t.apply(np.asarray(src_positions[match.src_index], dtype=np.float64))
+    q = np.asarray(dst_positions[match.dst_index], dtype=np.float64)
+    return float(np.hypot(p[0] - q[0], p[1] - q[1]))
+
+
+def fit_sample_oracle(src, dst, model):
+    """Scalar least-squares fit of one minimal sample, or None if unusable.
+
+    The per-sample consensus fit, written out one sample at a time: a sample
+    with two points closer than 1e-9 on either side, points all at their
+    centroid, a normal matrix that is not finite or has cond > 1e12, or a
+    fitted |det| < 1e-6 is unusable. Returns the 2x3 matrix otherwise.
+    """
+    from crossband.transform import TransformKind
+    src = np.asarray(src, dtype=np.float64)
+    dst = np.asarray(dst, dtype=np.float64)
+    n = len(src)
+    if model == TransformKind.TRANSLATION:
+        t = (dst - src).mean(axis=0)
+        return np.array([[1.0, 0.0, t[0]], [0.0, 1.0, t[1]]])
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (np.hypot(*(src[i] - src[j])) < 1e-9
+                    or np.hypot(*(dst[i] - dst[j])) < 1e-9):
+                return None
+
+    def normalize(points):
+        centroid = points.mean(axis=0)
+        shifted = points - centroid
+        mean_dist = float(np.hypot(shifted[:, 0], shifted[:, 1]).mean())
+        if mean_dist < 1e-12:
+            return None
+        scale = np.sqrt(2.0) / mean_dist
+        return shifted * scale, centroid, scale
+
+    src_norm, dst_norm = normalize(src), normalize(dst)
+    if src_norm is None or dst_norm is None:
+        return None
+    (ns, cs, ss), (nd, cd, sd) = src_norm, dst_norm
+    if model == TransformKind.SIMILARITY:
+        a_mat = np.zeros((2 * n, 4))
+        a_mat[0::2, 0], a_mat[0::2, 1], a_mat[0::2, 2] = ns[:, 0], -ns[:, 1], 1.0
+        a_mat[1::2, 0], a_mat[1::2, 1], a_mat[1::2, 3] = ns[:, 1], ns[:, 0], 1.0
+    else:
+        a_mat = np.zeros((2 * n, 6))
+        a_mat[0::2, 0], a_mat[0::2, 1], a_mat[0::2, 2] = ns[:, 0], ns[:, 1], 1.0
+        a_mat[1::2, 3], a_mat[1::2, 4], a_mat[1::2, 5] = ns[:, 0], ns[:, 1], 1.0
+    rhs = nd.reshape(-1)
+    ata = a_mat.T @ a_mat
+    if not np.isfinite(ata).all() or np.linalg.cond(ata) > 1e12:
+        return None
+    params = np.linalg.solve(ata, a_mat.T @ rhs)
+    if model == TransformKind.SIMILARITY:
+        an, bn, txn, tyn = params
+        a, b = an * ss / sd, bn * ss / sd
+        lin = np.array([[a, -b], [b, a]])
+        t = (np.array([txn, tyn]) / sd + cd) - lin @ cs
+    else:
+        lin = params.reshape(2, 3)[:, :2] * (ss / sd)
+        t = (params.reshape(2, 3)[:, 2] / sd + cd) - lin @ cs
+    if abs(lin[0, 0] * lin[1, 1] - lin[0, 1] * lin[1, 0]) < 1e-6:
+        return None
+    return np.column_stack([lin, t])

@@ -122,6 +122,25 @@ def test_png_inflation_is_bounded_by_the_header(tmp_path):
     assert peak < 4 << 20
 
 
+def test_png_pixel_count_is_capped_before_inflating(tmp_path):
+    # a 50 KB file whose header claims 20000x20000 over 50 MB of zeros
+    deflate = zlib.compressobj(9)
+    zeros = bytes(1 << 20)
+    idat = b"".join(deflate.compress(zeros) for _ in range(50)) + deflate.flush()
+    path = tmp_path / "huge.png"
+    _png(path, [(b"IHDR", _ihdr(20000, 20000, 8, 0)), (b"IDAT", idat),
+                (b"IEND", b"")])
+    del zeros
+    tracemalloc.start()
+    try:
+        with pytest.raises(ImageIOError, match="20000x20000 exceed"):
+            read_image(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 def test_png_truncated_zlib_stream(tmp_path):
     raw = b"\x00\x80"  # one 1x1 gray scanline, filter 0
     idat = zlib.compress(raw)[:-4]  # drop the adler32 trailer

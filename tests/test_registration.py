@@ -1,17 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from crossband.descriptor import EdgeDescriptor, build_descriptors
 from crossband.edges import canny
 from crossband.errors import DegenerateFitError, RegistrationError
 from crossband.evaluation import SimulationSpec, simulate_pair, synthetic_texture
 from crossband.features import HarrisConfig, detect_corners, harris_score_map
-from crossband.registration import (Match, RansacConfig, fit_least_squares,
-                                    match_all, positions_of, ransac_once,
-                                    register, residual)
+from crossband.registration import (Match, RansacConfig, _fit_points,
+                                    _minimal_samples, _residuals,
+                                    fit_least_squares, match_all, positions_of,
+                                    ransac_once, register)
 from crossband.transform import AffineTransform, TransformKind
 
-from helpers import random_descriptor
+from helpers import fit_sample_oracle, random_descriptor, residual
 
 
 def _descriptor_grid(rng, n=12, window=15, spacing=40, origin=(30, 30)):
@@ -167,6 +171,76 @@ def test_fit_normal_equation_stationarity(kind):
     assert np.max(np.abs(a.T @ r)) < 1e-8
 
 
+_GRID = st.integers(-50, 50)
+_SAMPLE_CASES = ("similarity", "affine", "random", "collinear", "collapsed",
+                 "src-coincident", "dst-coincident", "src-near", "dst-near")
+
+
+@st.composite
+def _minimal_sample_batches(draw):
+    """(model, src, dst): a batch of minimal samples on an integer grid, one
+    per case in a drawn order: mapped by a random similarity or affine,
+    random, collinear, mapped by |det| = 1e-8, or with two points coincident
+    or 1e-10 apart on one side."""
+    model = draw(st.sampled_from(list(TransformKind)))
+    k = model.min_matches
+    src, dst = [], []
+    for case in draw(st.permutations(_SAMPLE_CASES)):
+        s = np.array([[draw(_GRID), draw(_GRID)] for _ in range(k)], float)
+        d = np.array([[draw(_GRID), draw(_GRID)] for _ in range(k)], float)
+        if case in ("similarity", "affine"):
+            angle = draw(st.floats(-np.pi, np.pi))
+            rot = np.array([[np.cos(angle), -np.sin(angle)],
+                            [np.sin(angle), np.cos(angle)]])
+            scale = draw(st.floats(0.5, 2.0))
+            lin = scale * rot
+            if case == "affine":
+                lin = np.array([[scale, draw(st.floats(-0.5, 0.5))],
+                                [0.0, draw(st.floats(0.5, 2.0))]]) @ rot
+            d = s @ lin.T + np.array([draw(st.floats(-100, 100)),
+                                      draw(st.floats(-100, 100))])
+        elif case == "collinear":
+            step = np.array([draw(st.integers(-5, 5)), draw(st.integers(-5, 5))])
+            s = s[0] + np.arange(k)[:, None] * step
+        elif case == "collapsed":
+            d = s * 1e-4 + d[0]  # |det| = 1e-8
+        elif "-" in case and k >= 2:
+            side, gap = case.split("-")
+            pts = s if side == "src" else d
+            pts[1] = pts[0] + (1e-10 if gap == "near" else 0.0)
+        src.append(s)
+        dst.append(d)
+    return model, np.array(src), np.array(dst)
+
+
+@given(_minimal_sample_batches())
+def test_batched_fit_matches_per_sample_oracle(batch):
+    model, src, dst = batch
+    m, usable = _fit_points(src, dst, model)
+    assert m.shape == (len(src), 2, 3)
+    for b in range(len(src)):
+        expected = fit_sample_oracle(src[b], dst[b], model)
+        assert usable[b] == (expected is not None)
+        if expected is not None:
+            assert np.allclose(m[b], expected, rtol=1e-9, atol=1e-9)
+
+
+def test_fit_rejects_points_within_1e_12_of_their_centroid():
+    src = 5.0 + np.array([[0.0, 0.0], [1e-13, 0.0], [0.0, 1e-13], [1e-13, 1e-13]])
+    dst = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
+    matches = [Match(i, i, 1.0) for i in range(4)]
+    with pytest.raises(DegenerateFitError):
+        fit_least_squares(matches, src, dst, TransformKind.SIMILARITY)
+
+
+def test_fit_rejects_near_singular_transform():
+    src = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
+    dst = src * 1e-4
+    matches = [Match(i, i, 1.0) for i in range(3)]
+    with pytest.raises(DegenerateFitError):
+        fit_least_squares(matches, src, dst, TransformKind.AFFINE)
+
+
 # --- ransac_once ----------------------------------------------------------------
 
 def test_ransac_all_consistent_translation():
@@ -258,6 +332,83 @@ def test_ransac_deterministic():
     t2, s2 = ransac_once(matches, src, dst, cfg, 2.0)
     assert np.array_equal(t1.m, t2.m)
     assert s1 == s2
+
+
+def _planted_matches(kind, n, seed):
+    """n matches, the first 70% mapped by a planted transform of `kind`."""
+    rng = np.random.default_rng(seed)
+    truth = {TransformKind.TRANSLATION: AffineTransform.translation(6.0, -4.0),
+             TransformKind.SIMILARITY: AffineTransform.similarity(
+                 1.03, 0.05, 6.0, -4.0),
+             TransformKind.AFFINE: AffineTransform(
+                 np.array([[1.04, 0.03, 6.0], [-0.02, 0.97, -4.0]]))}[kind]
+    src = rng.uniform(0, 400, size=(n, 2))
+    dst = truth.apply(src) + rng.normal(0, 0.3, size=(n, 2))
+    n_in = int(0.7 * n)
+    dst[n_in:] = rng.uniform(0, 400, size=(n - n_in, 2))
+    return [Match(i, i, 1.0) for i in range(n)], src, dst
+
+
+@pytest.mark.parametrize("kind,n", [(TransformKind.TRANSLATION, 40),
+                                    (TransformKind.SIMILARITY, 30),
+                                    (TransformKind.AFFINE, 12)])
+def test_ransac_enumerates_small_sample_spaces(kind, n):
+    # C(n, k) <= samples_per_iter: every subset is fitted and none is drawn
+    matches, src, dst = _planted_matches(kind, n, seed=10)
+    cfg = RansacConfig(model=kind, samples_per_iter=1000)
+    results = []
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        results.append(ransac_once(matches, src, dst, cfg, 2.0, rng))
+        assert rng.bit_generator.state == state
+    results.append(ransac_once(matches, src, dst, cfg, 2.0))
+    for t, support in results[1:]:
+        assert np.array_equal(t.m, results[0][0].m)
+        assert support == results[0][1]
+
+
+@pytest.mark.parametrize("kind", list(TransformKind))
+@pytest.mark.parametrize("samples", [40, 1000])
+def test_ransac_support_is_the_residual_count(kind, samples):
+    matches, src, dst = _planted_matches(kind, 200, seed=11)
+    cfg = RansacConfig(model=kind, samples_per_iter=samples, rng_seed=5)
+    t, support = ransac_once(matches, src, dst, cfg, consensus_dist=2.0)
+    assert t.kind == kind
+    assert support == np.count_nonzero(_residuals(t.m, src, dst) <= 2.0)
+
+
+def test_residuals_of_a_stack_equal_each_matrix_alone():
+    rng = np.random.default_rng(12)
+    stack = rng.normal(size=(7, 2, 3))
+    src = rng.uniform(0, 400, size=(50, 2))
+    dst = rng.uniform(0, 400, size=(50, 2))
+    together = _residuals(stack, src, dst)
+    for m, row in zip(stack, together):
+        assert np.array_equal(_residuals(m, src, dst), row)
+
+
+def test_minimal_samples_are_uniform_distinct_subsets():
+    rng = np.random.default_rng(13)
+    n, k = 40, 3
+    counts = np.zeros(n)
+    for _ in range(100):
+        samples = _minimal_samples(n, k, 500, rng)
+        assert samples.shape == (500, k)
+        assert ((samples >= 0) & (samples < n)).all()
+        assert (np.sort(samples, axis=1)[:, 1:]
+                != np.sort(samples, axis=1)[:, :-1]).all()
+        counts += np.bincount(samples.ravel(), minlength=n)
+    # each index has probability k/n per sample: 3750 expected, sd ~59
+    assert np.abs(counts - 100 * 500 * k / n).max() < 400
+
+
+def test_minimal_samples_lists_small_spaces_in_order():
+    rng = np.random.default_rng(14)
+    state = rng.bit_generator.state
+    samples = _minimal_samples(5, 3, 10, rng)
+    assert samples.tolist() == [list(c) for c in itertools.combinations(range(5), 3)]
+    assert rng.bit_generator.state == state
 
 
 def test_ransac_config_validation():
