@@ -148,48 +148,74 @@ def _decode_png(path, data: bytes) -> np.ndarray:
     return pixels[:, :, 0] if channels == 1 else pixels
 
 
+# Each PNG filter type (0 None, 1 Sub, 2 Up, 3 Average, 4 Paeth) as predictor
+# weights: pred = ((a * wa + b * wb) >> shift) + paeth * wp
+_PREDICTOR_WEIGHTS = np.array([
+    [0, 0, 0, 0],  # None: 0
+    [1, 0, 0, 0],  # Sub: a
+    [0, 1, 0, 0],  # Up: b
+    [1, 1, 1, 0],  # Average: (a + b) >> 1
+    [0, 0, 0, 1],  # Paeth
+], dtype=np.int16)
+
+
 def _unfilter(path, scanlines: np.ndarray, bpp: int) -> np.ndarray:
-    """Reverse the PNG per-scanline filters (types 0-4)."""
+    """Reverse the PNG per-scanline filters (types 0-4).
+
+    A byte of pixel (r, c) is predicted from the same byte of its left (a),
+    upper (b) and upper-left (c) neighbours only, so all pixels on an
+    anti-diagonal r + c = d decode at once (Lamport's wavefront method):
+    w + h - 1 vector steps, each computing every predictor for its pixels
+    and keeping the one its row's filter byte selects. Decoded pixels go
+    to a diagonal-major buffer in which each diagonal is contiguous and has
+    one zero pixel at either end, so a step's neighbours are contiguous
+    slices of the two diagonals before it and neighbours outside the image
+    read zero. Memory stays linear in the image.
+    """
     h, stride1 = scanlines.shape
-    stride = stride1 - 1
-    out = np.zeros((h, stride), dtype=np.uint8)
-    prior = np.zeros(stride, dtype=np.int64)
-    for y in range(h):
-        ftype = scanlines[y, 0]
-        line = scanlines[y, 1:].astype(np.int64)
-        if ftype == 0:
-            recon = line
-        elif ftype == 1:  # Sub
-            recon = line.copy()
-            for i in range(bpp, stride):
-                recon[i] = (recon[i] + recon[i - bpp]) & 0xFF
-        elif ftype == 2:  # Up
-            recon = (line + prior) & 0xFF
-        elif ftype == 3:  # Average
-            recon = line.copy()
-            for i in range(stride):
-                left = recon[i - bpp] if i >= bpp else 0
-                recon[i] = (recon[i] + (left + prior[i]) // 2) & 0xFF
-        elif ftype == 4:  # Paeth
-            recon = line.copy()
-            for i in range(stride):
-                left = recon[i - bpp] if i >= bpp else 0
-                up = prior[i]
-                ul = prior[i - bpp] if i >= bpp else 0
-                p = left + up - ul
-                pa, pb, pc = abs(p - left), abs(p - up), abs(p - ul)
-                if pa <= pb and pa <= pc:
-                    pred = left
-                elif pb <= pc:
-                    pred = up
-                else:
-                    pred = ul
-                recon[i] = (recon[i] + pred) & 0xFF
-        else:
-            raise ImageIOError(path, f"unknown PNG filter type {ftype}")
-        out[y] = recon.astype(np.uint8)
-        prior = recon
-    return out
+    w = (stride1 - 1) // bpp
+    ftypes = scanlines[:, 0]
+    bad = np.flatnonzero(ftypes > 4)
+    if bad.size:
+        raise ImageIOError(path, f"unknown PNG filter type {ftypes[bad[0]]}")
+    wa, wb, shift, wp = (np.repeat(col, bpp) for col in _PREDICTOR_WEIGHTS[ftypes].T)
+    raw = scanlines[:, 1:].reshape(h * w, bpp)
+    out = np.empty_like(raw)
+
+    # diagonal d holds rows first[d] - 1 .. stop[d], and row r of it is
+    # buffer pixel base[d] + r; d starts at -2, two padding-only diagonals
+    diag = np.arange(-2, w + h - 1)
+    first = np.maximum(0, diag - w + 1)
+    stop = np.minimum(h, diag + 1)
+    slots = stop - first + 2
+    base = np.cumsum(slots) - slots - first + 1
+    buf = np.zeros(int(slots.sum()) * bpp, dtype=np.int16)
+    # pixel (r, d - r) is raw[r * (w - 1) + d]; at w = 1 a diagonal is one pixel
+    step = max(w - 1, 1)
+    for d, lo, hi, at, left, upleft in zip(
+            range(w + h - 1), first[2:].tolist(), stop[2:].tolist(),
+            ((base[2:] + first[2:]) * bpp).tolist(),
+            ((base[1:-1] + first[2:]) * bpp).tolist(),
+            ((base[:-2] + first[2:] - 1) * bpp).tolist()):
+        n = (hi - lo) * bpp
+        a = buf[left:left + n]
+        b = buf[left - bpp:left - bpp + n]
+        c = buf[upleft:upleft + n]
+        ac, bc = a - c, b - c
+        pa, pb, pc = np.abs(bc), np.abs(ac), np.abs(ac + bc)
+        # Paeth, as an offset from c: a if pa <= pb, pc; else b if pb <= pc
+        paeth = (pb <= pc) * bc
+        paeth += (pa <= np.minimum(pb, pc)) * (ac - paeth)
+        paeth += c
+        rows = slice(lo * bpp, hi * bpp)
+        pred = (a * wa[rows] + b * wb[rows]) >> shift[rows]
+        pred += paeth * wp[rows]
+        pixels = slice(lo * (w - 1) + d, (hi - 1) * (w - 1) + d + 1, step)
+        cur = buf[at:at + n].reshape(-1, bpp)
+        np.add(raw[pixels], pred.reshape(-1, bpp), out=cur)
+        cur &= 0xFF
+        out[pixels] = cur
+    return out.reshape(h, w * bpp)
 
 
 def _png_chunk(ctype: bytes, payload: bytes) -> bytes:

@@ -84,12 +84,16 @@ class AffineTransform:
         return float(self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0])
 
     def apply(self, points) -> np.ndarray:
-        """Transform an (N, 2) array (or a single (2,) point) of (x, y)."""
+        """Transform an (N, 2) array (or a single (2,) point) of (x, y).
+
+        The products are written out per component, so a point maps to the
+        same bits alone or inside any batch.
+        """
         pts = np.asarray(points, dtype=np.float64)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        out = pts @ self.m[:, :2].T + self.m[:, 2]
-        return out[0] if single else out
+        x, y = pts[..., 0], pts[..., 1]
+        m = self.m
+        return np.stack([m[0, 0] * x + m[0, 1] * y + m[0, 2],
+                         m[1, 0] * x + m[1, 1] * y + m[1, 2]], axis=-1)
 
     def compose(self, other: "AffineTransform") -> "AffineTransform":
         """Return the transform applying `other` first, then self."""

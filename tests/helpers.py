@@ -134,3 +134,52 @@ def fit_sample_oracle(src, dst, model):
     if abs(lin[0, 0] * lin[1, 1] - lin[0, 1] * lin[1, 0]) < 1e-6:
         return None
     return np.column_stack([lin, t])
+
+
+def unfilter_oracle(scanlines, bpp):
+    """Reverse the PNG per-scanline filters (types 0-4) one byte at a time.
+
+    `scanlines` is (h, 1 + stride) uint8, each row led by its filter byte;
+    returns the (h, stride) uint8 image. Unknown filter types raise
+    ValueError.
+    """
+    h, stride1 = scanlines.shape
+    stride = stride1 - 1
+    out = np.zeros((h, stride), dtype=np.uint8)
+    prior = np.zeros(stride, dtype=np.int64)
+    for y in range(h):
+        ftype = scanlines[y, 0]
+        line = scanlines[y, 1:].astype(np.int64)
+        if ftype == 0:
+            recon = line
+        elif ftype == 1:  # Sub
+            recon = line.copy()
+            for i in range(bpp, stride):
+                recon[i] = (recon[i] + recon[i - bpp]) & 0xFF
+        elif ftype == 2:  # Up
+            recon = (line + prior) & 0xFF
+        elif ftype == 3:  # Average
+            recon = line.copy()
+            for i in range(stride):
+                left = recon[i - bpp] if i >= bpp else 0
+                recon[i] = (recon[i] + (left + prior[i]) // 2) & 0xFF
+        elif ftype == 4:  # Paeth
+            recon = line.copy()
+            for i in range(stride):
+                left = recon[i - bpp] if i >= bpp else 0
+                up = prior[i]
+                ul = prior[i - bpp] if i >= bpp else 0
+                p = left + up - ul
+                pa, pb, pc = abs(p - left), abs(p - up), abs(p - ul)
+                if pa <= pb and pa <= pc:
+                    pred = left
+                elif pb <= pc:
+                    pred = up
+                else:
+                    pred = ul
+                recon[i] = (recon[i] + pred) & 0xFF
+        else:
+            raise ValueError(f"unknown PNG filter type {ftype}")
+        out[y] = recon.astype(np.uint8)
+        prior = recon
+    return out

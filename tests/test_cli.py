@@ -241,8 +241,14 @@ def test_no_partial_output_on_unwritable_path(tmp_path, texture_png):
 
 def test_config_file_plus_override_precedence(tmp_path, texture_png):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("# comment line\nransac.seed = 7\nharris.max_corners = 100\n")
-    out = tmp_path / "t.json"
-    code = main(["register", str(texture_png), str(texture_png), str(out),
-                 "-c", str(cfg), "-o", "ransac.seed=8"])
+    cfg.write_text("# comment line\nransac.model = similarity\n"
+                   "harris.max_corners = 100\n")
+    overridden, plain = tmp_path / "t.json", tmp_path / "plain.json"
+    code = main(["register", str(texture_png), str(texture_png), str(overridden),
+                 "-c", str(cfg), "-o", "ransac.model=translation"])
     assert code == 0
+    assert json.loads(overridden.read_text())["model"] == "translation"
+    code = main(["register", str(texture_png), str(texture_png), str(plain),
+                 "-c", str(cfg)])
+    assert code == 0
+    assert json.loads(plain.read_text())["model"] == "similarity"

@@ -4,9 +4,11 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossband.errors import ImageIOError
-from crossband.image_io import read_image, write_image
+from crossband.image_io import _unfilter, read_image, write_image
+from helpers import unfilter_oracle
 
 
 def _png(path, chunks):
@@ -241,6 +243,55 @@ def test_png_reader_inverts_all_filters(tmp_path, ftypes):
              (b"IDAT", zlib.compress(raw)), (b"IEND", b"")])
     img = read_image(p)
     assert np.array_equal(img, codes.astype(np.float64) / 255)
+
+
+@st.composite
+def _filtered_scanlines(draw):
+    bpp = draw(st.sampled_from([1, 2, 3, 6]))
+    h = draw(st.integers(1, 40))
+    w = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from([(h, w), (1, w), (h, 1)]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    scanlines = rng.integers(0, 256, size=(shape[0], 1 + shape[1] * bpp),
+                             dtype=np.uint8)
+    scanlines[:, 0] = rng.integers(0, 5, size=shape[0])
+    return scanlines, bpp
+
+
+@settings(max_examples=300, deadline=None)
+@given(_filtered_scanlines())
+def test_unfilter_equals_per_byte_oracle(case):
+    scanlines, bpp = case
+    got = _unfilter("x.png", scanlines, bpp)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, unfilter_oracle(scanlines, bpp))
+
+
+def test_png_unknown_filter_type(tmp_path):
+    rng = np.random.default_rng(3)
+    codes = rng.integers(0, 256, size=(6, 5, 3)).astype(np.uint8)
+    raw = bytearray(_filter_forward(codes.reshape(6, -1), bpp=3, ftypes=(0, 1, 2, 3, 4)))
+    raw[3 * (1 + 5 * 3)] = 5  # filter byte of row 3
+    p = tmp_path / "f5.png"
+    _png(p, [(b"IHDR", _ihdr(5, 6, 8, 2)),
+             (b"IDAT", zlib.compress(bytes(raw))), (b"IEND", b"")])
+    with pytest.raises(ImageIOError, match="unknown PNG filter type 5"):
+        read_image(p)
+
+
+@pytest.mark.parametrize("h, w", [(4000, 64), (64, 4000)])
+def test_unfilter_memory_is_linear_in_the_image(h, w):
+    rng = np.random.default_rng(4)
+    scanlines = rng.integers(0, 256, size=(h, 1 + w * 3), dtype=np.uint8)
+    scanlines[:, 0] = np.arange(h) % 5
+    tracemalloc.start()
+    try:
+        _unfilter("x.png", scanlines, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_png_16bit_big_endian_samples(tmp_path):

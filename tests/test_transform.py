@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossband.errors import SingularTransformError
 from crossband.transform import (AffineTransform, TransformKind, format_matrix_text,
@@ -117,3 +118,17 @@ def test_load_transform_sniffs_format(tmp_path):
     tpath.write_text(format_matrix_text(t))
     assert np.array_equal(load_transform(jpath).m, t.m)
     assert np.array_equal(load_transform(tpath).m, t.m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4),
+       st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+       st.integers(1, 400), st.integers(0, 2**32 - 1))
+def test_apply_maps_a_point_alike_alone_or_in_a_batch(lin, shift, n, seed):
+    t = AffineTransform(np.array([[lin[0], lin[1], shift[0]],
+                                  [lin[2], lin[3], shift[1]]]))
+    points = np.random.default_rng(seed).uniform(-1e3, 1e3, size=(n, 2))
+    batch = t.apply(points)
+    assert batch.shape == (n, 2)
+    for i in range(n):
+        assert np.array_equal(batch[i], t.apply(points[i]))
