@@ -17,6 +17,7 @@ from .errors import ImageIOError
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 MAX_PNG_PIXELS = 1 << 25  # larger IHDR dimensions are rejected before inflating
+MAX_PNG_SIDES = 1 << 16  # so is a larger w + h: _unfilter takes w + h - 1 steps
 
 
 def read_image(path) -> np.ndarray:
@@ -116,6 +117,10 @@ def _decode_png(path, data: bytes) -> np.ndarray:
     if w * h > MAX_PNG_PIXELS:
         raise ImageIOError(
             path, f"PNG dimensions {w}x{h} exceed the {MAX_PNG_PIXELS}-pixel limit")
+    if w + h > MAX_PNG_SIDES:
+        raise ImageIOError(
+            path, f"PNG dimensions {w}x{h} exceed the {MAX_PNG_SIDES} "
+                  "width + height limit")
 
     channels = 3 if colortype == 2 else 1
     sample_bytes = bitdepth // 8
@@ -182,21 +187,18 @@ def _unfilter(path, scanlines: np.ndarray, bpp: int) -> np.ndarray:
     raw = scanlines[:, 1:].reshape(h * w, bpp)
     out = np.empty_like(raw)
 
-    # diagonal d holds rows first[d] - 1 .. stop[d], and row r of it is
-    # buffer pixel base[d] + r; d starts at -2, two padding-only diagonals
-    diag = np.arange(-2, w + h - 1)
-    first = np.maximum(0, diag - w + 1)
-    stop = np.minimum(h, diag + 1)
-    slots = stop - first + 2
-    base = np.cumsum(slots) - slots - first + 1
-    buf = np.zeros(int(slots.sum()) * bpp, dtype=np.int16)
+    # diagonal d holds rows lo - 1 .. hi of its pixels (lo .. hi - 1) and
+    # row r of it is buffer pixel base + r; two padding-only diagonals, of
+    # one and two pixels, come first
+    buf = np.zeros((h * w + 2 * (w + h) + 1) * bpp, dtype=np.int16)
+    base2, base1, start = 1, 2, 3  # bases of diagonals d - 2, d - 1; start of d
     # pixel (r, d - r) is raw[r * (w - 1) + d]; at w = 1 a diagonal is one pixel
     step = max(w - 1, 1)
-    for d, lo, hi, at, left, upleft in zip(
-            range(w + h - 1), first[2:].tolist(), stop[2:].tolist(),
-            ((base[2:] + first[2:]) * bpp).tolist(),
-            ((base[1:-1] + first[2:]) * bpp).tolist(),
-            ((base[:-2] + first[2:] - 1) * bpp).tolist()):
+    for d in range(w + h - 1):
+        lo, hi = max(0, d - w + 1), min(h, d + 1)
+        at, left, upleft = (start + 1) * bpp, (base1 + lo) * bpp, (base2 + lo - 1) * bpp
+        base2, base1 = base1, start - lo + 1
+        start += hi - lo + 2
         n = (hi - lo) * bpp
         a = buf[left:left + n]
         b = buf[left - bpp:left - bpp + n]

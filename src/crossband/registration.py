@@ -22,7 +22,7 @@ from .edges import CannyConfig, canny
 from .errors import DegenerateFitError, RegistrationError
 from .features import HarrisConfig, detect_corners, harris_score_map
 from .image import as_gray, require_finite
-from .transform import AffineTransform, TransformKind
+from .transform import AffineTransform, TransformKind, project
 from . import descriptor as _descriptor
 
 MIN_REGISTER_SIDE = 64   # below this, corner statistics collapse
@@ -119,12 +119,10 @@ def _residuals(m: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Distances between the transformed source points and their partners.
 
     `m` is one 2x3 matrix, giving shape (n,), or a stack (b, 2, 3), giving
-    (b, n). The products are written out per component, so a matrix gets
-    the same residuals bit for bit alone or inside a stack.
+    (b, n). A matrix gets the same residuals bit for bit alone or inside a
+    stack, and the points the same projections as from `AffineTransform.apply`.
     """
-    m = np.asarray(m)[..., None]
-    x = m[..., 0, 0, :] * src[:, 0] + m[..., 0, 1, :] * src[:, 1] + m[..., 0, 2, :]
-    y = m[..., 1, 0, :] * src[:, 0] + m[..., 1, 1, :] * src[:, 1] + m[..., 1, 2, :]
+    x, y = project(m, src)
     return np.hypot(x - dst[:, 0], y - dst[:, 1])
 
 

@@ -84,16 +84,8 @@ class AffineTransform:
         return float(self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0])
 
     def apply(self, points) -> np.ndarray:
-        """Transform an (N, 2) array (or a single (2,) point) of (x, y).
-
-        The products are written out per component, so a point maps to the
-        same bits alone or inside any batch.
-        """
-        pts = np.asarray(points, dtype=np.float64)
-        x, y = pts[..., 0], pts[..., 1]
-        m = self.m
-        return np.stack([m[0, 0] * x + m[0, 1] * y + m[0, 2],
-                         m[1, 0] * x + m[1, 1] * y + m[1, 2]], axis=-1)
+        """Transform an (N, 2) array (or a single (2,) point) of (x, y)."""
+        return np.stack(project(self.m, points), axis=-1)
 
     def compose(self, other: "AffineTransform") -> "AffineTransform":
         """Return the transform applying `other` first, then self."""
@@ -120,6 +112,21 @@ class AffineTransform:
         ainv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / d
         t = -ainv @ self.m[:, 2]
         return AffineTransform(np.column_stack([ainv, t]), self.kind)
+
+
+def project(m, points) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of (..., 2) points under a 2x3 matrix, or under each matrix
+    of a (b, 2, 3) stack, which puts a leading b axis on both.
+
+    The products are written out per component, so a point maps to the
+    same bits alone or inside any batch, and a matrix alone or in a stack.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    m = np.asarray(m, dtype=np.float64)
+    m = m.reshape(m.shape[:-2] + (1,) * (pts.ndim - 1) + (2, 3))
+    x, y = pts[..., 0], pts[..., 1]
+    return (m[..., 0, 0] * x + m[..., 0, 1] * y + m[..., 0, 2],
+            m[..., 1, 0] * x + m[..., 1, 1] * y + m[..., 1, 2])
 
 
 def _widest_kind(*kinds: TransformKind) -> TransformKind:

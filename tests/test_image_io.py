@@ -143,6 +143,15 @@ def test_png_pixel_count_is_capped_before_inflating(tmp_path):
     assert peak < 4 << 20
 
 
+def test_png_width_plus_height_is_capped(tmp_path):
+    # within the pixel cap, but a 65536x1 strip would take 65536 unfilter steps
+    path = tmp_path / "strip.png"
+    _png(path, [(b"IHDR", _ihdr(1 << 16, 1, 8, 0)),
+                (b"IDAT", zlib.compress(bytes((1 << 16) + 1))), (b"IEND", b"")])
+    with pytest.raises(ImageIOError, match="65536x1 exceed the 65536 width"):
+        read_image(path)
+
+
 def test_png_truncated_zlib_stream(tmp_path):
     raw = b"\x00\x80"  # one 1x1 gray scanline, filter 0
     idat = zlib.compress(raw)[:-4]  # drop the adler32 trailer
@@ -280,18 +289,19 @@ def test_png_unknown_filter_type(tmp_path):
         read_image(p)
 
 
-@pytest.mark.parametrize("h, w", [(4000, 64), (64, 4000)])
-def test_unfilter_memory_is_linear_in_the_image(h, w):
+@pytest.mark.parametrize("h, w, bpp", [(4000, 64, 3), (64, 4000, 3),
+                                        (1, 1 << 14, 1), (1 << 14, 1, 1)])
+def test_unfilter_memory_is_linear_in_the_image(h, w, bpp):
     rng = np.random.default_rng(4)
-    scanlines = rng.integers(0, 256, size=(h, 1 + w * 3), dtype=np.uint8)
+    scanlines = rng.integers(0, 256, size=(h, 1 + w * bpp), dtype=np.uint8)
     scanlines[:, 0] = np.arange(h) % 5
     tracemalloc.start()
     try:
-        _unfilter("x.png", scanlines, 3)
+        _unfilter("x.png", scanlines, bpp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 << 20
+    assert peak < 8 * h * w * bpp + (1 << 20)
 
 
 def test_png_16bit_big_endian_samples(tmp_path):
