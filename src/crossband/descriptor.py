@@ -19,11 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .edges import EdgeMap
 from .features import Corner
 
 DEFAULT_WINDOW = 31
+_BLOCK_BYTES = 1 << 22  # dense candidate side of score_matrix, per block
 
 
 @dataclass(frozen=True)
@@ -123,11 +125,13 @@ def score_matrix(src: list[EdgeDescriptor], dst: list[EdgeDescriptor],
     -(n_bins // 2) bins, half a circle; "both" keeps the larger of the
     direct and flipped scores.
 
-    The numerator is a sum over direction bins c of the product of two 0/1
-    matrices: the source edge pixels in bin c (c + n_bins // 2 when
-    flipped) and the candidate edge pixels within one bin of c. Each entry
-    is an integer no larger than window**2, so the float32 product is exact
-    below 2**24 and the scores equal the scalar similarity bit for bit.
+    The numerators are one sparse @ dense product per block of candidates:
+    a source row holds a 1 per edge pixel, at column pixel * n_bins + (bin -
+    shift) mod n_bins, and a candidate column a 1 at each bin within one
+    bin of its edge pixels' bins. Blocks of about _BLOCK_BYTES keep memory
+    flat in n_dst. Each entry is an integer no larger than window**2, so
+    the float32 sums are exact below 2**24, in any order, and the scores
+    equal the scalar similarity bit for bit.
     """
     if polarity not in POLARITIES:
         raise ValueError(f"unknown polarity mode {polarity!r}")
@@ -137,27 +141,45 @@ def score_matrix(src: list[EdgeDescriptor], dst: list[EdgeDescriptor],
         _check_compatible(src[0], d)
     n_bins = src[0].n_bins
     dtype = np.float32 if src[0].window ** 2 < 2 ** 24 else np.float64
-    src_edges, src_bins = _flatten(src)
-    dst_edges, dst_bins = _flatten(dst)
-    bins = np.arange(n_bins)
-    near = same_grad(bins[:, None], bins[None, :], n_bins)  # near[c, g]
     shifts = {"direct": (0,), "flipped": (n_bins // 2,),
               "both": (0, n_bins // 2)}[polarity]
-    num = np.zeros((len(shifts), len(src), len(dst)), dtype=dtype)
-    for c in range(n_bins):
-        in_reach = (dst_edges & near[c].take(dst_bins)).astype(dtype)
-        for k, shift in enumerate(shifts):
-            in_bin = src_edges & (src_bins == (c + shift) % n_bins)
-            num[k] += in_bin.astype(dtype) @ in_reach.T
-    num = num.max(axis=0).astype(np.float64)
+    sources = _source_rows(src, shifts, dtype)
+    num = np.empty((sources.shape[0], len(dst)), dtype)
+    step = max(1, _BLOCK_BYTES // (sources.shape[1] * num.itemsize))
+    for j in range(0, len(dst), step):
+        num[:, j:j + step] = sources @ _candidate_columns(dst[j:j + step], dtype)
+    num = num.reshape(len(shifts), len(src), len(dst)).max(axis=0).astype(np.float64)
     counts = np.array([d.edge_count for d in dst], dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.sqrt(num * num / counts)
     return np.where(counts > 0, scores, 0.0)
 
 
-def _flatten(descriptors: list[EdgeDescriptor]) -> tuple[np.ndarray, np.ndarray]:
-    """(n, window**2) edge flags and direction bins reduced mod n_bins."""
-    edges = np.stack([d.edges.ravel() != 0 for d in descriptors])
-    bins = np.stack([d.directions.ravel() for d in descriptors]).astype(np.intp)
-    return edges, bins % descriptors[0].n_bins
+def _source_rows(src: list[EdgeDescriptor], shifts, dtype) -> sparse.csr_array:
+    """Sparse 0/1 matrix whose row k * n_src + i is src[i] under shifts[k]."""
+    n_bins = src[0].n_bins
+    rows, px, bins = _edge_pixels(src)
+    per_row = np.tile(np.bincount(rows, minlength=len(src)), len(shifts))
+    return sparse.csr_array(
+        (np.ones(len(shifts) * len(px), dtype),
+         np.concatenate([px * n_bins + (bins - s) % n_bins for s in shifts]),
+         np.concatenate(([0], np.cumsum(per_row)))),
+        shape=(len(per_row), src[0].window ** 2 * n_bins))
+
+
+def _edge_pixels(descriptors: list[EdgeDescriptor]):
+    """Descriptor index, pixel index and direction bin of every edge pixel."""
+    index, px = np.nonzero(np.stack([d.edges.ravel() for d in descriptors]))
+    bins = np.stack([d.directions.ravel() for d in descriptors])[index, px]
+    return index, px, bins.astype(np.intp)
+
+
+def _candidate_columns(dst: list[EdgeDescriptor], dtype) -> np.ndarray:
+    """(window**2 * n_bins, n_dst) 0/1 matrix of each candidate's edge
+    pixels dilated by one bin, filled (pixel, bin, candidate) in C order."""
+    n_bins = dst[0].n_bins
+    cand, px, bins = _edge_pixels(dst)
+    near = np.zeros((dst[0].window ** 2, n_bins, len(dst)), dtype)
+    for off in (-1, 0, 1):
+        near[px, (bins + off) % n_bins, cand] = 1
+    return near.reshape(-1, len(dst))

@@ -13,7 +13,6 @@ import numpy as np
 from scipy import ndimage
 
 from .image import as_gray, gaussian_blur, gradients
-from .image_io import write_image
 
 DEFAULT_DIRECTION_BINS = 16
 
@@ -52,11 +51,18 @@ def quantize_direction(ix, iy, n_bins: int = DEFAULT_DIRECTION_BINS):
     """
     if n_bins < 2:
         raise ValueError(f"n_bins must be >= 2, got {n_bins}")
-    angle = np.mod(np.arctan2(iy, ix) + 2.0 * np.pi, 2.0 * np.pi)
-    bins = np.floor(angle / (2.0 * np.pi / n_bins)).astype(np.int64) % n_bins
+    bins = _angle_bins(np.arctan2(iy, ix), n_bins)
     if np.isscalar(ix) and np.isscalar(iy):
         return int(bins)
     return bins
+
+
+def _angle_bins(angle, n_bins: int):
+    """quantize_direction's bins of atan2 angles. angle + 2*pi lies in [pi,
+    3*pi], where taking 2*pi off is exact, so this equals np.mod bit for bit."""
+    full = angle + 2.0 * np.pi
+    full = np.where(full >= 2.0 * np.pi, full - 2.0 * np.pi, full)
+    return np.floor(full / (2.0 * np.pi / n_bins)).astype(np.int64) % n_bins
 
 
 # Gradient-axis sectors for the interpolation-free suppression step: the two
@@ -87,39 +93,26 @@ def canny(img, cfg: CannyConfig | None = None,
     if h < 5 or w < 5:
         raise ValueError(f"image must be at least 5x5 for edge detection, got {arr.shape}")
 
-    blurred = gaussian_blur(arr, cfg.blur_sigma)
-    ix, iy = gradients(blurred)
+    ix, iy = gradients(gaussian_blur(arr, cfg.blur_sigma))
     mag = np.hypot(ix, iy)
-    directions = quantize_direction(ix, iy, n_bins).astype(np.uint8)
-
-    mag_max = float(mag.max())
-    if mag_max <= 0.0:
-        return EdgeMap(np.zeros((h, w), np.uint8), directions, n_bins)
-
     angle = np.arctan2(iy, ix)
-    sector = np.floor((np.mod(angle, np.pi) + np.pi / 8) / (np.pi / 4)).astype(int) % 4
+    directions = _angle_bins(angle, n_bins).astype(np.uint8)
+
+    # angle mod pi as np.mod gives it, except that pi stays pi: sector 0 too
+    axis = np.where(angle < 0.0, angle + np.pi, angle)
+    sector = np.floor((axis + np.pi / 8) / (np.pi / 4)).astype(np.uint8) & 3
     padded = np.pad(mag, 1, mode="constant")
-    yy, xx = np.mgrid[0:h, 0:w]
     keep = np.zeros((h, w), dtype=bool)
     for s, ((dy1, dx1), (dy2, dx2)) in enumerate(_SECTOR_OFFSETS):
-        mask = sector == s
-        n1 = padded[yy + 1 + dy1, xx + 1 + dx1]
-        n2 = padded[yy + 1 + dy2, xx + 1 + dx2]
-        keep |= mask & (mag >= n1) & (mag > n2)
+        n1 = padded[1 + dy1:1 + dy1 + h, 1 + dx1:1 + dx1 + w]
+        n2 = padded[1 + dy2:1 + dy2 + h, 1 + dx2:1 + dx2 + w]
+        keep |= (sector == s) & (mag >= n1) & (mag > n2)
 
+    mag_max = float(mag.max())
     weak = keep & (mag >= cfg.low_ratio * mag_max)
     strong = keep & (mag >= cfg.high_ratio * mag_max)
     labels, n_labels = ndimage.label(weak, structure=np.ones((3, 3), dtype=int))
-    if n_labels == 0:
-        edges = np.zeros((h, w), np.uint8)
-    else:
-        strong_labels = np.unique(labels[strong])
-        strong_labels = strong_labels[strong_labels > 0]
-        edges = np.isin(labels, strong_labels).astype(np.uint8)
-    return EdgeMap(edges, directions, n_bins)
-
-
-def dump_edge_map(edge_map: EdgeMap, edges_path, directions_path) -> None:
-    """Debug dump: edges as a 0/255 PGM, direction indices as an 8-bit PGM."""
-    write_image(edges_path, edge_map.edges.astype(np.float64))
-    write_image(directions_path, edge_map.directions.astype(np.float64) / 255.0)
+    # strong pixels are weak too, so the background label 0 stays unmarked
+    reaches_strong = np.zeros(n_labels + 1, dtype=np.uint8)
+    reaches_strong[labels[strong]] = 1
+    return EdgeMap(reaches_strong[labels], directions, n_bins)

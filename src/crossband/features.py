@@ -66,39 +66,23 @@ def detect_corners(score, cfg: HarrisConfig | None = None) -> list[Corner]:
     if cfg is None:
         cfg = HarrisConfig()
     s = as_gray(score)
-    smax = float(s.max()) if s.size else 0.0
-    if smax <= 0.0:
-        return []
+    smax = float(s.max())
     radius = cfg.nms_window // 2
     window_max = ndimage.maximum_filter(s, size=cfg.nms_window,
                                         mode="constant", cval=-np.inf)
     cand = (s == window_max) & (s > 0.0) & (s >= cfg.min_score * smax)
     ys, xs = np.nonzero(cand)
+    vals = s[ys, xs]
 
-    h, w = s.shape
-    keep_x, keep_y, keep_s = [], [], []
-    for x, y in zip(xs, ys):
-        v = s[y, x]
-        y0, y1 = max(0, y - radius), min(h, y + radius + 1)
-        x0, x1 = max(0, x - radius), min(w, x + radius + 1)
-        ty, tx = np.nonzero(s[y0:y1, x0:x1] == v)
-        first = np.min((ty + y0) * w + (tx + x0))
-        if first == y * w + x:
-            keep_x.append(x)
-            keep_y.append(y)
-            keep_s.append(v)
-    if not keep_x:
-        return []
-
-    kx = np.asarray(keep_x)
-    ky = np.asarray(keep_y)
-    ks = np.asarray(keep_s)
+    # a candidate survives unless an earlier pixel (row-major) in its window
+    # holds its value; the zero padding never equals a positive candidate
+    pw = s.shape[1] + 2 * radius
+    padded = np.pad(s, radius).ravel()
+    at = (ys + radius) * pw + (xs + radius)
+    first = np.ones(len(vals), dtype=bool)
+    for dy in range(-radius, 1):
+        for dx in range(-radius, radius + 1 if dy < 0 else 0):
+            first &= padded[at + dy * pw + dx] != vals
+    kx, ky, ks = xs[first], ys[first], vals[first]
     order = np.lexsort((kx, ky, -ks))[:cfg.max_corners]
     return [Corner(int(kx[i]), int(ky[i]), float(ks[i])) for i in order]
-
-
-def corners_csv(corners: list[Corner]) -> str:
-    """Debug dump: one `x,y,score` row per corner."""
-    lines = ["x,y,score"]
-    lines += [f"{c.x},{c.y},{c.score!r}" for c in corners]
-    return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Shared oracles and fixture builders for the test suite."""
 
 import numpy as np
+from scipy import ndimage
 
 from crossband.image import gaussian_kernel
 
@@ -183,3 +184,93 @@ def unfilter_oracle(scanlines, bpp):
         out[y] = recon.astype(np.uint8)
         prior = recon
     return out
+
+
+def canny_oracle(img, cfg=None, n_bins=16):
+    """Canny with `np.mgrid` neighbour gathers and `np.isin` hysteresis.
+
+    Returns (edges, directions) as uint8 rasters: blur, Sobel gradients,
+    full-circle direction bins, suppression against the two 8-neighbours
+    along the gradient axis (>= the positive-offset one, > the negative
+    one), then 8-connected hysteresis.
+    """
+    from crossband.edges import CannyConfig
+    from crossband.image import gaussian_blur, gradients
+    if cfg is None:
+        cfg = CannyConfig()
+    arr = np.asarray(img, dtype=np.float64)
+    h, w = arr.shape
+    ix, iy = gradients(gaussian_blur(arr, cfg.blur_sigma))
+    mag = np.hypot(ix, iy)
+    full = np.mod(np.arctan2(iy, ix) + 2.0 * np.pi, 2.0 * np.pi)
+    directions = (np.floor(full / (2.0 * np.pi / n_bins)).astype(np.int64)
+                  % n_bins).astype(np.uint8)
+    mag_max = float(mag.max())
+    if mag_max <= 0.0:
+        return np.zeros((h, w), np.uint8), directions
+
+    angle = np.arctan2(iy, ix)
+    sector = np.floor((np.mod(angle, np.pi) + np.pi / 8)
+                      / (np.pi / 4)).astype(int) % 4
+    offsets = (((0, 1), (0, -1)), ((1, 1), (-1, -1)),
+               ((1, 0), (-1, 0)), ((1, -1), (-1, 1)))
+    padded = np.pad(mag, 1, mode="constant")
+    yy, xx = np.mgrid[0:h, 0:w]
+    keep = np.zeros((h, w), dtype=bool)
+    for s, ((dy1, dx1), (dy2, dx2)) in enumerate(offsets):
+        n1 = padded[yy + 1 + dy1, xx + 1 + dx1]
+        n2 = padded[yy + 1 + dy2, xx + 1 + dx2]
+        keep |= (sector == s) & (mag >= n1) & (mag > n2)
+
+    weak = keep & (mag >= cfg.low_ratio * mag_max)
+    strong = keep & (mag >= cfg.high_ratio * mag_max)
+    labels, n_labels = ndimage.label(weak, structure=np.ones((3, 3), dtype=int))
+    if n_labels == 0:
+        return np.zeros((h, w), np.uint8), directions
+    strong_labels = np.unique(labels[strong])
+    strong_labels = strong_labels[strong_labels > 0]
+    return np.isin(labels, strong_labels).astype(np.uint8), directions
+
+
+def detect_corners_oracle(score, cfg=None):
+    """detect_corners with one window scan per candidate for the tie rule."""
+    from crossband.features import Corner, HarrisConfig
+    if cfg is None:
+        cfg = HarrisConfig()
+    s = np.asarray(score, dtype=np.float64)
+    smax = float(s.max()) if s.size else 0.0
+    if smax <= 0.0:
+        return []
+    radius = cfg.nms_window // 2
+    window_max = ndimage.maximum_filter(s, size=cfg.nms_window,
+                                        mode="constant", cval=-np.inf)
+    cand = (s == window_max) & (s > 0.0) & (s >= cfg.min_score * smax)
+    h, w = s.shape
+    keep = []
+    for y, x in zip(*np.nonzero(cand)):
+        v = s[y, x]
+        y0, y1 = max(0, y - radius), min(h, y + radius + 1)
+        x0, x1 = max(0, x - radius), min(w, x + radius + 1)
+        ty, tx = np.nonzero(s[y0:y1, x0:x1] == v)
+        if np.min((ty + y0) * w + (tx + x0)) == y * w + x:
+            keep.append((x, y, v))
+    keep.sort(key=lambda c: (-c[2], c[1], c[0]))
+    return [Corner(int(x), int(y), float(v))
+            for x, y, v in keep[:cfg.max_corners]]
+
+
+def score_matrix_oracle(src, dst, polarity="direct"):
+    """score_matrix from the scalar `similarity`, one pair at a time."""
+    from crossband.descriptor import EdgeDescriptor, similarity
+    half = src[0].n_bins // 2
+
+    def flipped(d):
+        dirs = (d.directions.astype(int) - half) % d.n_bins
+        return EdgeDescriptor(x=d.x, y=d.y, edges=d.edges,
+                              directions=dirs.astype(np.uint8),
+                              n_bins=d.n_bins, edge_count=d.edge_count)
+    direct = np.array([[similarity(p, q) for q in dst] for p in src])
+    if polarity == "direct":
+        return direct
+    flip = np.array([[similarity(flipped(p), q) for q in dst] for p in src])
+    return flip if polarity == "flipped" else np.maximum(direct, flip)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from crossband import descriptor
 from crossband.descriptor import (EdgeDescriptor, build_descriptor,
                                   build_descriptors, same_grad, score_matrix,
                                   similarity)
@@ -13,7 +15,7 @@ from crossband.features import Corner
 from crossband.registration import Match, match_all
 from crossband.transform import AffineTransform
 
-from helpers import random_descriptor, similarity_oracle
+from helpers import random_descriptor, score_matrix_oracle, similarity_oracle
 
 
 def _map_from(e, g, n_bins=16):
@@ -228,6 +230,33 @@ def test_score_matrix_equals_scalar_similarity(sets):
         got = score_matrix(src, dst, polarity)
         assert got.shape == (len(src), len(dst))
         assert np.array_equal(got, expected), polarity
+
+
+def test_score_matrix_across_candidate_blocks():
+    rng = np.random.default_rng(15)
+    per_block = descriptor._BLOCK_BYTES // (31 * 31 * 16 * 4)  # float32 columns
+    n_dst = 2 * per_block + per_block // 2 + 1   # two full blocks and a partial
+    src = [random_descriptor(rng, window=31, density=d)
+           for d in (0.0, 0.1, 0.4)]
+    dst = [random_descriptor(rng, window=31, density=rng.choice([0.0, 0.1, 0.3]))
+           for _ in range(n_dst)]
+    for polarity in ("direct", "flipped", "both"):
+        assert np.array_equal(score_matrix(src, dst, polarity),
+                              score_matrix_oracle(src, dst, polarity)), polarity
+
+
+def test_score_matrix_memory_stays_within_a_few_blocks():
+    rng = np.random.default_rng(16)
+    src = [random_descriptor(rng, window=31, density=0.3) for _ in range(400)]
+    dst = [random_descriptor(rng, window=31, density=0.3) for _ in range(400)]
+    unblocked = len(dst) * 31 * 31 * 16 * 4   # the whole float32 dense side
+    tracemalloc.start()
+    try:
+        score_matrix(src, dst, "both")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * descriptor._BLOCK_BYTES < unblocked
 
 
 def test_score_matrix_rejects_mixed_windows():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
-from crossband.edges import CannyConfig, EdgeMap, canny, dump_edge_map, quantize_direction
+from crossband.edges import CannyConfig, EdgeMap, canny, quantize_direction
 from crossband.image import gaussian_blur, gradients
-from crossband.image_io import read_image
+
+from helpers import canny_oracle
 
 
 def test_quantize_examples():
@@ -145,13 +147,31 @@ def test_canny_directions_defined_everywhere():
     assert set(np.unique(out.edges)) <= {0, 1}
 
 
-def test_dump_edge_map_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    out = canny(gaussian_blur(rng.random((32, 32)), 1.0))
-    pe = tmp_path / "edges.pgm"
-    pg = tmp_path / "dirs.pgm"
-    dump_edge_map(out, pe, pg)
-    edges_back = read_image(pe)
-    dirs_back = np.round(read_image(pg) * 255).astype(int)
-    assert np.array_equal(edges_back > 0.5, out.edges.astype(bool))
-    assert np.array_equal(dirs_back, out.directions)
+@st.composite
+def _canny_cases(draw):
+    h, w = draw(st.integers(5, 40)), draw(st.integers(5, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "constant", "plateaus"]))
+    if kind == "random":
+        img = rng.random((h, w))
+    elif kind == "constant":
+        img = np.full((h, w), rng.random())
+    else:
+        # 2-3 grey levels on blocks: flat runs tie in magnitude and angle
+        levels = rng.random(draw(st.integers(2, 3)))
+        cell = draw(st.integers(1, 8))
+        coarse = rng.integers(0, len(levels), size=(h // cell + 1, w // cell + 1))
+        img = levels[np.kron(coarse, np.ones((cell, cell), int))[:h, :w]]
+    sigma = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return img, CannyConfig(blur_sigma=sigma), draw(st.integers(2, 17))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_canny_cases())
+def test_canny_equals_oracle(case):
+    img, cfg, n_bins = case
+    out = canny(img, cfg, n_bins)
+    edges, directions = canny_oracle(img, cfg, n_bins)
+    assert out.edges.dtype == np.uint8 and out.directions.dtype == np.uint8
+    assert np.array_equal(out.edges, edges)
+    assert np.array_equal(out.directions, directions)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crossband.features import (Corner, HarrisConfig, corners_csv, detect_corners,
-                                harris_score_map)
+from crossband.features import Corner, HarrisConfig, detect_corners, harris_score_map
 from crossband.image import gradients
 
 from helpers import correlate2d_replicate, gaussian_kernel_2d
@@ -126,6 +126,22 @@ def test_detect_matches_brute_force_on_smooth_map():
     assert detect_corners(score, cfg) == _brute_force_nms(score, cfg)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 24), st.integers(2, 4),
+       st.sampled_from([3, 5, 7, 9]), st.sampled_from([0.0001, 0.3, 0.7]),
+       st.integers(4, 12), st.integers(0, 2 ** 32 - 1))
+def test_detect_matches_brute_force_on_quantised_maps(h, w, n_levels, window,
+                                                      min_score, max_corners,
+                                                      seed):
+    # few levels make ties dense; shapes below the window exercise borders
+    rng = np.random.default_rng(seed)
+    levels = rng.choice([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0], n_levels, replace=False)
+    score = rng.choice(levels, size=(h, w))
+    cfg = HarrisConfig(nms_window=window, min_score=min_score,
+                       max_corners=max_corners)
+    assert detect_corners(score, cfg) == _brute_force_nms(score, cfg)
+
+
 def test_emitted_corners_are_window_separated():
     rng = np.random.default_rng(12)
     cfg = HarrisConfig(nms_window=7)
@@ -155,14 +171,6 @@ def test_max_corners_cap():
     cfg = HarrisConfig(nms_window=3, max_corners=5, min_score=0.0001)
     corners = detect_corners(rng.random((40, 40)), cfg)
     assert len(corners) == 5
-
-
-def test_corners_csv_format():
-    text = corners_csv([Corner(1, 2, 0.5), Corner(3, 4, 0.25)])
-    lines = text.strip().splitlines()
-    assert lines[0] == "x,y,score"
-    assert lines[1].startswith("1,2,")
-    assert len(lines) == 3
 
 
 def test_score_rejects_tiny_images():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from crossband import registration
 from crossband.descriptor import EdgeDescriptor, build_descriptors
-from crossband.edges import canny
+from crossband.edges import EdgeMap, canny
 from crossband.errors import DegenerateFitError, RegistrationError
 from crossband.evaluation import SimulationSpec, simulate_pair, synthetic_texture
 from crossband.features import HarrisConfig, detect_corners, harris_score_map
@@ -15,7 +16,8 @@ from crossband.registration import (Match, RansacConfig, _fit_points,
                                     ransac_once, register)
 from crossband.transform import AffineTransform, TransformKind
 
-from helpers import fit_sample_oracle, random_descriptor, residual
+from helpers import (canny_oracle, detect_corners_oracle, fit_sample_oracle,
+                     random_descriptor, residual, score_matrix_oracle)
 
 
 def _descriptor_grid(rng, n=12, window=15, spacing=40, origin=(30, 30)):
@@ -486,6 +488,25 @@ def test_register_inliers_recheck():
     pv, pi = positions_of(dv), positions_of(di)
     for m in result.inliers:
         assert residual(result.transform, m, pv, pi) <= cfg.inlier_dist_fine + 1e-9
+
+
+@pytest.mark.parametrize("model", list(TransformKind))
+def test_register_equals_oracle_front_end(model, monkeypatch):
+    base = synthetic_texture(128, seed=29)
+    spec = SimulationSpec(modality="invert", noise_sigma=0.01, rng_seed=8)
+    t_true = AffineTransform.similarity(1.02, 0.03, 3.0, -2.0)
+    v, ir, _ = simulate_pair(base, t_true, spec)
+    cfg = RansacConfig(model=model)
+    fast = register(v, ir, cfg=cfg)
+
+    monkeypatch.setattr(registration, "canny",
+                        lambda img, c: EdgeMap(*canny_oracle(img, c), 16))
+    monkeypatch.setattr(registration, "detect_corners", detect_corners_oracle)
+    monkeypatch.setattr(registration, "score_matrix", score_matrix_oracle)
+    slow = register(v, ir, cfg=cfg)
+    assert fast.transform.m.tobytes() == slow.transform.m.tobytes()
+    assert fast.inliers == slow.inliers
+    assert len(fast.inliers) >= model.min_matches
 
 
 def test_register_rejects_small_images():
