@@ -26,6 +26,9 @@ from .features import Corner
 
 DEFAULT_WINDOW = 31
 _BLOCK_BYTES = 1 << 22  # dense candidate side of score_matrix, per block
+# edge pixels per block of sources: _source_rows holds about 64 bytes of
+# index temporaries per edge pixel
+_SOURCE_EDGES = _BLOCK_BYTES // 64
 
 
 @dataclass(frozen=True)
@@ -128,10 +131,11 @@ def score_matrix(src: list[EdgeDescriptor], dst: list[EdgeDescriptor],
     The numerators are one sparse @ dense product per block of candidates:
     a source row holds a 1 per edge pixel, at column pixel * n_bins + (bin -
     shift) mod n_bins, and a candidate column a 1 at each bin within one
-    bin of its edge pixels' bins. Blocks of about _BLOCK_BYTES keep memory
-    flat in n_dst. Each entry is an integer no larger than window**2, so
-    the float32 sums are exact below 2**24, in any order, and the scores
-    equal the scalar similarity bit for bit.
+    bin of its edge pixels' bins. Blocks of about _BLOCK_BYTES of candidates,
+    and of at most _SOURCE_EDGES edge pixels of sources, keep memory flat in
+    n_dst and in the sources' edge count. Each entry is an integer no larger
+    than window**2, so the float32 sums are exact below 2**24, in any order,
+    and the scores equal the scalar similarity bit for bit.
     """
     if polarity not in POLARITIES:
         raise ValueError(f"unknown polarity mode {polarity!r}")
@@ -143,16 +147,30 @@ def score_matrix(src: list[EdgeDescriptor], dst: list[EdgeDescriptor],
     dtype = np.float32 if src[0].window ** 2 < 2 ** 24 else np.float64
     shifts = {"direct": (0,), "flipped": (n_bins // 2,),
               "both": (0, n_bins // 2)}[polarity]
-    sources = _source_rows(src, shifts, dtype)
-    num = np.empty((sources.shape[0], len(dst)), dtype)
-    step = max(1, _BLOCK_BYTES // (sources.shape[1] * num.itemsize))
-    for j in range(0, len(dst), step):
-        num[:, j:j + step] = sources @ _candidate_columns(dst[j:j + step], dtype)
-    num = num.reshape(len(shifts), len(src), len(dst)).max(axis=0).astype(np.float64)
+    num = np.empty((len(shifts), len(src), len(dst)), dtype)
+    step = max(1, _BLOCK_BYTES // (src[0].window ** 2 * n_bins * num.itemsize))
+    for i0, i1 in _source_blocks(src):
+        sources = _source_rows(src[i0:i1], shifts, dtype)
+        for j in range(0, len(dst), step):
+            block = sources @ _candidate_columns(dst[j:j + step], dtype)
+            num[:, i0:i1, j:j + step] = block.reshape(len(shifts), i1 - i0, -1)
+    num = num.max(axis=0).astype(np.float64)
     counts = np.array([d.edge_count for d in dst], dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.sqrt(num * num / counts)
     return np.where(counts > 0, scores, 0.0)
+
+
+def _source_blocks(src: list[EdgeDescriptor]):
+    """(start, stop) runs of sources holding at most _SOURCE_EDGES edge
+    pixels each, or a single source."""
+    start = edges = 0
+    for i, d in enumerate(src):
+        if i > start and edges + d.edge_count > _SOURCE_EDGES:
+            yield start, i
+            start, edges = i, 0
+        edges += d.edge_count
+    yield start, len(src)
 
 
 def _source_rows(src: list[EdgeDescriptor], shifts, dtype) -> sparse.csr_array:

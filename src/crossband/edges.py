@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .image import as_gray, gaussian_blur, gradients
+from .image import (_banded, as_gray, gaussian_blur, gaussian_kernel, gradients,
+                    require_finite)
 
 DEFAULT_DIRECTION_BINS = 16
 
@@ -88,25 +89,35 @@ def canny(img, cfg: CannyConfig | None = None,
     """
     if cfg is None:
         cfg = CannyConfig()
-    arr = as_gray(img)
+    arr = require_finite(as_gray(img), "input")
     h, w = arr.shape
     if h < 5 or w < 5:
         raise ValueError(f"image must be at least 5x5 for edge detection, got {arr.shape}")
-
-    ix, iy = gradients(gaussian_blur(arr, cfg.blur_sigma))
-    mag = np.hypot(ix, iy)
-    angle = np.arctan2(iy, ix)
-    directions = _angle_bins(angle, n_bins).astype(np.uint8)
-
-    # angle mod pi as np.mod gives it, except that pi stays pi: sector 0 too
-    axis = np.where(angle < 0.0, angle + np.pi, angle)
-    sector = np.floor((axis + np.pi / 8) / (np.pi / 4)).astype(np.uint8) & 3
-    padded = np.pad(mag, 1, mode="constant")
+    mag = np.empty((h, w))
+    directions = np.empty((h, w), dtype=np.uint8)
     keep = np.zeros((h, w), dtype=bool)
-    for s, ((dy1, dx1), (dy2, dx2)) in enumerate(_SECTOR_OFFSETS):
-        n1 = padded[1 + dy1:1 + dy1 + h, 1 + dx1:1 + dx1 + w]
-        n2 = padded[1 + dy2:1 + dy2 + h, 1 + dx2:1 + dx2 + w]
-        keep |= (sector == s) & (mag >= n1) & (mag > n2)
+
+    def band(lo, hi, y0, y1):
+        ix, iy = gradients(gaussian_blur(arr[lo:hi], cfg.blur_sigma))
+        rows = slice(y0 - lo, y1 - lo)
+        angle = np.arctan2(iy[rows], ix[rows])
+        # kept rows reach the zero rows only at the image's own border; at a
+        # band's cut, halo rows lie between
+        padded = np.pad(np.hypot(ix, iy), 1, mode="constant")
+        del ix, iy  # each helper thread's allocator keeps its band's peak
+        mag[y0:y1] = m = padded[1:-1, 1:-1][rows]
+        directions[y0:y1] = _angle_bins(angle, n_bins)
+        # angle mod pi as np.mod gives it, except that pi stays pi: sector 0 too
+        axis = np.where(angle < 0.0, angle + np.pi, angle)
+        sector = np.floor((axis + np.pi / 8) / (np.pi / 4)).astype(np.uint8) & 3
+        k = keep[y0:y1]
+        for s, ((dy1, dx1), (dy2, dx2)) in enumerate(_SECTOR_OFFSETS):
+            n1 = padded[1 + dy1:, 1 + dx1:][rows, :w]
+            n2 = padded[1 + dy2:, 1 + dx2:][rows, :w]
+            k |= (sector == s) & (m >= n1) & (m > n2)
+
+    # stencil: blur, Sobel, then the suppression's 8-neighbours
+    _banded(band, h, gaussian_kernel(cfg.blur_sigma).size // 2 + 2)
 
     mag_max = float(mag.max())
     weak = keep & (mag >= cfg.low_ratio * mag_max)
@@ -115,4 +126,4 @@ def canny(img, cfg: CannyConfig | None = None,
     # strong pixels are weak too, so the background label 0 stays unmarked
     reaches_strong = np.zeros(n_labels + 1, dtype=np.uint8)
     reaches_strong[labels[strong]] = 1
-    return EdgeMap(reaches_strong[labels], directions, n_bins)
+    return EdgeMap(reaches_strong.take(labels), directions, n_bins)

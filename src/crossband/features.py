@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .image import as_gray, gaussian_blur, gradients
+from .image import (_banded, as_gray, gaussian_blur, gaussian_kernel, gradients,
+                    require_finite)
 
 
 @dataclass(frozen=True)
@@ -44,15 +45,30 @@ def harris_score_map(img, cfg: HarrisConfig | None = None) -> np.ndarray:
     """
     if cfg is None:
         cfg = HarrisConfig()
-    arr = as_gray(img)
+    arr = require_finite(as_gray(img), "input")
     if arr.shape[0] < 3 or arr.shape[1] < 3:
         raise ValueError(f"image must be at least 3x3, got {arr.shape}")
-    ix, iy = gradients(arr)
-    sxx = gaussian_blur(ix * ix, cfg.window_sigma)
-    syy = gaussian_blur(iy * iy, cfg.window_sigma)
-    sxy = gaussian_blur(ix * iy, cfg.window_sigma)
-    trace = sxx + syy
-    return sxx * syy - sxy * sxy - cfg.k * trace * trace
+    out = np.empty(arr.shape)
+
+    def band(lo, hi, y0, y1):
+        # products and blurs replace their inputs: each helper thread's
+        # allocator keeps the peak of its largest band
+        ix, iy = gradients(arr[lo:hi])
+        sxy = ix * iy
+        ix *= ix
+        iy *= iy
+        rows = slice(y0 - lo, y1 - lo)
+        sxx = gaussian_blur(ix, cfg.window_sigma)[rows]
+        del ix
+        syy = gaussian_blur(iy, cfg.window_sigma)[rows]
+        del iy
+        sxy = gaussian_blur(sxy, cfg.window_sigma)[rows]
+        trace = sxx + syy
+        out[y0:y1] = sxx * syy - sxy * sxy - cfg.k * trace * trace
+
+    # stencil: Sobel, then the structure tensor's Gaussian
+    _banded(band, arr.shape[0], 1 + gaussian_kernel(cfg.window_sigma).size // 2)
+    return out
 
 
 def detect_corners(score, cfg: HarrisConfig | None = None) -> list[Corner]:
@@ -65,13 +81,20 @@ def detect_corners(score, cfg: HarrisConfig | None = None) -> list[Corner]:
     """
     if cfg is None:
         cfg = HarrisConfig()
-    s = as_gray(score)
+    s = require_finite(as_gray(score), "score")
     smax = float(s.max())
     radius = cfg.nms_window // 2
-    window_max = ndimage.maximum_filter(s, size=cfg.nms_window,
-                                        mode="constant", cval=-np.inf)
-    cand = (s == window_max) & (s > 0.0) & (s >= cfg.min_score * smax)
-    ys, xs = np.nonzero(cand)
+    cand = np.empty(s.shape, dtype=bool)
+
+    def band(lo, hi, y0, y1):
+        window_max = ndimage.maximum_filter(s[lo:hi], size=cfg.nms_window,
+                                            mode="constant", cval=-np.inf)
+        kept = s[y0:y1]
+        cand[y0:y1] = ((kept == window_max[y0 - lo:y1 - lo]) & (kept > 0.0)
+                       & (kept >= cfg.min_score * smax))
+
+    _banded(band, s.shape[0], radius)
+    ys, xs = np.divmod(np.flatnonzero(cand), s.shape[1])
     vals = s[ys, xs]
 
     # a candidate survives unless an earlier pixel (row-major) in its window
@@ -85,4 +108,5 @@ def detect_corners(score, cfg: HarrisConfig | None = None) -> list[Corner]:
             first &= padded[at + dy * pw + dx] != vals
     kx, ky, ks = xs[first], ys[first], vals[first]
     order = np.lexsort((kx, ky, -ks))[:cfg.max_corners]
-    return [Corner(int(kx[i]), int(ky[i]), float(ks[i])) for i in order]
+    return [Corner(x, y, v) for x, y, v in
+            zip(kx[order].tolist(), ky[order].tolist(), ks[order].tolist())]

@@ -9,6 +9,11 @@ functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 from scipy import ndimage
 
@@ -43,6 +48,92 @@ def require_finite(img: np.ndarray, name: str) -> np.ndarray:
     if bad:
         raise ValueError(f"{name} image has {bad} non-finite pixel(s) (NaN or inf)")
     return img
+
+
+# Kept rows per band of a banded raster stage. Small bands keep each
+# thread's temporaries small, and so the memory its malloc arena retains.
+_BAND_ROWS = 64
+
+_pool = None  # (helper threads, ThreadPoolExecutor), created on first use
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads: start afresh."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _band_workers() -> int:
+    """Threads a banded stage may use: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _helper_pool(helpers: int) -> ThreadPoolExecutor:
+    """The process's band pool, with at least `helpers` threads."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < helpers:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (helpers, ThreadPoolExecutor(
+                helpers, thread_name_prefix="crossband-band"))
+        return _pool[1]
+
+
+def _banded(stage, height: int, halo: int) -> None:
+    """Run a row-local raster stage over bands of rows on every usable CPU.
+
+    stage(lo, hi, y0, y1) must compute output rows [y0, y1) from input rows
+    [lo, hi) and store them; lo and hi extend the band by `halo` rows on
+    each side, clipped to the image. When halo covers the stage's stencil
+    radius, every kept row sees the same inputs and operations as on the
+    whole image, so the output does not depend on the band height or the
+    thread count. The caller drains bands alongside the pool's helper
+    threads; a band's exception reaches the caller once no band is running.
+    With one usable CPU, or one band, the whole image is one call.
+    """
+    workers = min(_band_workers(), -(-height // _BAND_ROWS))
+    if workers <= 1:
+        stage(0, height, 0, height)
+        return
+    bands = deque(range(0, height, _BAND_ROWS))
+
+    def drain():
+        try:
+            while True:
+                try:
+                    y0 = bands.popleft()
+                except IndexError:
+                    return
+                y1 = min(y0 + _BAND_ROWS, height)
+                stage(max(0, y0 - halo), min(height, y1 + halo), y0, y1)
+        except BaseException:
+            bands.clear()  # the other threads take no further band
+            raise
+
+    pool = _helper_pool(workers - 1)
+    helpers = []
+    for _ in range(workers - 1):
+        try:
+            helpers.append(pool.submit(drain))
+        except RuntimeError:  # the interpreter is exiting: no new work
+            break
+    try:
+        drain()
+    finally:
+        # a helper not started yet has nothing left to do
+        started = [f for f in helpers if not f.cancel()]
+        wait(started)
+    for f in started:
+        f.result()
 
 
 def replicate3(gray) -> np.ndarray:

@@ -1,9 +1,23 @@
 """Shared oracles and fixture builders for the test suite."""
 
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 from scipy import ndimage
 
 from crossband.image import gaussian_kernel
+
+
+@contextmanager
+def row_bands(rows, workers):
+    """Run the banded raster stages with `rows` kept rows per band on
+    `workers` threads, whatever the machine's CPU count."""
+    from crossband import image
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(image, "_BAND_ROWS", rows)
+        mp.setattr(image, "_band_workers", lambda: workers)
+        yield
 
 
 def correlate2d_replicate(img, kernel):
@@ -230,6 +244,20 @@ def canny_oracle(img, cfg=None, n_bins=16):
     strong_labels = np.unique(labels[strong])
     strong_labels = strong_labels[strong_labels > 0]
     return np.isin(labels, strong_labels).astype(np.uint8), directions
+
+
+def harris_oracle(img, cfg=None):
+    """harris_score_map computed on the whole image at once."""
+    from crossband.features import HarrisConfig
+    from crossband.image import gaussian_blur, gradients
+    if cfg is None:
+        cfg = HarrisConfig()
+    ix, iy = gradients(np.asarray(img, dtype=np.float64))
+    sxx = gaussian_blur(ix * ix, cfg.window_sigma)
+    syy = gaussian_blur(iy * iy, cfg.window_sigma)
+    sxy = gaussian_blur(ix * iy, cfg.window_sigma)
+    trace = sxx + syy
+    return sxx * syy - sxy * sxy - cfg.k * trace * trace
 
 
 def detect_corners_oracle(score, cfg=None):

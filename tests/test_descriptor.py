@@ -245,18 +245,33 @@ def test_score_matrix_across_candidate_blocks():
                               score_matrix_oracle(src, dst, polarity)), polarity
 
 
+def test_score_matrix_across_source_blocks(monkeypatch):
+    # blocks of at most 100 edge pixels; a denser source is a block alone
+    monkeypatch.setattr(descriptor, "_SOURCE_EDGES", 100)
+    rng = np.random.default_rng(17)
+    src = [random_descriptor(rng, window=15, density=d)
+           for d in (0.0, 0.1, 0.2, 0.6, 0.1, 0.3, 0.05)]
+    dst = [random_descriptor(rng, window=15, density=d) for d in (0.0, 0.2, 0.5)]
+    assert len(list(descriptor._source_blocks(src))) >= 4
+    for polarity in ("direct", "flipped", "both"):
+        assert np.array_equal(score_matrix(src, dst, polarity),
+                              score_matrix_oracle(src, dst, polarity)), polarity
+
+
 def test_score_matrix_memory_stays_within_a_few_blocks():
-    rng = np.random.default_rng(16)
-    src = [random_descriptor(rng, window=31, density=0.3) for _ in range(400)]
-    dst = [random_descriptor(rng, window=31, density=0.3) for _ in range(400)]
-    unblocked = len(dst) * 31 * 31 * 16 * 4   # the whole float32 dense side
-    tracemalloc.start()
-    try:
-        score_matrix(src, dst, "both")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * descriptor._BLOCK_BYTES < unblocked
+    # 30% edges, and every pixel an edge: the sources come in blocks too
+    for density in (0.3, 1.0):
+        rng = np.random.default_rng(16)
+        src = [random_descriptor(rng, window=31, density=density) for _ in range(400)]
+        dst = [random_descriptor(rng, window=31, density=density) for _ in range(400)]
+        unblocked = len(dst) * 31 * 31 * 16 * 4   # the whole float32 dense side
+        tracemalloc.start()
+        try:
+            score_matrix(src, dst, "both")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * descriptor._BLOCK_BYTES < unblocked, density
 
 
 def test_score_matrix_rejects_mixed_windows():

@@ -6,7 +6,7 @@ from scipy import ndimage
 from crossband.edges import CannyConfig, EdgeMap, canny, quantize_direction
 from crossband.image import gaussian_blur, gradients
 
-from helpers import canny_oracle
+from helpers import canny_oracle, row_bands
 
 
 def test_quantize_examples():
@@ -71,6 +71,13 @@ def test_canny_constant_no_edges():
 def test_canny_rejects_small_image():
     with pytest.raises(ValueError):
         canny(np.zeros((4, 10)))
+
+
+def test_canny_rejects_non_finite_pixels():
+    img = np.random.default_rng(5).random((32, 32))
+    img[20, 4] = np.nan
+    with pytest.raises(ValueError, match="1 non-finite"):
+        canny(img)
 
 
 def test_canny_vertical_step_single_pixel_chain():
@@ -163,14 +170,16 @@ def _canny_cases(draw):
         coarse = rng.integers(0, len(levels), size=(h // cell + 1, w // cell + 1))
         img = levels[np.kron(coarse, np.ones((cell, cell), int))[:h, :w]]
     sigma = draw(st.sampled_from([0.5, 1.0, 2.0]))
-    return img, CannyConfig(blur_sigma=sigma), draw(st.integers(2, 17))
+    bands = draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    return img, CannyConfig(blur_sigma=sigma), draw(st.integers(2, 17)), bands
 
 
 @settings(max_examples=200, deadline=None)
 @given(_canny_cases())
 def test_canny_equals_oracle(case):
-    img, cfg, n_bins = case
-    out = canny(img, cfg, n_bins)
+    img, cfg, n_bins, (band_rows, workers) = case
+    with row_bands(band_rows, workers):
+        out = canny(img, cfg, n_bins)
     edges, directions = canny_oracle(img, cfg, n_bins)
     assert out.edges.dtype == np.uint8 and out.directions.dtype == np.uint8
     assert np.array_equal(out.edges, edges)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from crossband.features import Corner, HarrisConfig, detect_corners, harris_score_map
 from crossband.image import gradients
 
-from helpers import correlate2d_replicate, gaussian_kernel_2d
+from helpers import correlate2d_replicate, gaussian_kernel_2d, harris_oracle, row_bands
 
 
 def _square_image():
@@ -129,17 +129,33 @@ def test_detect_matches_brute_force_on_smooth_map():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 24), st.integers(1, 24), st.integers(2, 4),
        st.sampled_from([3, 5, 7, 9]), st.sampled_from([0.0001, 0.3, 0.7]),
-       st.integers(4, 12), st.integers(0, 2 ** 32 - 1))
+       st.sampled_from([4, 12, 600]), st.integers(1, 9), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
 def test_detect_matches_brute_force_on_quantised_maps(h, w, n_levels, window,
                                                       min_score, max_corners,
-                                                      seed):
-    # few levels make ties dense; shapes below the window exercise borders
+                                                      band_rows, workers, seed):
+    # few levels make ties dense; shapes below the window exercise borders;
+    # bands of a few rows put window-wide plateaus across band edges
     rng = np.random.default_rng(seed)
     levels = rng.choice([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0], n_levels, replace=False)
     score = rng.choice(levels, size=(h, w))
     cfg = HarrisConfig(nms_window=window, min_score=min_score,
                        max_corners=max_corners)
-    assert detect_corners(score, cfg) == _brute_force_nms(score, cfg)
+    with row_bands(band_rows, workers):
+        got = detect_corners(score, cfg)
+    assert got == _brute_force_nms(score, cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 40), st.integers(3, 40), st.sampled_from([0.5, 1.0, 1.5, 2.5]),
+       st.sampled_from([0.04, 0.15]), st.integers(1, 9), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_harris_equals_oracle_in_row_bands(h, w, sigma, k, band_rows, workers, seed):
+    img = np.random.default_rng(seed).random((h, w))
+    cfg = HarrisConfig(k=k, window_sigma=sigma)
+    with row_bands(band_rows, workers):
+        got = harris_score_map(img, cfg)
+    assert got.tobytes() == harris_oracle(img, cfg).tobytes()
 
 
 def test_emitted_corners_are_window_separated():
@@ -176,3 +192,17 @@ def test_max_corners_cap():
 def test_score_rejects_tiny_images():
     with pytest.raises(ValueError):
         harris_score_map(np.zeros((2, 8)))
+
+
+def test_score_rejects_non_finite_pixels():
+    img = np.random.default_rng(15).random((32, 32))
+    img[7, 9] = np.nan
+    with pytest.raises(ValueError, match="1 non-finite"):
+        harris_score_map(img)
+
+
+def test_detect_rejects_non_finite_scores():
+    score = np.random.default_rng(16).random((32, 32))
+    score[3, 30] = np.nan
+    with pytest.raises(ValueError, match="score image has 1 non-finite"):
+        detect_corners(score)

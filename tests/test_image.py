@@ -1,12 +1,23 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from crossband import image
+from crossband.edges import canny
 from crossband.errors import SingularTransformError
+from crossband.features import harris_score_map
 from crossband.image import (gaussian_blur, gaussian_kernel, gradients,
                              replicate3, to_luminance, warp_affine)
 from crossband.transform import AffineTransform
 
-from helpers import correlate2d_replicate, gaussian_kernel_2d, sobel_kernels
+from helpers import (canny_oracle, correlate2d_replicate, gaussian_kernel_2d,
+                     harris_oracle, row_bands, sobel_kernels)
 
 
 def test_luminance_gray_fixed_point():
@@ -189,3 +200,121 @@ def test_warp_output_size_override():
     img = np.ones((10, 10))
     out = warp_affine(img, AffineTransform.identity(), out_w=5, out_h=7)
     assert out.shape == (7, 5)
+
+
+# --- row bands ---------------------------------------------------------------
+
+def test_banded_one_worker_is_one_call_on_the_caller():
+    calls = []
+    with row_bands(1, 1):
+        image._banded(lambda *rows: calls.append((rows, threading.get_ident())),
+                      10, 3)
+    assert calls == [((0, 10, 0, 10), threading.get_ident())]
+
+
+def test_banded_covers_every_row_once_with_clipped_halos():
+    calls = []
+    with row_bands(4, 3):
+        image._banded(lambda *rows: calls.append(rows), 10, 2)
+    assert sorted(calls) == [(0, 6, 0, 4), (2, 10, 4, 8), (6, 10, 8, 10)]
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_banded_error_reaches_caller_after_every_band_stops(failing):
+    caller = threading.get_ident()
+    lock = threading.Lock()
+    running, taken = [0], []
+    other_busy = threading.Event()
+
+    def stage(lo, hi, y0, y1):
+        on_caller = threading.get_ident() == caller
+        with lock:
+            running[0] += 1
+            taken.append(y0)
+        try:
+            if on_caller == (failing == "caller"):
+                other_busy.wait(10)  # fail while the other thread holds a band
+                raise RuntimeError(f"band at row {y0}")
+            other_busy.set()
+            time.sleep(0.05)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    with row_bands(1, 2), pytest.raises(RuntimeError, match="band at row"):
+        image._banded(stage, 40, 0)
+    assert running[0] == 0
+    assert len(taken) <= 3  # no band is taken after the failure
+
+
+def _bands_in_forked_child(conn):
+    threads = set()
+
+    def stage(lo, hi, y0, y1):
+        threads.add(threading.get_ident())
+        time.sleep(0.01)
+
+    image._banded(stage, 8, 0)
+    img = np.random.default_rng(3).random((20, 24))
+    same = harris_score_map(img).tobytes() == harris_oracle(img).tobytes()
+    conn.send((len(threads), same))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_banded_pool_works_in_a_forked_child():
+    ctx = multiprocessing.get_context("fork")
+    with row_bands(1, 2):
+        harris_score_map(np.random.default_rng(2).random((20, 24)))  # starts the pool
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_bands_in_forked_child, args=(send,))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("forked child hung in a banded stage")
+    assert child.exitcode == 0
+    assert receive.poll(0)
+    assert receive.recv() == (2, True)  # the child's bands ran on two threads
+
+
+def test_banded_stage_runs_during_interpreter_exit():
+    # thread pools take no work once the interpreter starts to exit
+    code = ("import atexit, numpy as np; from crossband import image; "
+            "from crossband.features import harris_score_map; "
+            "image._BAND_ROWS = 4; image._band_workers = lambda: 2; "
+            "img = np.random.default_rng(0).random((30, 20)); "
+            "first = harris_score_map(img).tobytes(); "
+            "atexit.register(lambda: print(harris_score_map(img).tobytes() == first))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout == "True\n", out.stderr
+
+
+def test_banded_stages_from_concurrent_callers():
+    rng = np.random.default_rng(6)
+    imgs = [rng.random((30, 20)) for _ in range(6)]
+    results = [None] * len(imgs)
+
+    def work(i):
+        results[i] = canny(imgs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with row_bands(3, 4):  # more threads than this machine may have CPUs
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(imgs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for img, out in zip(imgs, results):
+        edges, directions = canny_oracle(img)
+        assert np.array_equal(out.edges, edges)
+        assert np.array_equal(out.directions, directions)

@@ -17,7 +17,7 @@ from crossband.registration import (Match, RansacConfig, _fit_points,
 from crossband.transform import AffineTransform, TransformKind
 
 from helpers import (canny_oracle, detect_corners_oracle, fit_sample_oracle,
-                     random_descriptor, residual, score_matrix_oracle)
+                     random_descriptor, residual, row_bands, score_matrix_oracle)
 
 
 def _descriptor_grid(rng, n=12, window=15, spacing=40, origin=(30, 30)):
@@ -490,12 +490,17 @@ def test_register_inliers_recheck():
         assert residual(result.transform, m, pv, pi) <= cfg.inlier_dist_fine + 1e-9
 
 
-@pytest.mark.parametrize("model", list(TransformKind))
-def test_register_equals_oracle_front_end(model, monkeypatch):
+def _planted_pair():
     base = synthetic_texture(128, seed=29)
     spec = SimulationSpec(modality="invert", noise_sigma=0.01, rng_seed=8)
     t_true = AffineTransform.similarity(1.02, 0.03, 3.0, -2.0)
     v, ir, _ = simulate_pair(base, t_true, spec)
+    return v, ir
+
+
+@pytest.mark.parametrize("model", list(TransformKind))
+def test_register_equals_oracle_front_end(model, monkeypatch):
+    v, ir = _planted_pair()
     cfg = RansacConfig(model=model)
     fast = register(v, ir, cfg=cfg)
 
@@ -507,6 +512,20 @@ def test_register_equals_oracle_front_end(model, monkeypatch):
     assert fast.transform.m.tobytes() == slow.transform.m.tobytes()
     assert fast.inliers == slow.inliers
     assert len(fast.inliers) >= model.min_matches
+
+
+@pytest.mark.parametrize("model", list(TransformKind))
+def test_register_same_for_any_worker_count(model):
+    v, ir = _planted_pair()
+    cfg = RansacConfig(model=model)
+    results = []
+    for workers in (1, 3):
+        with row_bands(16, workers):
+            results.append(register(v, ir, cfg=cfg))
+    one, three = results
+    assert one.transform.m.tobytes() == three.transform.m.tobytes()
+    assert one.inliers == three.inliers
+    assert len(one.inliers) >= model.min_matches
 
 
 def test_register_rejects_small_images():
