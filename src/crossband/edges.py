@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .image import (_banded, as_gray, gaussian_blur, gaussian_kernel, gradients,
+from .image import (_banded, _blur_rows, _gradient_rows, as_gray, gaussian_kernel,
                     require_finite)
 
 DEFAULT_DIRECTION_BINS = 16
@@ -98,13 +98,18 @@ def canny(img, cfg: CannyConfig | None = None,
     keep = np.zeros((h, w), dtype=bool)
 
     def band(lo, hi, y0, y1):
-        ix, iy = gradients(gaussian_blur(arr[lo:hi], cfg.blur_sigma))
-        rows = slice(y0 - lo, y1 - lo)
+        # the suppression reads magnitudes one row beyond the kept rows, and
+        # their gradients read blurred rows one further
+        a, b = max(y0 - 1, lo), min(y1 + 1, hi)
+        g0 = max(a - 1, lo)
+        blurred = _blur_rows(arr[lo:hi], cfg.blur_sigma,
+                             slice(g0 - lo, min(b + 1, hi) - lo))
+        ix, iy = _gradient_rows(blurred, slice(a - g0, b - g0))
+        rows = slice(y0 - a, y1 - a)
         angle = np.arctan2(iy[rows], ix[rows])
-        # kept rows reach the zero rows only at the image's own border; at a
-        # band's cut, halo rows lie between
+        # the zero padding stands for rows beyond the image only: at a band's
+        # cut, the row beyond is in ix and iy
         padded = np.pad(np.hypot(ix, iy), 1, mode="constant")
-        del ix, iy  # each helper thread's allocator keeps its band's peak
         mag[y0:y1] = m = padded[1:-1, 1:-1][rows]
         directions[y0:y1] = _angle_bins(angle, n_bins)
         # angle mod pi as np.mod gives it, except that pi stays pi: sector 0 too

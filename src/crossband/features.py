@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .image import (_banded, as_gray, gaussian_blur, gaussian_kernel, gradients,
+from .image import (_banded, _blur_rows, _gradient_rows, as_gray, gaussian_kernel,
                     require_finite)
 
 
@@ -49,25 +49,27 @@ def harris_score_map(img, cfg: HarrisConfig | None = None) -> np.ndarray:
     if arr.shape[0] < 3 or arr.shape[1] < 3:
         raise ValueError(f"image must be at least 3x3, got {arr.shape}")
     out = np.empty(arr.shape)
+    radius = gaussian_kernel(cfg.window_sigma).size // 2
 
     def band(lo, hi, y0, y1):
-        # products and blurs replace their inputs: each helper thread's
-        # allocator keeps the peak of its largest band
-        ix, iy = gradients(arr[lo:hi])
+        # the kept rows' blurs read gradients `radius` rows beyond them
+        g0, g1 = max(lo, y0 - radius), min(hi, y1 + radius)
+        ix, iy = _gradient_rows(arr[lo:hi], slice(g0 - lo, g1 - lo))
+        # products and blurs replace their inputs, so few band arrays live
         sxy = ix * iy
         ix *= ix
         iy *= iy
-        rows = slice(y0 - lo, y1 - lo)
-        sxx = gaussian_blur(ix, cfg.window_sigma)[rows]
+        rows = slice(y0 - g0, y1 - g0)
+        sxx = _blur_rows(ix, cfg.window_sigma, rows)
         del ix
-        syy = gaussian_blur(iy, cfg.window_sigma)[rows]
+        syy = _blur_rows(iy, cfg.window_sigma, rows)
         del iy
-        sxy = gaussian_blur(sxy, cfg.window_sigma)[rows]
+        sxy = _blur_rows(sxy, cfg.window_sigma, rows)
         trace = sxx + syy
         out[y0:y1] = sxx * syy - sxy * sxy - cfg.k * trace * trace
 
     # stencil: Sobel, then the structure tensor's Gaussian
-    _banded(band, arr.shape[0], 1 + gaussian_kernel(cfg.window_sigma).size // 2)
+    _banded(band, arr.shape[0], 1 + radius)
     return out
 
 

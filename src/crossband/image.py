@@ -9,11 +9,6 @@ functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
-
 import numpy as np
 from scipy import ndimage
 
@@ -50,90 +45,23 @@ def require_finite(img: np.ndarray, name: str) -> np.ndarray:
     return img
 
 
-# Kept rows per band of a banded raster stage. Small bands keep each
-# thread's temporaries small, and so the memory its malloc arena retains.
+# Kept rows per band of a banded raster stage: a band's temporaries then
+# stay in a core's own cache between the stage's passes.
 _BAND_ROWS = 64
-
-_pool = None  # (helper threads, ThreadPoolExecutor), created on first use
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's threads: start afresh."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _band_workers() -> int:
-    """Threads a banded stage may use: the CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _helper_pool(helpers: int) -> ThreadPoolExecutor:
-    """The process's band pool, with at least `helpers` threads."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] < helpers:
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = (helpers, ThreadPoolExecutor(
-                helpers, thread_name_prefix="crossband-band"))
-        return _pool[1]
 
 
 def _banded(stage, height: int, halo: int) -> None:
-    """Run a row-local raster stage over bands of rows on every usable CPU.
+    """Run a row-local raster stage over bands of rows, top to bottom.
 
     stage(lo, hi, y0, y1) must compute output rows [y0, y1) from input rows
     [lo, hi) and store them; lo and hi extend the band by `halo` rows on
     each side, clipped to the image. When halo covers the stage's stencil
     radius, every kept row sees the same inputs and operations as on the
-    whole image, so the output does not depend on the band height or the
-    thread count. The caller drains bands alongside the pool's helper
-    threads; a band's exception reaches the caller once no band is running.
-    With one usable CPU, or one band, the whole image is one call.
+    whole image, so the output does not depend on the band height.
     """
-    workers = min(_band_workers(), -(-height // _BAND_ROWS))
-    if workers <= 1:
-        stage(0, height, 0, height)
-        return
-    bands = deque(range(0, height, _BAND_ROWS))
-
-    def drain():
-        try:
-            while True:
-                try:
-                    y0 = bands.popleft()
-                except IndexError:
-                    return
-                y1 = min(y0 + _BAND_ROWS, height)
-                stage(max(0, y0 - halo), min(height, y1 + halo), y0, y1)
-        except BaseException:
-            bands.clear()  # the other threads take no further band
-            raise
-
-    pool = _helper_pool(workers - 1)
-    helpers = []
-    for _ in range(workers - 1):
-        try:
-            helpers.append(pool.submit(drain))
-        except RuntimeError:  # the interpreter is exiting: no new work
-            break
-    try:
-        drain()
-    finally:
-        # a helper not started yet has nothing left to do
-        started = [f for f in helpers if not f.cancel()]
-        wait(started)
-    for f in started:
-        f.result()
+    for y0 in range(0, height, _BAND_ROWS):
+        y1 = min(y0 + _BAND_ROWS, height)
+        stage(max(0, y0 - halo), min(height, y1 + halo), y0, y1)
 
 
 def replicate3(gray) -> np.ndarray:
@@ -189,6 +117,52 @@ def gradients(img) -> tuple[np.ndarray, np.ndarray]:
     ix = ndimage.correlate1d(tmp, _SOBEL_DIFF, axis=1, mode="nearest")
     tmp = ndimage.correlate1d(arr, _SOBEL_DIFF, axis=0, mode="nearest")
     iy = ndimage.correlate1d(tmp, _SOBEL_SMOOTH, axis=1, mode="nearest")
+    return ix, iy
+
+
+def _correlate_rows(arr: np.ndarray, k: np.ndarray, rows: slice) -> np.ndarray:
+    """ndimage.correlate1d(arr, k, axis=0, mode="nearest")[rows], bit for bit,
+    computed on those rows alone.
+
+    k has odd length and is symmetric or antisymmetric, as every kernel here
+    is. ndimage then takes the centre tap, and adds each pair of taps from
+    the outermost in: (left + right) * w or (left - right) * w, w being the
+    left weight. This does the same in the same order, a whole row at a
+    time, which numpy vectorises where ndimage walks each column. On a
+    band of rows that stays in cache that is about twice as fast; over a
+    whole 640x480 image it is slower, so gaussian_blur and gradients keep
+    ndimage.
+    """
+    n = arr.shape[0]
+    start, stop, _ = rows.indices(n)
+    r, m = k.size // 2, stop - start
+    if start - r >= 0 and stop + r <= n:
+        ext = arr[start - r:stop + r]
+    else:  # replicate the edge rows, as mode="nearest" does
+        ext = arr[np.clip(np.arange(start - r, stop + r), 0, n - 1)]
+    pair = np.add if k[r + 1] == k[r - 1] else np.subtract
+    out = ext[r:r + m] * k[r]
+    tmp = np.empty_like(out)
+    for j in range(r, 0, -1):
+        pair(ext[r - j:r - j + m], ext[r + j:r + j + m], out=tmp)
+        tmp *= k[r - j]
+        out += tmp
+    return out
+
+
+def _blur_rows(arr: np.ndarray, sigma: float, rows: slice) -> np.ndarray:
+    """gaussian_blur(arr, sigma)[rows], computed on those rows alone."""
+    k = gaussian_kernel(sigma)
+    return ndimage.correlate1d(_correlate_rows(arr, k, rows), k, axis=1,
+                               mode="nearest")
+
+
+def _gradient_rows(arr: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """(ix[rows], iy[rows]) of gradients(arr), computed on those rows alone."""
+    ix = ndimage.correlate1d(_correlate_rows(arr, _SOBEL_SMOOTH, rows),
+                             _SOBEL_DIFF, axis=1, mode="nearest")
+    iy = ndimage.correlate1d(_correlate_rows(arr, _SOBEL_DIFF, rows),
+                             _SOBEL_SMOOTH, axis=1, mode="nearest")
     return ix, iy
 
 

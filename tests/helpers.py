@@ -10,13 +10,11 @@ from crossband.image import gaussian_kernel
 
 
 @contextmanager
-def row_bands(rows, workers):
-    """Run the banded raster stages with `rows` kept rows per band on
-    `workers` threads, whatever the machine's CPU count."""
+def row_bands(rows):
+    """Run the banded raster stages with `rows` kept rows per band."""
     from crossband import image
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(image, "_BAND_ROWS", rows)
-        mp.setattr(image, "_band_workers", lambda: workers)
         yield
 
 

@@ -170,15 +170,15 @@ def _canny_cases(draw):
         coarse = rng.integers(0, len(levels), size=(h // cell + 1, w // cell + 1))
         img = levels[np.kron(coarse, np.ones((cell, cell), int))[:h, :w]]
     sigma = draw(st.sampled_from([0.5, 1.0, 2.0]))
-    bands = draw(st.integers(1, 9)), draw(st.integers(1, 3))
-    return img, CannyConfig(blur_sigma=sigma), draw(st.integers(2, 17)), bands
+    return (img, CannyConfig(blur_sigma=sigma), draw(st.integers(2, 17)),
+            draw(st.integers(1, 9)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_canny_cases())
 def test_canny_equals_oracle(case):
-    img, cfg, n_bins, (band_rows, workers) = case
-    with row_bands(band_rows, workers):
+    img, cfg, n_bins, band_rows = case
+    with row_bands(band_rows):
         out = canny(img, cfg, n_bins)
     edges, directions = canny_oracle(img, cfg, n_bins)
     assert out.edges.dtype == np.uint8 and out.directions.dtype == np.uint8

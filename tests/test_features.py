@@ -129,11 +129,11 @@ def test_detect_matches_brute_force_on_smooth_map():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 24), st.integers(1, 24), st.integers(2, 4),
        st.sampled_from([3, 5, 7, 9]), st.sampled_from([0.0001, 0.3, 0.7]),
-       st.sampled_from([4, 12, 600]), st.integers(1, 9), st.integers(1, 3),
+       st.sampled_from([4, 12, 600]), st.integers(1, 9),
        st.integers(0, 2 ** 32 - 1))
 def test_detect_matches_brute_force_on_quantised_maps(h, w, n_levels, window,
                                                       min_score, max_corners,
-                                                      band_rows, workers, seed):
+                                                      band_rows, seed):
     # few levels make ties dense; shapes below the window exercise borders;
     # bands of a few rows put window-wide plateaus across band edges
     rng = np.random.default_rng(seed)
@@ -141,19 +141,19 @@ def test_detect_matches_brute_force_on_quantised_maps(h, w, n_levels, window,
     score = rng.choice(levels, size=(h, w))
     cfg = HarrisConfig(nms_window=window, min_score=min_score,
                        max_corners=max_corners)
-    with row_bands(band_rows, workers):
+    with row_bands(band_rows):
         got = detect_corners(score, cfg)
     assert got == _brute_force_nms(score, cfg)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(3, 40), st.integers(3, 40), st.sampled_from([0.5, 1.0, 1.5, 2.5]),
-       st.sampled_from([0.04, 0.15]), st.integers(1, 9), st.integers(1, 3),
+       st.sampled_from([0.04, 0.15]), st.integers(1, 9),
        st.integers(0, 2 ** 32 - 1))
-def test_harris_equals_oracle_in_row_bands(h, w, sigma, k, band_rows, workers, seed):
+def test_harris_equals_oracle_in_row_bands(h, w, sigma, k, band_rows, seed):
     img = np.random.default_rng(seed).random((h, w))
     cfg = HarrisConfig(k=k, window_sigma=sigma)
-    with row_bands(band_rows, workers):
+    with row_bands(band_rows):
         got = harris_score_map(img, cfg)
     assert got.tobytes() == harris_oracle(img, cfg).tobytes()
 

@@ -1,9 +1,5 @@
-import multiprocessing
-import os
-import subprocess
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -11,13 +7,12 @@ import pytest
 from crossband import image
 from crossband.edges import canny
 from crossband.errors import SingularTransformError
-from crossband.features import harris_score_map
 from crossband.image import (gaussian_blur, gaussian_kernel, gradients,
                              replicate3, to_luminance, warp_affine)
 from crossband.transform import AffineTransform
 
 from helpers import (canny_oracle, correlate2d_replicate, gaussian_kernel_2d,
-                     harris_oracle, row_bands, sobel_kernels)
+                     row_bands, sobel_kernels)
 
 
 def test_luminance_gray_fixed_point():
@@ -204,93 +199,18 @@ def test_warp_output_size_override():
 
 # --- row bands ---------------------------------------------------------------
 
-def test_banded_one_worker_is_one_call_on_the_caller():
+def test_banded_band_taller_than_image_is_one_call():
     calls = []
-    with row_bands(1, 1):
-        image._banded(lambda *rows: calls.append((rows, threading.get_ident())),
-                      10, 3)
-    assert calls == [((0, 10, 0, 10), threading.get_ident())]
+    with row_bands(10):
+        image._banded(lambda *rows: calls.append(rows), 10, 3)
+    assert calls == [(0, 10, 0, 10)]
 
 
 def test_banded_covers_every_row_once_with_clipped_halos():
     calls = []
-    with row_bands(4, 3):
+    with row_bands(4):
         image._banded(lambda *rows: calls.append(rows), 10, 2)
-    assert sorted(calls) == [(0, 6, 0, 4), (2, 10, 4, 8), (6, 10, 8, 10)]
-
-
-@pytest.mark.parametrize("failing", ["caller", "helper"])
-def test_banded_error_reaches_caller_after_every_band_stops(failing):
-    caller = threading.get_ident()
-    lock = threading.Lock()
-    running, taken = [0], []
-    other_busy = threading.Event()
-
-    def stage(lo, hi, y0, y1):
-        on_caller = threading.get_ident() == caller
-        with lock:
-            running[0] += 1
-            taken.append(y0)
-        try:
-            if on_caller == (failing == "caller"):
-                other_busy.wait(10)  # fail while the other thread holds a band
-                raise RuntimeError(f"band at row {y0}")
-            other_busy.set()
-            time.sleep(0.05)
-        finally:
-            with lock:
-                running[0] -= 1
-
-    with row_bands(1, 2), pytest.raises(RuntimeError, match="band at row"):
-        image._banded(stage, 40, 0)
-    assert running[0] == 0
-    assert len(taken) <= 3  # no band is taken after the failure
-
-
-def _bands_in_forked_child(conn):
-    threads = set()
-
-    def stage(lo, hi, y0, y1):
-        threads.add(threading.get_ident())
-        time.sleep(0.01)
-
-    image._banded(stage, 8, 0)
-    img = np.random.default_rng(3).random((20, 24))
-    same = harris_score_map(img).tobytes() == harris_oracle(img).tobytes()
-    conn.send((len(threads), same))
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="needs the fork start method")
-def test_banded_pool_works_in_a_forked_child():
-    ctx = multiprocessing.get_context("fork")
-    with row_bands(1, 2):
-        harris_score_map(np.random.default_rng(2).random((20, 24)))  # starts the pool
-        receive, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=_bands_in_forked_child, args=(send,))
-        child.start()
-        child.join(timeout=60)
-        if child.is_alive():
-            child.kill()
-            child.join()
-            pytest.fail("forked child hung in a banded stage")
-    assert child.exitcode == 0
-    assert receive.poll(0)
-    assert receive.recv() == (2, True)  # the child's bands ran on two threads
-
-
-def test_banded_stage_runs_during_interpreter_exit():
-    # thread pools take no work once the interpreter starts to exit
-    code = ("import atexit, numpy as np; from crossband import image; "
-            "from crossband.features import harris_score_map; "
-            "image._BAND_ROWS = 4; image._band_workers = lambda: 2; "
-            "img = np.random.default_rng(0).random((30, 20)); "
-            "first = harris_score_map(img).tobytes(); "
-            "atexit.register(lambda: print(harris_score_map(img).tobytes() == first))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=120,
-                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout == "True\n", out.stderr
+    assert calls == [(0, 6, 0, 4), (2, 10, 4, 8), (6, 10, 8, 10)]
 
 
 def test_banded_stages_from_concurrent_callers():
@@ -304,7 +224,7 @@ def test_banded_stages_from_concurrent_callers():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with row_bands(3, 4):  # more threads than this machine may have CPUs
+        with row_bands(3):
             threads = [threading.Thread(target=work, args=(i,))
                        for i in range(len(imgs))]
             for t in threads:
@@ -318,3 +238,39 @@ def test_banded_stages_from_concurrent_callers():
         edges, directions = canny_oracle(img)
         assert np.array_equal(out.edges, edges)
         assert np.array_equal(out.directions, directions)
+
+
+def test_blur_rows_is_the_blur_then_the_rows():
+    img = np.random.default_rng(9).random((23, 17))
+    for rows in (slice(None), slice(3, 11), slice(0, 1), slice(20, 23)):
+        assert (image._blur_rows(img, 1.3, rows).tobytes()
+                == gaussian_blur(img, 1.3)[rows].tobytes())
+
+
+@pytest.mark.parametrize("kernel", [gaussian_kernel(0.6), gaussian_kernel(1.5),
+                                    np.array([1.0, 2.0, 1.0]),
+                                    np.array([-1.0, 0.0, 1.0])])
+def test_correlate_rows_is_ndimage_bit_for_bit(kernel):
+    from scipy import ndimage
+    rng = np.random.default_rng(10)
+    for trial in range(60):
+        h, w = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+        if trial % 3 == 0:  # signed zeros and exact ties
+            img = rng.choice([-0.0, 0.0, -1.0, 0.5, 1.0], size=(h, w))
+        else:
+            img = rng.standard_normal((h, w)) * 10.0 ** rng.integers(-200, 200)
+        whole = ndimage.correlate1d(img, kernel, axis=0, mode="nearest")
+        y0 = int(rng.integers(0, h))
+        y1 = int(rng.integers(y0 + 1, h + 1))
+        for rows in (slice(None), slice(y0, y1)):
+            assert (image._correlate_rows(img, kernel, rows).tobytes()
+                    == whole[rows].tobytes())
+
+
+def test_gradient_rows_are_the_gradients_then_the_rows():
+    img = np.random.default_rng(11).random((19, 13))
+    ix, iy = gradients(img)
+    for rows in (slice(None), slice(4, 9), slice(0, 2), slice(17, 19)):
+        got_x, got_y = image._gradient_rows(img, rows)
+        assert got_x.tobytes() == ix[rows].tobytes()
+        assert got_y.tobytes() == iy[rows].tobytes()
