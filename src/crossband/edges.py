@@ -96,14 +96,14 @@ def canny(img, cfg: CannyConfig | None = None,
     mag = np.empty((h, w))
     directions = np.empty((h, w), dtype=np.uint8)
     keep = np.zeros((h, w), dtype=bool)
+    blur = gaussian_kernel(cfg.blur_sigma)
 
     def band(lo, hi, y0, y1):
         # the suppression reads magnitudes one row beyond the kept rows, and
         # their gradients read blurred rows one further
         a, b = max(y0 - 1, lo), min(y1 + 1, hi)
         g0 = max(a - 1, lo)
-        blurred = _blur_rows(arr[lo:hi], cfg.blur_sigma,
-                             slice(g0 - lo, min(b + 1, hi) - lo))
+        blurred = _blur_rows(arr[lo:hi], blur, slice(g0 - lo, min(b + 1, hi) - lo))
         ix, iy = _gradient_rows(blurred, slice(a - g0, b - g0))
         rows = slice(y0 - a, y1 - a)
         angle = np.arctan2(iy[rows], ix[rows])
@@ -122,7 +122,7 @@ def canny(img, cfg: CannyConfig | None = None,
             k |= (sector == s) & (m >= n1) & (m > n2)
 
     # stencil: blur, Sobel, then the suppression's 8-neighbours
-    _banded(band, h, gaussian_kernel(cfg.blur_sigma).size // 2 + 2)
+    _banded(band, h, blur.size // 2 + 2)
 
     mag_max = float(mag.max())
     weak = keep & (mag >= cfg.low_ratio * mag_max)

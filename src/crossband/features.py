@@ -49,7 +49,8 @@ def harris_score_map(img, cfg: HarrisConfig | None = None) -> np.ndarray:
     if arr.shape[0] < 3 or arr.shape[1] < 3:
         raise ValueError(f"image must be at least 3x3, got {arr.shape}")
     out = np.empty(arr.shape)
-    radius = gaussian_kernel(cfg.window_sigma).size // 2
+    k = gaussian_kernel(cfg.window_sigma)
+    radius = k.size // 2
 
     def band(lo, hi, y0, y1):
         # the kept rows' blurs read gradients `radius` rows beyond them
@@ -60,11 +61,11 @@ def harris_score_map(img, cfg: HarrisConfig | None = None) -> np.ndarray:
         ix *= ix
         iy *= iy
         rows = slice(y0 - g0, y1 - g0)
-        sxx = _blur_rows(ix, cfg.window_sigma, rows)
+        sxx = _blur_rows(ix, k, rows)
         del ix
-        syy = _blur_rows(iy, cfg.window_sigma, rows)
+        syy = _blur_rows(iy, k, rows)
         del iy
-        sxy = _blur_rows(sxy, cfg.window_sigma, rows)
+        sxy = _blur_rows(sxy, k, rows)
         trace = sxx + syy
         out[y0:y1] = sxx * syy - sxy * sxy - cfg.k * trace * trace
 

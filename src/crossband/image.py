@@ -131,7 +131,9 @@ def _correlate_rows(arr: np.ndarray, k: np.ndarray, rows: slice) -> np.ndarray:
     time, which numpy vectorises where ndimage walks each column. On a
     band of rows that stays in cache that is about twice as fast; over a
     whole 640x480 image it is slower, so gaussian_blur and gradients keep
-    ndimage.
+    ndimage. The banded stages call it through _blur_rows and
+    _gradient_rows: harris_score_map, canny, and every fusion scale
+    (fuse_single_scale, fuse_hplp, fuse_pair), a band of 64 rows at a time.
     """
     n = arr.shape[0]
     start, stop, _ = rows.indices(n)
@@ -150,9 +152,9 @@ def _correlate_rows(arr: np.ndarray, k: np.ndarray, rows: slice) -> np.ndarray:
     return out
 
 
-def _blur_rows(arr: np.ndarray, sigma: float, rows: slice) -> np.ndarray:
-    """gaussian_blur(arr, sigma)[rows], computed on those rows alone."""
-    k = gaussian_kernel(sigma)
+def _blur_rows(arr: np.ndarray, k: np.ndarray, rows: slice) -> np.ndarray:
+    """gaussian_blur(arr, sigma)[rows], computed on those rows alone; k is
+    gaussian_kernel(sigma), made once by the caller rather than per band."""
     return ndimage.correlate1d(_correlate_rows(arr, k, rows), k, axis=1,
                                mode="nearest")
 
@@ -173,6 +175,7 @@ def warp_affine(img, t: AffineTransform, out_w: int | None = None,
     The transform maps input coordinates to output coordinates; resampling
     is done by inverse mapping with bilinear interpolation. Samples whose
     source coordinate falls outside [0, w-1] x [0, h-1] take `fill`.
+    Output rows are resampled one band at a time.
     """
     arr = as_gray(img)
     h, w = arr.shape
@@ -180,30 +183,59 @@ def warp_affine(img, t: AffineTransform, out_w: int | None = None,
         out_w = w
     if out_h is None:
         out_h = h
+    if out_w < 1 or out_h < 1:
+        raise ValueError(
+            f"output must be at least 1x1, got out_w={out_w}, out_h={out_h}")
+    if not np.isfinite(t.m).all():
+        raise ValueError(f"transform has non-finite entries: {t.m.tolist()}")
     if abs(t.det()) <= 1e-12:
         raise SingularTransformError(
             f"transform is singular (|det|={abs(t.det()):.3e})")
-    inv = t.inverse()
-    yy, xx = np.mgrid[0:out_h, 0:out_w].astype(np.float64)
-    m = inv.m
-    sx = m[0, 0] * xx + m[0, 1] * yy + m[0, 2]
-    sy = m[1, 0] * xx + m[1, 1] * yy + m[1, 2]
+    m = t.inverse().m
+    flat = arr.ravel()
+    xx = np.arange(out_w, dtype=np.float64)
+    # the x terms of the source coordinates are the same on every row
+    mx0, mx1 = m[0, 0] * xx, m[1, 0] * xx
+    out = np.empty((out_h, out_w))
 
-    valid = (sx >= 0.0) & (sx <= w - 1) & (sy >= 0.0) & (sy <= h - 1)
-    x0 = np.floor(sx).astype(np.intp)
-    y0 = np.floor(sy).astype(np.intp)
-    fx = sx - x0
-    fy = sy - y0
-    x0c = np.clip(x0, 0, w - 1)
-    x1c = np.clip(x0 + 1, 0, w - 1)
-    y0c = np.clip(y0, 0, h - 1)
-    y1c = np.clip(y0 + 1, 0, h - 1)
+    def band(lo, hi, y0, y1):
+        # the bilinear formula's order of operations: sx = (m00 x + m01 y)
+        # + m02, each tap weighted as (a (1 - fx)) (1 - fy), the four summed
+        # left to right; updated in place, so few band arrays live at once
+        yy = np.arange(y0, y1, dtype=np.float64)[:, None]
+        sx = mx0 + m[0, 1] * yy
+        sx += m[0, 2]
+        sy = mx1 + m[1, 1] * yy
+        sy += m[1, 2]
+        valid = (sx >= 0.0) & (sx <= w - 1) & (sy >= 0.0) & (sy <= h - 1)
+        col = np.floor(sx).astype(np.intp)
+        row = np.floor(sy).astype(np.intp)
+        fx = np.subtract(sx, col, out=sx)
+        fy = np.subtract(sy, row, out=sy)
+        gx = 1 - fx
+        gy = 1 - fy
+        c0 = np.clip(col, 0, w - 1)
+        col += 1
+        c1 = np.clip(col, 0, w - 1, out=col)
+        r0 = np.clip(row, 0, h - 1)
+        r0 *= w
+        row += 1
+        r1 = np.clip(row, 0, h - 1, out=row)
+        r1 *= w
+        res, tap, idx = out[y0:y1], np.empty_like(fx), np.empty_like(c0)
+        flat.take(np.add(r0, c0, out=idx), out=res)
+        res *= gx
+        res *= gy
+        for r, c, wx, wy in ((r0, c1, fx, gy), (r1, c0, gx, fy), (r1, c1, fx, fy)):
+            flat.take(np.add(r, c, out=idx), out=tap)
+            tap *= wx
+            tap *= wy
+            res += tap
+        np.copyto(res, float(fill), where=~valid)
 
-    out = (arr[y0c, x0c] * (1 - fx) * (1 - fy)
-           + arr[y0c, x1c] * fx * (1 - fy)
-           + arr[y1c, x0c] * (1 - fx) * fy
-           + arr[y1c, x1c] * fx * fy)
-    return np.where(valid, out, float(fill))
+    # halo 0: a band reads source pixels by index, not neighbouring rows
+    _banded(band, out_h, 0)
+    return out
 
 
 def clamp01(img) -> np.ndarray:

@@ -300,3 +300,62 @@ def score_matrix_oracle(src, dst, polarity="direct"):
         return direct
     flip = np.array([[similarity(flipped(p), q) for q in dst] for p in src])
     return flip if polarity == "flipped" else np.maximum(direct, flip)
+
+
+def warp_oracle(img, t, out_w=None, out_h=None, fill=0.0):
+    """warp_affine over the whole output at once, from `np.mgrid` coordinates."""
+    arr = np.asarray(img, dtype=np.float64)
+    h, w = arr.shape
+    if out_w is None:
+        out_w = w
+    if out_h is None:
+        out_h = h
+    yy, xx = np.mgrid[0:out_h, 0:out_w].astype(np.float64)
+    m = t.inverse().m
+    sx = m[0, 0] * xx + m[0, 1] * yy + m[0, 2]
+    sy = m[1, 0] * xx + m[1, 1] * yy + m[1, 2]
+
+    valid = (sx >= 0.0) & (sx <= w - 1) & (sy >= 0.0) & (sy <= h - 1)
+    x0 = np.floor(sx).astype(np.intp)
+    y0 = np.floor(sy).astype(np.intp)
+    fx = sx - x0
+    fy = sy - y0
+    x0c = np.clip(x0, 0, w - 1)
+    x1c = np.clip(x0 + 1, 0, w - 1)
+    y0c = np.clip(y0, 0, h - 1)
+    y1c = np.clip(y0 + 1, 0, h - 1)
+
+    out = (arr[y0c, x0c] * (1 - fx) * (1 - fy)
+           + arr[y0c, x1c] * fx * (1 - fy)
+           + arr[y1c, x0c] * (1 - fx) * fy
+           + arr[y1c, x1c] * fx * fy)
+    return np.where(valid, out, float(fill))
+
+
+def fuse_single_scale_oracle(yv, ir, sigma, alpha, gain):
+    """fuse_single_scale on whole images, through the public gaussian_blur."""
+    from crossband.image import gaussian_blur
+    yv = np.asarray(yv, dtype=np.float64)
+    ir = np.asarray(ir, dtype=np.float64)
+    lp_v = gaussian_blur(yv, sigma)
+    lp_i = gaussian_blur(ir, sigma)
+    hp_v = yv - lp_v
+    hp_i = ir - lp_i
+    lp = alpha * lp_v + (1.0 - alpha) * lp_i
+    hp = np.where(np.abs(hp_v) >= np.abs(hp_i), hp_v, hp_i)
+    return lp + gain * hp
+
+
+def fuse_pair_oracle(visible, infrared, cfg=None):
+    """fuse_pair on whole images: three scales, their mean, then colour."""
+    from crossband.fusion import FusionConfig
+    from crossband.image import to_luminance
+    if cfg is None:
+        cfg = FusionConfig()
+    v = np.asarray(visible, dtype=np.float64)
+    luma = to_luminance(v)
+    scales = [fuse_single_scale_oracle(luma, infrared, sigma, cfg.alpha, cfg.gain)
+              for sigma in cfg.sigmas]
+    fused = np.clip((scales[0] + scales[1] + scales[2]) / 3.0, 0.0, 1.0)
+    ratio = fused / np.maximum(luma, cfg.color_eps)
+    return fused, np.clip(v * ratio[:, :, None], 0.0, 1.0)

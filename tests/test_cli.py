@@ -116,6 +116,15 @@ def test_warp_singular_transform_exits_2(tmp_path, texture_png, capsys):
     assert not out.exists()
 
 
+def test_warp_non_finite_transform_exits_1(tmp_path, texture_png, capsys):
+    t = tmp_path / "nan.txt"
+    t.write_text("1 0 nan\n0 1 0\n")
+    out = tmp_path / "w.png"
+    assert main(["warp", str(texture_png), str(t), str(out)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_warp_color_image(tmp_path):
     rng = np.random.default_rng(52)
     img = rng.random((70, 70, 3))

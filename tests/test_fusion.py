@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from hypothesis import given, settings, strategies as st
 
 from crossband.fusion import (FusionConfig, fuse_hplp, fuse_pair, fuse_single_scale,
                               restore_color, split_frequencies)
 from crossband.image import gaussian_blur, replicate3, to_luminance
 from crossband.evaluation import synthetic_texture
 
-from helpers import checkerboard, gaussian_kernel_2d
+from helpers import (checkerboard, fuse_pair_oracle, fuse_single_scale_oracle,
+                     gaussian_kernel_2d, row_bands)
 
 
 def test_config_validation():
@@ -239,3 +244,87 @@ def test_fuse_pair_rejects_non_finite_pixels(band):
     images[band].flat[500] = np.nan
     with pytest.raises(ValueError, match=f"{band} image has 1 non-finite"):
         fuse_pair(images["visible"], images["infrared"])
+
+
+# --- row bands -----------------------------------------------------------------
+
+@st.composite
+def _fusion_inputs(draw):
+    """A visible RGB image and an infrared band of the same shape, 1-40 px a
+    side. "negated" makes every |hp_v| == |hp_i| a tie of opposite signs;
+    "quantised" draws 3-level plateaus of 1-8 px cells, inside which both
+    high bands can be exactly zero, a tie of equal signs."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "equal", "negated", "quantised"]))
+    if kind == "quantised":
+        cell = draw(st.integers(1, 8))
+        levels = np.array([0.25, 0.5, 0.75])
+
+        def plateaus(*depth):
+            grid = levels[rng.integers(0, 3, size=(-(-h // cell), -(-w // cell)) + depth)]
+            return grid.repeat(cell, axis=0).repeat(cell, axis=1)[:h, :w]
+        rgb, ir = plateaus(3), plateaus()
+    else:
+        rgb = rng.random((h, w, 3))
+        ir = {"random": rng.random((h, w)), "equal": to_luminance(rgb),
+              "negated": -to_luminance(rgb)}[kind]
+    return rgb, ir
+
+
+_SIGMAS = st.lists(st.sampled_from([0.3, 0.7, 1.0, 1.6, 2.0, 3.1, 4.0]),
+                   min_size=3, max_size=3, unique=True).map(sorted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fusion_inputs(), st.sampled_from([0.3, 1.0, 2.0, 4.0]),
+       st.floats(0.0, 1.0), st.floats(0.0, 8.0), st.integers(1, 9))
+def test_fuse_single_scale_equals_oracle_in_row_bands(pair, sigma, alpha, gain,
+                                                      band_rows):
+    rgb, ir = pair
+    yv = to_luminance(rgb)
+    with row_bands(band_rows):
+        got = fuse_single_scale(yv, ir, sigma, alpha, gain)
+    want = fuse_single_scale_oracle(yv, ir, sigma, alpha, gain)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fusion_inputs(), _SIGMAS, st.floats(0.0, 1.0), st.floats(0.0, 8.0),
+       st.integers(1, 9))
+def test_fuse_pair_equals_oracle_in_row_bands(pair, sigmas, alpha, gain, band_rows):
+    rgb, ir = pair
+    cfg = FusionConfig(alpha=alpha, gain=gain, sigmas=tuple(sigmas))
+    with row_bands(band_rows):
+        fused, color = fuse_pair(rgb, ir, cfg)
+        hplp = fuse_hplp(to_luminance(rgb), ir, cfg)
+    want_fused, want_color = fuse_pair_oracle(rgb, ir, cfg)
+    assert fused.tobytes() == want_fused.tobytes()
+    assert hplp.tobytes() == want_fused.tobytes()
+    assert color.tobytes() == want_color.tobytes()
+
+
+def test_fuse_pair_equals_oracle_at_640x480():
+    rng = np.random.default_rng(21)
+    rgb = np.stack([synthetic_texture(640, 480, seed=s) for s in (40, 41, 42)], axis=2)
+    ir = np.clip(1.0 - rgb[:, :, 1] + rng.normal(0.0, 0.02, (480, 640)), 0.0, 1.0)
+    fused, color = fuse_pair(rgb, ir)
+    want_fused, want_color = fuse_pair_oracle(rgb, ir)
+    assert fused.tobytes() == want_fused.tobytes()
+    assert color.tobytes() == want_color.tobytes()
+
+
+def test_fuse_pair_memory_is_outputs_plus_a_few_bands():
+    rng = np.random.default_rng(22)
+    rgb, ir = rng.random((480, 640, 3)), rng.random((480, 640))
+    band = 64 * 640 * 8
+    with row_bands(64):
+        fuse_pair(rgb, ir)
+        tracemalloc.start()
+        try:
+            fused, color = fuse_pair(rgb, ir)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # the outputs, the visible luminance (one gray image) and the bands
+    assert peak <= 2 * fused.nbytes + color.nbytes + 10 * band

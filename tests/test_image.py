@@ -1,8 +1,11 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from hypothesis import assume, given, settings, strategies as st
 
 from crossband import image
 from crossband.edges import canny
@@ -12,7 +15,7 @@ from crossband.image import (gaussian_blur, gaussian_kernel, gradients,
 from crossband.transform import AffineTransform
 
 from helpers import (canny_oracle, correlate2d_replicate, gaussian_kernel_2d,
-                     row_bands, sobel_kernels)
+                     row_bands, sobel_kernels, warp_oracle)
 
 
 def test_luminance_gray_fixed_point():
@@ -197,6 +200,77 @@ def test_warp_output_size_override():
     assert out.shape == (7, 5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_warp_rejects_non_finite_transform(bad):
+    m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    m[0, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        warp_affine(np.zeros((8, 8)), AffineTransform(m))
+
+
+@pytest.mark.parametrize("size", [dict(out_w=0), dict(out_h=0),
+                                  dict(out_w=-3, out_h=4), dict(out_w=5, out_h=-1)])
+def test_warp_rejects_empty_or_negative_output_size(size):
+    with pytest.raises(ValueError, match="out_w=.*out_h="):
+        warp_affine(np.ones((5, 5)), AffineTransform.identity(), **size)
+
+
+@st.composite
+def _warp_cases(draw):
+    """An image of 1-40 px a side, an output size, a fill and a transform:
+    a random affine, or a scale of 0.5, 1 or 2 with a translation in half
+    pixels, so that source coordinates land on whole and half pixels and on
+    the border itself, or a shift that maps everything outside."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    img = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random((h, w))
+    kind = draw(st.sampled_from(["affine", "grid", "outside"]))
+    if kind == "affine":
+        m = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6)))
+        m[[2, 5]] *= 20.0
+        m = m.reshape(2, 3)
+        assume(abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) > 1e-3)
+    elif kind == "grid":
+        s = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        tx, ty = (draw(st.integers(-20, 20)) / 2.0 for _ in range(2))
+        m = np.array([[s, 0.0, tx], [0.0, s, ty]])
+    else:
+        m = np.array([[1.0, 0.0, draw(st.sampled_from([-500.0, 500.0]))],
+                      [0.0, 1.0, draw(st.sampled_from([-500.0, 0.0, 500.0]))]])
+    size = draw(st.sampled_from([{}, {"out_w": draw(st.integers(1, 40)),
+                                      "out_h": draw(st.integers(1, 40))}]))
+    return img, AffineTransform(m), size, draw(st.sampled_from([0.0, -1.5, 7.25]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_warp_cases(), st.integers(1, 9))
+def test_warp_equals_oracle_in_row_bands(case, band_rows):
+    img, t, size, fill = case
+    with row_bands(band_rows):
+        got = warp_affine(img, t, fill=fill, **size)
+    assert got.tobytes() == warp_oracle(img, t, fill=fill, **size).tobytes()
+
+
+def test_warp_equals_oracle_at_640x480():
+    img = np.random.default_rng(23).random((480, 640))
+    t = AffineTransform(np.array([[0.99, 0.03, 2.75], [-0.02, 1.01, -3.5]]))
+    assert warp_affine(img, t).tobytes() == warp_oracle(img, t).tobytes()
+
+
+def test_warp_memory_is_output_plus_a_few_bands():
+    img = np.random.default_rng(24).random((480, 640))
+    t = AffineTransform.similarity(1.01, 0.02, 3.3, -2.2)
+    band = 64 * 640 * 8
+    with row_bands(64):
+        warp_affine(img, t)
+        tracemalloc.start()
+        try:
+            out = warp_affine(img, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= out.nbytes + 12 * band
+
+
 # --- row bands ---------------------------------------------------------------
 
 def test_banded_band_taller_than_image_is_one_call():
@@ -243,7 +317,7 @@ def test_banded_stages_from_concurrent_callers():
 def test_blur_rows_is_the_blur_then_the_rows():
     img = np.random.default_rng(9).random((23, 17))
     for rows in (slice(None), slice(3, 11), slice(0, 1), slice(20, 23)):
-        assert (image._blur_rows(img, 1.3, rows).tobytes()
+        assert (image._blur_rows(img, gaussian_kernel(1.3), rows).tobytes()
                 == gaussian_blur(img, 1.3)[rows].tobytes())
 
 
