@@ -18,14 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
+from .descriptor import MatchingConfig
+from .edges import CannyConfig
 from .errors import (DegenerateFitError, ImageIOError, RegistrationError,
                      SingularTransformError)
-from .evaluation import run_benchmark
-from .fusion import fuse_pair, fuse_scales
+from .evaluation import SimulationSpec, run_benchmark
+from .features import HarrisConfig
+from .fusion import FusionConfig, fuse_pair, fuse_scales
 from .image import (as_color, as_gray, clamp01, replicate3, to_luminance,
                     warp_affine)
 from .image_io import read_image, write_image
-from .registration import register
+from .registration import RansacConfig, register
 from .transform import load_transform, to_json_dict
 
 _EXIT_OK = 0
@@ -97,12 +100,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _settings_from(args) -> dict:
+def _settings_from(path, overrides) -> dict:
     settings = cfgmod.defaults()
-    if getattr(args, "config", None):
-        cfgmod.load_config(args.config, settings)
-    cfgmod.apply_overrides(settings, args.opt)
-    return settings
+    if path is not None:
+        cfgmod.load_config(path, settings)
+    return cfgmod.apply_overrides(settings, overrides)
+
+
+def _register_args(settings) -> tuple:
+    """The configuration arguments of register and run_benchmark, which
+    share their order: Harris, Canny, window, consensus, polarity."""
+    matching = cfgmod.build(MatchingConfig, settings)
+    return (cfgmod.build(HarrisConfig, settings),
+            cfgmod.build(CannyConfig, settings), matching.window,
+            cfgmod.build(RansacConfig, settings), matching.polarity)
 
 
 def _atomic_write(path: str, write) -> None:
@@ -128,15 +139,10 @@ def _load_gray(path) -> np.ndarray:
 
 
 def _cmd_register(args) -> int:
-    settings = _settings_from(args)
+    settings = _settings_from(args.config, args.opt)
     visible = _load_gray(args.visible)
     infrared = _load_gray(args.infrared)
-    result = register(visible, infrared,
-                      harris_cfg=cfgmod.harris_config(settings),
-                      canny_cfg=cfgmod.canny_config(settings),
-                      window=cfgmod.descriptor_window(settings),
-                      cfg=cfgmod.ransac_config(settings),
-                      polarity=cfgmod.polarity_mode(settings))
+    result = register(visible, infrared, *_register_args(settings))
     for i, (t, support) in enumerate(result.per_iteration, start=1):
         tx, ty = t.m[0, 2], t.m[1, 2]
         print(f"iteration {i}: support={support} "
@@ -169,7 +175,7 @@ def _cmd_warp(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    settings = _settings_from(args)
+    settings = _settings_from(args.config, args.opt)
     visible = read_image(args.visible)
     if visible.ndim == 2:
         visible = replicate3(visible)
@@ -179,7 +185,7 @@ def _cmd_fuse(args) -> int:
             f"image dimensions differ: visible is "
             f"{visible.shape[1]}x{visible.shape[0]}, infrared is "
             f"{infrared.shape[1]}x{infrared.shape[0]}")
-    fusion_cfg = cfgmod.fusion_config(settings)
+    fusion_cfg = cfgmod.build(FusionConfig, settings)
     fused, fused_color = fuse_pair(visible, infrared, fusion_cfg)
     _atomic_write(args.out_gray, lambda tmp: write_image(tmp, fused))
     _atomic_write(args.out_color, lambda tmp: write_image(tmp, fused_color))
@@ -197,22 +203,15 @@ _IMAGE_SUFFIXES = (".png", ".pgm", ".ppm")
 
 
 def _cmd_eval(args) -> int:
-    settings = cfgmod.defaults()
-    cfgmod.load_config(args.spec, settings)
-    cfgmod.apply_overrides(settings, args.opt)
+    settings = _settings_from(args.spec, args.opt)
     names = sorted(n for n in os.listdir(args.dataset_dir)
                    if n.lower().endswith(_IMAGE_SUFFIXES))
     if not names:
         raise ValueError(f"no images found in {args.dataset_dir}")
     bases = [as_gray(_load_gray(os.path.join(args.dataset_dir, n)))
              for n in names]
-    report = run_benchmark(
-        bases, cfgmod.simulation_spec(settings),
-        harris_cfg=cfgmod.harris_config(settings),
-        canny_cfg=cfgmod.canny_config(settings),
-        window=cfgmod.descriptor_window(settings),
-        ransac_cfg=cfgmod.ransac_config(settings),
-        polarity=cfgmod.polarity_mode(settings))
+    report = run_benchmark(bases, cfgmod.build(SimulationSpec, settings),
+                           *_register_args(settings))
     csv = report.to_csv().encode("utf-8")
     _atomic_write(args.out_csv, lambda tmp: Path(tmp).write_bytes(csv))
     print(f"trials={len(report.rows)} failures={report.failures} "
@@ -248,3 +247,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

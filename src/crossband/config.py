@@ -3,23 +3,35 @@
 The file format is one `key = value` per line, `#` starts a comment, blank
 lines are ignored. Keys are dotted and validated against the schema below;
 command-line `-o key=value` overrides take precedence over file values.
+
+Every key is declared once, on a field of one of the config dataclasses in
+GROUPS: `metadata["key"]` names it, `metadata["help"]` describes it, and the
+field's default is its default. String choice fields add
+`metadata["choices"]`.
 """
 
 from __future__ import annotations
 
-from .descriptor import DEFAULT_WINDOW, POLARITIES
+import dataclasses
+import enum
+import math
+
+from .descriptor import MatchingConfig
 from .edges import CannyConfig
+from .evaluation import SimulationSpec
 from .features import HarrisConfig
 from .fusion import FusionConfig
-from .evaluation import MODALITY_MODELS, SimulationSpec
 from .registration import RansacConfig
-from .transform import TransformKind
 
-_MODELS = tuple(k.value for k in TransformKind)
+GROUPS = (HarrisConfig, CannyConfig, MatchingConfig, RansacConfig,
+          FusionConfig, SimulationSpec)
 
 
 def _float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _int(text: str) -> int:
@@ -27,7 +39,7 @@ def _int(text: str) -> int:
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.replace(",", " ").split())
+    return tuple(_float(v) for v in text.replace(",", " ").split())
 
 
 def _choice(options):
@@ -38,42 +50,28 @@ def _choice(options):
     return parse
 
 
-# key -> (parser, default, help)
+def _schema_entry(f: dataclasses.Field) -> tuple:
+    """(parser, default, help) of one field; the parser follows the
+    default's type, and an Enum default is kept as its value."""
+    default = f.default
+    if isinstance(default, enum.Enum):
+        parser = _choice(tuple(k.value for k in type(default)))
+        default = default.value
+    elif "choices" in f.metadata:
+        parser = _choice(f.metadata["choices"])
+    elif isinstance(default, tuple):
+        parser = _float_list
+    elif isinstance(default, int):
+        parser = _int
+    else:
+        parser = _float
+    return parser, default, f.metadata["help"]
+
+
+# key -> (parser, default, help), in GROUPS and field order
 SCHEMA: dict[str, tuple] = {
-    "harris.k": (_float, 0.04, "corner score sensitivity"),
-    "harris.window_sigma": (_float, 1.5, "structure-tensor Gaussian sigma"),
-    "harris.nms_window": (_int, 7, "odd corner suppression window"),
-    "harris.max_corners": (_int, 400, "corner count cap per image"),
-    "harris.min_score": (_float, 0.01, "corner threshold relative to max score"),
-    "canny.blur_sigma": (_float, 1.0, "pre-smoothing sigma for edge detection"),
-    "canny.low_ratio": (_float, 0.1, "low hysteresis threshold / max magnitude"),
-    "canny.high_ratio": (_float, 0.2, "high hysteresis threshold / max magnitude"),
-    "descriptor.window": (_int, DEFAULT_WINDOW, "odd descriptor window side"),
-    "matching.polarity": (_choice(POLARITIES), "both",
-                          "direction handling: direct, flipped, or both"),
-    "ransac.model": (_choice(_MODELS), "translation",
-                     "transform model: translation, similarity, or affine"),
-    "ransac.samples_per_iter": (_int, 1000, "consensus samples per iteration"),
-    "ransac.inlier_dist_coarse": (_float, 5.0,
-                                  "consensus radius (px), iterations 1-2"),
-    "ransac.inlier_dist_fine": (_float, 2.0, "consensus radius (px), iteration 3"),
-    "ransac.gate_dist_coarse": (_float, 15.0, "match gating radius (px), iteration 2"),
-    "ransac.gate_dist_fine": (_float, 5.0, "match gating radius (px), iteration 3"),
-    "ransac.seed": (_int, 0, "consensus sampling seed"),
-    "fusion.alpha": (_float, 0.5, "low-pass blend weight of the visible band"),
-    "fusion.gain": (_float, 1.5, "high-pass sharpness gain"),
-    "fusion.sigmas": (_float_list, (1.0, 2.0, 4.0),
-                      "three increasing fusion scales"),
-    "fusion.color_eps": (_float, 1.0 / 255.0, "luminance guard for color restore"),
-    "eval.translation_range": (_float, 20.0, "planted shift range (+/- px)"),
-    "eval.scales": (_float_list, (1.0,), "planted scale sweep"),
-    "eval.modality": (_choice(MODALITY_MODELS), "identity",
-                      "photometric model of the second band"),
-    "eval.gamma": (_float, 2.2, "gamma exponent of the modality model"),
-    "eval.noise_sigma": (_float, 0.02, "additive noise level"),
-    "eval.trials": (_int, 20, "trials per scale"),
-    "eval.seed": (_int, 0, "benchmark seed"),
-}
+    f.metadata["key"]: _schema_entry(f)
+    for group in GROUPS for f in dataclasses.fields(group)}
 
 
 def defaults() -> dict:
@@ -119,69 +117,15 @@ def apply_overrides(settings: dict, assignments) -> dict:
     return settings
 
 
-def _build(ctor, kwargs, group: str):
+def build(group, settings: dict):
+    """An instance of the config dataclass `group` from its keys' values."""
+    fields = dataclasses.fields(group)
     try:
-        return ctor(**kwargs)
+        return group(**{f.name: settings[f.metadata["key"]] for f in fields})
     except ValueError as exc:
-        raise ValueError(f"invalid {group} configuration: {exc}") from exc
-
-
-def harris_config(settings: dict) -> HarrisConfig:
-    return _build(HarrisConfig, dict(
-        k=settings["harris.k"],
-        window_sigma=settings["harris.window_sigma"],
-        nms_window=settings["harris.nms_window"],
-        max_corners=settings["harris.max_corners"],
-        min_score=settings["harris.min_score"]), "harris.*")
-
-
-def canny_config(settings: dict) -> CannyConfig:
-    return _build(CannyConfig, dict(
-        blur_sigma=settings["canny.blur_sigma"],
-        low_ratio=settings["canny.low_ratio"],
-        high_ratio=settings["canny.high_ratio"]), "canny.*")
-
-
-def ransac_config(settings: dict) -> RansacConfig:
-    return _build(RansacConfig, dict(
-        model=TransformKind(settings["ransac.model"]),
-        samples_per_iter=settings["ransac.samples_per_iter"],
-        inlier_dist_coarse=settings["ransac.inlier_dist_coarse"],
-        inlier_dist_fine=settings["ransac.inlier_dist_fine"],
-        gate_dist_coarse=settings["ransac.gate_dist_coarse"],
-        gate_dist_fine=settings["ransac.gate_dist_fine"],
-        rng_seed=settings["ransac.seed"]), "ransac.*")
-
-
-def fusion_config(settings: dict) -> FusionConfig:
-    return _build(FusionConfig, dict(
-        alpha=settings["fusion.alpha"],
-        gain=settings["fusion.gain"],
-        sigmas=settings["fusion.sigmas"],
-        color_eps=settings["fusion.color_eps"]), "fusion.*")
-
-
-def simulation_spec(settings: dict) -> SimulationSpec:
-    return _build(SimulationSpec, dict(
-        translation_range=settings["eval.translation_range"],
-        scales=settings["eval.scales"],
-        modality=settings["eval.modality"],
-        gamma=settings["eval.gamma"],
-        noise_sigma=settings["eval.noise_sigma"],
-        trials=settings["eval.trials"],
-        rng_seed=settings["eval.seed"]), "eval.*")
-
-
-def descriptor_window(settings: dict) -> int:
-    window = settings["descriptor.window"]
-    if window < 5 or window % 2 == 0:
-        raise ValueError(
-            f"descriptor.window must be odd and >= 5, got {window}")
-    return window
-
-
-def polarity_mode(settings: dict) -> str:
-    return settings["matching.polarity"]
+        prefixes = dict.fromkeys(f.metadata["key"].split(".")[0] for f in fields)
+        label = ", ".join(f"{p}.*" for p in prefixes)
+        raise ValueError(f"invalid {label} configuration: {exc}") from exc
 
 
 def describe_keys() -> str:

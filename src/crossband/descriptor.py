@@ -16,7 +16,7 @@ the better of the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -25,10 +25,31 @@ from .edges import EdgeMap
 from .features import Corner
 
 DEFAULT_WINDOW = 31
+POLARITIES = ("direct", "flipped", "both")
 _BLOCK_BYTES = 1 << 22  # dense candidate side of score_matrix, per block
 # edge pixels per block of sources: _source_rows holds about 64 bytes of
 # index temporaries per edge pixel
 _SOURCE_EDGES = _BLOCK_BYTES // 64
+
+
+def _check_window(window: int) -> None:
+    if window < 5 or window % 2 == 0:
+        raise ValueError(f"window must be odd and >= 5, got {window}")
+
+
+@dataclass(frozen=True)
+class MatchingConfig:
+    """Descriptor window and polarity mode used to match two bands."""
+    window: int = field(default=DEFAULT_WINDOW, metadata={
+        "key": "descriptor.window", "help": "odd descriptor window side"})
+    polarity: str = field(default="both", metadata={
+        "key": "matching.polarity", "choices": POLARITIES,
+        "help": "direction handling: direct, flipped, or both"})
+
+    def __post_init__(self):
+        _check_window(self.window)
+        if self.polarity not in POLARITIES:
+            raise ValueError(f"unknown polarity mode {self.polarity!r}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +77,7 @@ def build_descriptor(corner: Corner, edge_map: EdgeMap,
     Returns None when the corner sits closer than window // 2 to the image
     border (the window would not fit).
     """
-    if window < 5 or window % 2 == 0:
-        raise ValueError(f"window must be odd and >= 5, got {window}")
+    _check_window(window)
     r = window // 2
     h, w = edge_map.edges.shape
     x, y = corner.x, corner.y
@@ -115,9 +135,6 @@ def similarity(dp: EdgeDescriptor, dq: EdgeDescriptor) -> float:
     hits = same_grad(dp.directions, dq.directions, dp.n_bins)
     num = int(np.count_nonzero((dp.edges != 0) & (dq.edges != 0) & hits))
     return math.sqrt(num * num / dq.edge_count)
-
-
-POLARITIES = ("direct", "flipped", "both")
 
 
 def score_matrix(src: list[EdgeDescriptor], dst: list[EdgeDescriptor],

@@ -7,7 +7,7 @@ image might carry an edge, so the direction index is defined at every pixel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -20,9 +20,12 @@ DEFAULT_DIRECTION_BINS = 16
 
 @dataclass(frozen=True)
 class CannyConfig:
-    blur_sigma: float = 1.0
-    low_ratio: float = 0.1    # hysteresis thresholds, relative to the
-    high_ratio: float = 0.2   # maximum gradient magnitude of the image
+    blur_sigma: float = field(default=1.0, metadata={
+        "key": "canny.blur_sigma", "help": "pre-smoothing sigma for edge detection"})
+    low_ratio: float = field(default=0.1, metadata={
+        "key": "canny.low_ratio", "help": "low hysteresis threshold / max magnitude"})
+    high_ratio: float = field(default=0.2, metadata={
+        "key": "canny.high_ratio", "help": "high hysteresis threshold / max magnitude"})
 
     def __post_init__(self):
         if not self.blur_sigma > 0:

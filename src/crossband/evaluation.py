@@ -13,13 +13,13 @@ from statistics import median
 
 import numpy as np
 
+from .descriptor import MatchingConfig
 from .edges import CannyConfig, EdgeMap
 from .errors import RegistrationError
 from .features import HarrisConfig
 from .image import as_gray, clamp01, gaussian_blur, warp_affine
 from .registration import RansacConfig, register
 from .transform import AffineTransform
-from . import descriptor as _descriptor
 
 MODALITY_MODELS = ("identity", "invert", "gamma", "invert+gamma")
 _MIN_VALID_SIDE = 64
@@ -27,13 +27,21 @@ _MIN_VALID_SIDE = 64
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    translation_range: float = 20.0      # planted shifts drawn from +/- this
-    scales: tuple[float, ...] = (1.0,)   # planted scale sweep
-    modality: str = "identity"
-    gamma: float = 2.2
-    noise_sigma: float = 0.02
-    trials: int = 20                     # per scale
-    rng_seed: int = 0
+    translation_range: float = field(default=20.0, metadata={
+        "key": "eval.translation_range", "help": "planted shift range (+/- px)"})
+    scales: tuple[float, ...] = field(default=(1.0,), metadata={
+        "key": "eval.scales", "help": "planted scale sweep"})
+    modality: str = field(default="identity", metadata={
+        "key": "eval.modality", "choices": MODALITY_MODELS,
+        "help": "photometric model of the second band"})
+    gamma: float = field(default=2.2, metadata={
+        "key": "eval.gamma", "help": "gamma exponent of the modality model"})
+    noise_sigma: float = field(default=0.02, metadata={
+        "key": "eval.noise_sigma", "help": "additive noise level"})
+    trials: int = field(default=20, metadata={
+        "key": "eval.trials", "help": "trials per scale"})
+    rng_seed: int = field(default=0, metadata={
+        "key": "eval.seed", "help": "benchmark seed"})
 
     def __post_init__(self):
         if self.modality not in MODALITY_MODELS:
@@ -209,9 +217,9 @@ def translation_error(t_est: AffineTransform, t_true: AffineTransform) -> float:
 def run_benchmark(bases, spec: SimulationSpec,
                   harris_cfg: HarrisConfig | None = None,
                   canny_cfg: CannyConfig | None = None,
-                  window: int = _descriptor.DEFAULT_WINDOW,
+                  window: int = MatchingConfig.window,
                   ransac_cfg: RansacConfig | None = None,
-                  polarity: str = "both") -> AccuracyReport:
+                  polarity: str = MatchingConfig.polarity) -> AccuracyReport:
     """Plant seeded transforms on the base images, register, and score.
 
     For every scale in the spec's sweep, `trials` pairs are simulated with

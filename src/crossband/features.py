@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -13,11 +13,16 @@ from .image import (_banded, _blur_rows, _gradient_rows, as_gray, gaussian_kerne
 
 @dataclass(frozen=True)
 class HarrisConfig:
-    k: float = 0.04                # corner-score sensitivity
-    window_sigma: float = 1.5      # Gaussian weighting of the structure tensor
-    nms_window: int = 7            # odd suppression window side
-    max_corners: int = 400
-    min_score: float = 0.01        # threshold relative to the maximum score
+    k: float = field(default=0.04, metadata={
+        "key": "harris.k", "help": "corner score sensitivity"})
+    window_sigma: float = field(default=1.5, metadata={
+        "key": "harris.window_sigma", "help": "structure-tensor Gaussian sigma"})
+    nms_window: int = field(default=7, metadata={
+        "key": "harris.nms_window", "help": "odd corner suppression window"})
+    max_corners: int = field(default=400, metadata={
+        "key": "harris.max_corners", "help": "corner count cap per image"})
+    min_score: float = field(default=0.01, metadata={
+        "key": "harris.min_score", "help": "corner threshold relative to max score"})
 
     def __post_init__(self):
         if not 0.0 < self.k < 0.25:

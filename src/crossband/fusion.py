@@ -10,7 +10,7 @@ luminance replacement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,10 +20,14 @@ from .image import (_banded, _blur_rows, as_color, as_gray, gaussian_blur,
 
 @dataclass(frozen=True)
 class FusionConfig:
-    alpha: float = 0.5                      # low-pass blend weight of the visible band
-    gain: float = 1.5                       # high-pass emphasis
-    sigmas: tuple[float, float, float] = (1.0, 2.0, 4.0)
-    color_eps: float = 1.0 / 255.0          # guards division by the luminance
+    alpha: float = field(default=0.5, metadata={
+        "key": "fusion.alpha", "help": "low-pass blend weight of the visible band"})
+    gain: float = field(default=1.5, metadata={
+        "key": "fusion.gain", "help": "high-pass sharpness gain"})
+    sigmas: tuple[float, float, float] = field(default=(1.0, 2.0, 4.0), metadata={
+        "key": "fusion.sigmas", "help": "three increasing fusion scales"})
+    color_eps: float = field(default=1.0 / 255.0, metadata={
+        "key": "fusion.color_eps", "help": "luminance guard for color restore"})
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:

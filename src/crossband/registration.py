@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptor import EdgeDescriptor, score_matrix
+from .descriptor import EdgeDescriptor, MatchingConfig, score_matrix
 from .edges import CannyConfig, canny
 from .errors import DegenerateFitError, RegistrationError
 from .features import HarrisConfig, detect_corners, harris_score_map
@@ -39,13 +39,24 @@ class Match:
 
 @dataclass(frozen=True)
 class RansacConfig:
-    model: TransformKind = TransformKind.TRANSLATION
-    samples_per_iter: int = 1000
-    inlier_dist_coarse: float = 5.0   # consensus radius for iterations 1 and 2
-    inlier_dist_fine: float = 2.0     # consensus radius for iteration 3
-    gate_dist_coarse: float = 15.0    # match gating radius for iteration 2
-    gate_dist_fine: float = 5.0       # match gating radius for iteration 3
-    rng_seed: int = 0
+    model: TransformKind = field(default=TransformKind.TRANSLATION, metadata={
+        "key": "ransac.model",
+        "help": "transform model: translation, similarity, or affine"})
+    samples_per_iter: int = field(default=1000, metadata={
+        "key": "ransac.samples_per_iter", "help": "consensus samples per iteration"})
+    inlier_dist_coarse: float = field(default=5.0, metadata={
+        "key": "ransac.inlier_dist_coarse",
+        "help": "consensus radius (px), iterations 1-2"})
+    inlier_dist_fine: float = field(default=2.0, metadata={
+        "key": "ransac.inlier_dist_fine", "help": "consensus radius (px), iteration 3"})
+    gate_dist_coarse: float = field(default=15.0, metadata={
+        "key": "ransac.gate_dist_coarse",
+        "help": "match gating radius (px), iteration 2"})
+    gate_dist_fine: float = field(default=5.0, metadata={
+        "key": "ransac.gate_dist_fine",
+        "help": "match gating radius (px), iteration 3"})
+    rng_seed: int = field(default=0, metadata={
+        "key": "ransac.seed", "help": "consensus sampling seed"})
 
     def __post_init__(self):
         object.__setattr__(self, "model", TransformKind(self.model))
@@ -303,9 +314,9 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
 
 def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
              canny_cfg: CannyConfig | None = None,
-             window: int = _descriptor.DEFAULT_WINDOW,
+             window: int = MatchingConfig.window,
              cfg: RansacConfig | None = None,
-             polarity: str = "both") -> RegistrationResult:
+             polarity: str = MatchingConfig.polarity) -> RegistrationResult:
     """Estimate the transform mapping visible-image coordinates onto the
     infrared image.
 

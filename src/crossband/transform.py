@@ -106,7 +106,7 @@ class AffineTransform:
 
     def inverse(self) -> "AffineTransform":
         d = self.det()
-        if abs(d) <= 1e-12:
+        if not abs(d) > 1e-12:  # also catches a NaN determinant
             raise SingularTransformError(f"transform is singular (|det|={abs(d):.3e})")
         a = self.m[:, :2]
         ainv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / d

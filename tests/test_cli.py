@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crossband
 from crossband.cli import main
 from crossband.config import SCHEMA
 from crossband.evaluation import SimulationSpec, simulate_pair, synthetic_texture
@@ -113,6 +118,15 @@ def test_warp_singular_transform_exits_2(tmp_path, texture_png, capsys):
     t.write_text("1.0 0.0 0.0\n1.0 0.0 0.0\n")
     out = tmp_path / "w.png"
     assert main(["warp", str(texture_png), str(t), str(out)]) == 2
+    assert not out.exists()
+
+
+def test_warp_overflowing_determinant_exits_2(tmp_path, texture_png):
+    t = tmp_path / "huge.txt"
+    t.write_text("1e200 1e200 0\n1e200 1e200 0\n")
+    out = tmp_path / "w.png"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["warp", str(texture_png), str(t), str(out)]) == 2
     assert not out.exists()
 
 
@@ -237,6 +251,32 @@ def test_help_lists_every_config_key(capsys):
 def test_usage_error_exit_code_is_1(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
+
+
+def test_module_entry_point_runs_main():
+    src = str(Path(crossband.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "crossband.cli", "frobnicate"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "invalid choice" in proc.stderr
+
+
+_FLOAT_KEYS = [key for key, (_, default, _) in SCHEMA.items()
+               if isinstance(default, (float, tuple))]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_non_finite_config_number_exits_1(tmp_path, texture_png, capsys, key,
+                                          value):
+    out = tmp_path / "t.json"
+    code = main(["register", str(texture_png), str(texture_png), str(out),
+                 "-o", f"{key}={value}"])
+    assert code == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_no_partial_output_on_unwritable_path(tmp_path, texture_png):

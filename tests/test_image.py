@@ -101,6 +101,9 @@ def test_blur_rejects_bad_sigma():
         gaussian_blur(np.zeros((4, 4)), 0.0)
     with pytest.raises(ValueError):
         gaussian_blur(np.zeros((4, 4)), -1.0)
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_kernel(sigma)
 
 
 def test_blur_mean_preservation():

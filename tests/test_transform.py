@@ -75,9 +75,13 @@ def test_inverse_roundtrip():
 
 
 def test_inverse_singular_raises():
-    t = AffineTransform(np.array([[1.0, 2.0, 0.0], [0.5, 1.0, 0.0]]))
-    with pytest.raises(SingularTransformError):
-        t.inverse()
+    # the second matrix is finite, but its determinant overflows to NaN
+    for m in ([[1.0, 2.0, 0.0], [0.5, 1.0, 0.0]],
+              [[1e200, 1e200, 0.0], [1e200, 1e200, 0.0]]):
+        t = AffineTransform(np.array(m))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SingularTransformError):
+            t.inverse()
 
 
 def test_json_roundtrip():
