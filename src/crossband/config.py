@@ -7,7 +7,8 @@ command-line `-o key=value` overrides take precedence over file values.
 Every key is declared once, on a field of one of the config dataclasses in
 GROUPS: `metadata["key"]` names it, `metadata["help"]` describes it, and the
 field's default is its default. String choice fields add
-`metadata["choices"]`.
+`metadata["choices"]`, and number fields with an upper limit add
+`metadata["max"]`, which the parser enforces and the help states.
 """
 
 from __future__ import annotations
@@ -42,6 +43,16 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(_float(v) for v in text.replace(",", " ").split())
 
 
+def _at_most(parser, top: float):
+    """`parser`, rejecting any number above top."""
+    def parse(text: str):
+        value = parser(text)
+        if any(v > top for v in (value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"must be at most {top:g}, got {text!r}")
+        return value
+    return parse
+
+
 def _choice(options):
     def parse(text: str) -> str:
         if text not in options:
@@ -52,7 +63,7 @@ def _choice(options):
 
 def _schema_entry(f: dataclasses.Field) -> tuple:
     """(parser, default, help) of one field; the parser follows the
-    default's type, and an Enum default is kept as its value."""
+    default's type and any "max", and an Enum default is kept as its value."""
     default = f.default
     if isinstance(default, enum.Enum):
         parser = _choice(tuple(k.value for k in type(default)))
@@ -65,7 +76,11 @@ def _schema_entry(f: dataclasses.Field) -> tuple:
         parser = _int
     else:
         parser = _float
-    return parser, default, f.metadata["help"]
+    help_text = f.metadata["help"]
+    if "max" in f.metadata:
+        parser = _at_most(parser, f.metadata["max"])
+        help_text += f" (at most {f.metadata['max']:g})"
+    return parser, default, help_text
 
 
 # key -> (parser, default, help), in GROUPS and field order

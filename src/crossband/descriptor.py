@@ -203,9 +203,12 @@ def _source_rows(src: list[EdgeDescriptor], shifts, dtype) -> sparse.csr_array:
 
 
 def _edge_pixels(descriptors: list[EdgeDescriptor]):
-    """Descriptor index, pixel index and direction bin of every edge pixel."""
-    index, px = np.nonzero(np.stack([d.edges.ravel() for d in descriptors]))
-    bins = np.stack([d.directions.ravel() for d in descriptors])[index, px]
+    """Descriptor index, pixel index and direction bin of every edge pixel,
+    in descriptor then pixel order."""
+    edges = np.stack([d.edges for d in descriptors])
+    flat = np.flatnonzero(edges)
+    index, px = np.divmod(flat, edges[0].size)
+    bins = np.stack([d.directions for d in descriptors]).take(flat)
     return index, px, bins.astype(np.intp)
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .image import (_banded, _blur_rows, _gradient_rows, as_gray, gaussian_kernel,
-                    require_finite)
+from .image import (MAX_SIGMA, _banded, _blur_rows, _gradient_rows, as_gray,
+                    gaussian_kernel, require_finite)
 
 DEFAULT_DIRECTION_BINS = 16
 
@@ -21,7 +21,8 @@ DEFAULT_DIRECTION_BINS = 16
 @dataclass(frozen=True)
 class CannyConfig:
     blur_sigma: float = field(default=1.0, metadata={
-        "key": "canny.blur_sigma", "help": "pre-smoothing sigma for edge detection"})
+        "key": "canny.blur_sigma", "help": "pre-smoothing sigma for edge detection",
+        "max": MAX_SIGMA})
     low_ratio: float = field(default=0.1, metadata={
         "key": "canny.low_ratio", "help": "low hysteresis threshold / max magnitude"})
     high_ratio: float = field(default=0.2, metadata={

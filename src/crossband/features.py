@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
-from .image import (_banded, _blur_rows, _gradient_rows, as_gray, gaussian_kernel,
-                    require_finite)
+from .image import (MAX_SIGMA, _banded, _blur_rows, _gradient_rows, as_gray,
+                    gaussian_kernel, require_finite)
 
 
 @dataclass(frozen=True)
@@ -16,7 +15,8 @@ class HarrisConfig:
     k: float = field(default=0.04, metadata={
         "key": "harris.k", "help": "corner score sensitivity"})
     window_sigma: float = field(default=1.5, metadata={
-        "key": "harris.window_sigma", "help": "structure-tensor Gaussian sigma"})
+        "key": "harris.window_sigma", "help": "structure-tensor Gaussian sigma",
+        "max": MAX_SIGMA})
     nms_window: int = field(default=7, metadata={
         "key": "harris.nms_window", "help": "odd corner suppression window"})
     max_corners: int = field(default=400, metadata={
@@ -86,6 +86,9 @@ def detect_corners(score, cfg: HarrisConfig | None = None) -> list[Corner]:
     nms_window neighborhood; equal-valued contenders within the window are
     resolved in favor of the smallest row-major index. Output is sorted by
     descending score and truncated to max_corners.
+
+    The window maxima are `_window_max` over 64-row bands, equal to
+    ndimage.maximum_filter with a -inf border.
     """
     if cfg is None:
         cfg = HarrisConfig()
@@ -95,8 +98,7 @@ def detect_corners(score, cfg: HarrisConfig | None = None) -> list[Corner]:
     cand = np.empty(s.shape, dtype=bool)
 
     def band(lo, hi, y0, y1):
-        window_max = ndimage.maximum_filter(s[lo:hi], size=cfg.nms_window,
-                                            mode="constant", cval=-np.inf)
+        window_max = _window_max(s[lo:hi], cfg.nms_window)
         kept = s[y0:y1]
         cand[y0:y1] = ((kept == window_max[y0 - lo:y1 - lo]) & (kept > 0.0)
                        & (kept >= cfg.min_score * smax))
@@ -118,3 +120,24 @@ def detect_corners(score, cfg: HarrisConfig | None = None) -> list[Corner]:
     order = np.lexsort((kx, ky, -ks))[:cfg.max_corners]
     return [Corner(x, y, v) for x, y, v in
             zip(kx[order].tolist(), ky[order].tolist(), ks[order].tolist())]
+
+
+def _window_max(a: np.ndarray, size: int) -> np.ndarray:
+    """ndimage.maximum_filter(a, size, mode="constant", cval=-inf) for an
+    odd size, as separable runs of np.maximum.
+
+    Along each axis of the -inf padded array, maxima over runs of 1, 2, 4,
+    ... elements double the run until the next doubling would exceed size;
+    one more maximum of two overlapping runs then covers size elements.
+    Max is exact, so the result equals ndimage's whatever the order.
+    """
+    m = np.pad(a, size // 2, constant_values=-np.inf)
+    for axis in (0, 1):
+        m = np.moveaxis(m, axis, 0)  # a view: run along the leading axis
+        n = len(m) - size + 1
+        width = 1
+        while 2 * width <= size:
+            m = np.maximum(m[:-width], m[width:])
+            width *= 2
+        m = np.moveaxis(np.maximum(m[:n], m[size - width:size - width + n]), 0, axis)
+    return m

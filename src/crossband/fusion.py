@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .image import (_banded, _blur_rows, as_color, as_gray, gaussian_blur,
-                    gaussian_kernel, require_finite, to_luminance)
+from .image import (MAX_SIGMA, _banded, _blur_rows, as_color, as_gray,
+                    gaussian_blur, gaussian_kernel, require_finite, to_luminance)
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,8 @@ class FusionConfig:
     gain: float = field(default=1.5, metadata={
         "key": "fusion.gain", "help": "high-pass sharpness gain"})
     sigmas: tuple[float, float, float] = field(default=(1.0, 2.0, 4.0), metadata={
-        "key": "fusion.sigmas", "help": "three increasing fusion scales"})
+        "key": "fusion.sigmas", "help": "three increasing fusion scales",
+        "max": MAX_SIGMA})
     color_eps: float = field(default=1.0 / 255.0, metadata={
         "key": "fusion.color_eps", "help": "luminance guard for color restore"})
 

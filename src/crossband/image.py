@@ -16,6 +16,8 @@ from .transform import AffineTransform
 
 # BT.601 luma weights; the conventional choice for R/G/B -> Y.
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
+# largest Gaussian sigma: a 601-tap kernel, radius 300 rows of band halo
+MAX_SIGMA = 100.0
 
 
 def as_gray(img) -> np.ndarray:
@@ -80,9 +82,13 @@ def to_luminance(img) -> np.ndarray:
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
-    """1D Gaussian kernel with radius ceil(3*sigma), normalized to sum 1."""
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    """1D Gaussian kernel with radius ceil(3*sigma), normalized to sum 1.
+
+    sigma must lie in (0, MAX_SIGMA], which bounds the kernel at 601 taps.
+    """
+    if not 0 < sigma <= MAX_SIGMA:
+        raise ValueError(
+            f"sigma must be finite, > 0 and at most {MAX_SIGMA:g}, got {sigma}")
     radius = int(np.ceil(3.0 * sigma))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-(x * x) / (2.0 * sigma * sigma))

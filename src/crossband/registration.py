@@ -105,19 +105,49 @@ def match_all(src_descriptors: list[EdgeDescriptor],
 def _best_matches(scores: np.ndarray, src_positions: np.ndarray,
                   dst_positions: np.ndarray,
                   gate: tuple[AffineTransform, float] | None) -> list[Match]:
-    """match_all on a precomputed (n_src, n_dst) score matrix."""
+    """match_all on a precomputed (n_src, n_dst) score matrix.
+
+    A gate zeroes the scores that `_gate` rules out; the hypot of a pair is
+    computed only inside the max_distance box around its projection.
+    """
     if gate is not None:
-        t, max_dist = gate
-        projected = t.apply(src_positions)
-        dist = np.hypot(projected[:, None, 0] - dst_positions[None, :, 0],
-                        projected[:, None, 1] - dst_positions[None, :, 1])
-        scores = np.where(dist <= max_dist, scores, 0.0)
+        scores = _gate(scores, src_positions, dst_positions, *gate)
     best = np.argmax(scores, axis=1)
     top = scores[np.arange(len(scores)), best]
     matches = [Match(int(p), int(best[p]), float(top[p]))
                for p in np.flatnonzero(top > 0.0)]
     matches.sort(key=lambda m: (-m.score, m.src_index, m.dst_index))
     return matches
+
+
+def _gate(scores: np.ndarray, src_positions: np.ndarray,
+          dst_positions: np.ndarray, t: AffineTransform,
+          max_dist: float) -> np.ndarray:
+    """scores where hypot(t(src) - dst) <= max_dist, else 0."""
+    projected = t.apply(src_positions)
+    near = _within(projected[:, None, 0] - dst_positions[None, :, 0],
+                   projected[:, None, 1] - dst_positions[None, :, 1], max_dist)
+    return np.where(near, scores, 0.0)
+
+
+def _within(dx: np.ndarray, dy: np.ndarray, r: float) -> np.ndarray:
+    """np.hypot(dx, dy) <= r, with the hypot taken only inside the box
+    |dx| <= r, |dy| <= r.
+
+    Exact: hypot(dx, dy) is never below max(|dx|, |dy|), which holds for the
+    true value and survives faithful rounding because |dx| is itself a
+    double, so a pair outside the box fails both forms. NaN and inf fail
+    both forms too.
+    """
+    box = (np.abs(dx) <= r) & (np.abs(dy) <= r)
+    return np.hypot(dx, dy, out=np.full(box.shape, np.inf), where=box) <= r
+
+
+def _inliers(m: np.ndarray, src: np.ndarray, dst: np.ndarray,
+             r: float) -> np.ndarray:
+    """`_residuals(m, src, dst) <= r`, through `_within`."""
+    x, y = project(m, src)
+    return _within(x - dst[:, 0], y - dst[:, 1], r)
 
 
 def _match_arrays(matches, src_positions, dst_positions):
@@ -271,10 +301,11 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
     cfg.samples_per_iter of them, without drawing from `rng`, and otherwise
     cfg.samples_per_iter subsets drawn from `rng`. All samples are fitted
     as one batch and scored in blocks; ties go to the earlier sample.
-    Support is the number of matches whose `_residuals` are at most
-    consensus_dist. The refit transform is returned only when its support
-    is at least the winner's, so the returned support is maximal over
-    everything considered.
+    Support is the number of `_inliers`: matches whose `_residuals` are at
+    most consensus_dist, counted without a hypot for the matches outside
+    the consensus_dist box around their projection. The refit transform is
+    returned only when its support is at least the winner's, so the
+    returned support is maximal over everything considered.
     """
     sample_size = cfg.model.min_matches
     if len(matches) < sample_size:
@@ -294,19 +325,19 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
             f"all {len(samples)} sampled match subsets were degenerate")
     per_block = max(1, _SCORE_BLOCK // n)
     support = np.concatenate([
-        np.count_nonzero(_residuals(hypotheses[i:i + per_block], src, dst)
-                         <= consensus_dist, axis=1)
+        np.count_nonzero(_inliers(hypotheses[i:i + per_block], src, dst,
+                                  consensus_dist), axis=1)
         for i in range(0, len(hypotheses), per_block)])
     best_t = hypotheses[np.argmax(support)]
 
-    inlier_mask = _residuals(best_t, src, dst) <= consensus_dist
+    inlier_mask = _inliers(best_t, src, dst, consensus_dist)
     best_support = int(np.count_nonzero(inlier_mask))
     if best_support >= sample_size:
         refit, ok = _fit_points(src[inlier_mask][None], dst[inlier_mask][None],
                                 cfg.model)
         if ok[0]:
             refit_support = int(np.count_nonzero(
-                _residuals(refit[0], src, dst) <= consensus_dist))
+                _inliers(refit[0], src, dst, consensus_dist)))
             if refit_support >= best_support:
                 return AffineTransform(refit[0], cfg.model), refit_support
     return AffineTransform(best_t, cfg.model), best_support
@@ -385,7 +416,7 @@ def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
 
     t_final = per_iteration[-1][0]
     src, dst = _match_arrays(final_matches, pos_v, pos_ir)
-    inlier_mask = _residuals(t_final.m, src, dst) <= cfg.inlier_dist_fine
+    inlier_mask = _inliers(t_final.m, src, dst, cfg.inlier_dist_fine)
     inliers = [m for m, ok in zip(final_matches, inlier_mask) if ok]
     return RegistrationResult(transform=t_final, inliers=inliers,
                               support=len(inliers),

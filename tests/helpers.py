@@ -285,6 +285,20 @@ def detect_corners_oracle(score, cfg=None):
             for x, y, v in keep[:cfg.max_corners]]
 
 
+def gate_oracle(scores, src_positions, dst_positions, t, max_dist):
+    """registration._gate with a hypot for every (source, candidate) pair."""
+    projected = t.apply(src_positions)
+    dist = np.hypot(projected[:, None, 0] - dst_positions[None, :, 0],
+                    projected[:, None, 1] - dst_positions[None, :, 1])
+    return np.where(dist <= max_dist, scores, 0.0)
+
+
+def inliers_oracle(m, src, dst, r):
+    """registration._inliers with a hypot for every match."""
+    from crossband.registration import _residuals
+    return _residuals(m, src, dst) <= r
+
+
 def score_matrix_oracle(src, dst, polarity="direct"):
     """score_matrix from the scalar `similarity`, one pair at a time."""
     from crossband.descriptor import EdgeDescriptor, similarity

@@ -279,6 +279,25 @@ def test_non_finite_config_number_exits_1(tmp_path, texture_png, capsys, key,
     assert not out.exists()
 
 
+_JUST_OVER = repr(float(np.nextafter(100.0, np.inf)))
+
+
+@pytest.mark.parametrize("command, outputs, key, value", [
+    ("register", ["t.json"], "harris.window_sigma", _JUST_OVER),
+    ("register", ["t.json"], "canny.blur_sigma", _JUST_OVER),
+    ("fuse", ["gray.png", "color.png"], "fusion.sigmas", f"1,2,{_JUST_OVER}"),
+])
+def test_oversize_sigma_exits_1(tmp_path, texture_png, capsys, command, outputs,
+                                key, value):
+    outs = [tmp_path / name for name in outputs]
+    code = main([command, str(texture_png), str(texture_png), *map(str, outs),
+                 "-o", f"{key}={value}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert key in err and "at most 100" in err
+    assert not any(p.exists() for p in outs)
+
+
 def test_no_partial_output_on_unwritable_path(tmp_path, texture_png):
     t = tmp_path / "id.json"
     t.write_text(json.dumps(to_json_dict(AffineTransform.identity())))

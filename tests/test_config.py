@@ -36,13 +36,31 @@ def test_enum_default_shown_by_value_in_help():
     assert line.endswith("[default: translation]")
 
 
+_SIGMA_KEYS = ["harris.window_sigma", "canny.blur_sigma", "fusion.sigmas"]
+
+
+def test_sigma_keys_state_their_limit_in_help():
+    lines = config.describe_keys().splitlines()
+    for key in _SIGMA_KEYS:
+        line = next(l for l in lines if l.strip().startswith(key + " "))
+        assert "(at most 100)" in line
+    assert sum("at most" in l for l in lines) == len(_SIGMA_KEYS)
+
+
+@pytest.mark.parametrize("key", _SIGMA_KEYS)
+def test_sigma_limit_is_inclusive(key):
+    settings = config.apply_overrides(config.defaults(), [f"{key}=100"])
+    assert settings[key] in (100.0, (100.0,))
+
+
 def _value_strategy(f: dataclasses.Field):
     """Values the key's parser accepts, drawn by the field's default type."""
     if isinstance(f.default, enum.Enum):
         return st.sampled_from([k.value for k in type(f.default)])
     if "choices" in f.metadata:
         return st.sampled_from(f.metadata["choices"])
-    finite = st.floats(allow_nan=False, allow_infinity=False)
+    finite = st.floats(max_value=f.metadata.get("max"), allow_nan=False,
+                       allow_infinity=False)
     if isinstance(f.default, tuple):
         return st.lists(finite, min_size=1, max_size=4).map(tuple)
     if isinstance(f.default, int):

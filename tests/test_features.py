@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
-from crossband.features import Corner, HarrisConfig, detect_corners, harris_score_map
+from crossband.features import (Corner, HarrisConfig, _window_max, detect_corners,
+                                harris_score_map)
 from crossband.image import gradients
 
 from helpers import correlate2d_replicate, gaussian_kernel_2d, harris_oracle, row_bands
@@ -156,6 +158,26 @@ def test_harris_equals_oracle_in_row_bands(h, w, sigma, k, band_rows, seed):
     with row_bands(band_rows):
         got = harris_score_map(img, cfg)
     assert got.tobytes() == harris_oracle(img, cfg).tobytes()
+
+
+@pytest.mark.parametrize("size", range(3, 16, 2))
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (1, 9), (9, 1),
+                                   (1, 40), (40, 1), (3, 5), (33, 47)])
+def test_window_max_equals_maximum_filter(size, shape):
+    rng = np.random.default_rng(size * 100 + shape[0] * 7 + shape[1])
+    a = rng.integers(-3, 4, size=shape) * rng.choice([0.5, 1e-300, 1e300], size=shape)
+    expected = ndimage.maximum_filter(a, size=size, mode="constant", cval=-np.inf)
+    assert np.array_equal(_window_max(a, size), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 20), st.sampled_from(range(3, 16, 2)),
+       st.integers(0, 2**32 - 1))
+def test_window_max_equals_maximum_filter_on_drawn_maps(h, w, size, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-np.inf, -1.0, -0.0, 0.0, 5e-324, 0.25, 0.5, 7.0], size=(h, w))
+    expected = ndimage.maximum_filter(a, size=size, mode="constant", cval=-np.inf)
+    assert np.array_equal(_window_max(a, size), expected)
 
 
 def test_emitted_corners_are_window_separated():

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from crossband import image
 from crossband.edges import canny
 from crossband.errors import SingularTransformError
-from crossband.image import (gaussian_blur, gaussian_kernel, gradients,
+from crossband.image import (MAX_SIGMA, gaussian_blur, gaussian_kernel, gradients,
                              replicate3, to_luminance, warp_affine)
 from crossband.transform import AffineTransform
 
@@ -101,9 +101,10 @@ def test_blur_rejects_bad_sigma():
         gaussian_blur(np.zeros((4, 4)), 0.0)
     with pytest.raises(ValueError):
         gaussian_blur(np.zeros((4, 4)), -1.0)
-    for sigma in (np.nan, np.inf):
+    for sigma in (np.nan, np.inf, np.nextafter(MAX_SIGMA, np.inf), 1e6):
         with pytest.raises(ValueError, match="finite"):
             gaussian_kernel(sigma)
+    assert gaussian_kernel(MAX_SIGMA).size == 601
 
 
 def test_blur_mean_preservation():

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crossband import registration
 from crossband.descriptor import EdgeDescriptor, build_descriptors
@@ -11,13 +11,14 @@ from crossband.errors import DegenerateFitError, RegistrationError
 from crossband.evaluation import SimulationSpec, simulate_pair, synthetic_texture
 from crossband.features import HarrisConfig, detect_corners, harris_score_map
 from crossband.registration import (Match, RansacConfig, _fit_points,
-                                    _minimal_samples, _residuals,
+                                    _minimal_samples, _residuals, _within,
                                     fit_least_squares, match_all, positions_of,
                                     ransac_once, register)
 from crossband.transform import AffineTransform, TransformKind
 
 from helpers import (canny_oracle, detect_corners_oracle, fit_sample_oracle,
-                     random_descriptor, residual, row_bands, score_matrix_oracle)
+                     gate_oracle, inliers_oracle, random_descriptor, residual,
+                     row_bands, score_matrix_oracle)
 
 
 def _descriptor_grid(rng, n=12, window=15, spacing=40, origin=(30, 30)):
@@ -380,6 +381,42 @@ def test_ransac_support_is_the_residual_count(kind, samples):
     assert support == np.count_nonzero(_residuals(t.m, src, dst) <= 2.0)
 
 
+def _near(r):
+    """Values at, and one ulp either side of, +-r: the box edge and the
+    circle's crossings of the axes."""
+    out = []
+    for v in (r, -r):
+        out += [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+    return out
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1e-300]
+
+
+@st.composite
+def _offsets(draw):
+    r = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 2.0, 5.0, 15.0]),
+                       st.floats(0.0, 1e3)))
+    value = st.one_of(st.sampled_from(_SPECIAL + _near(r)),
+                      st.floats(-2 * r - 1, 2 * r + 1),
+                      st.floats(allow_nan=True, allow_infinity=True))
+    n = draw(st.integers(1, 30))
+    dx = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    dy = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    return dx, dy, r
+
+
+@settings(max_examples=500, deadline=None)
+@given(_offsets())
+def test_within_equals_hypot_compare(case):
+    dx, dy, r = case
+    with np.errstate(over="ignore"):  # hypot of two huge finite offsets
+        assert np.array_equal(_within(dx, dy, r), np.hypot(dx, dy) <= r)
+        assert np.array_equal(_within(dx[:, None], dy[None, :], r),
+                              np.hypot(dx[:, None], dy[None, :]) <= r)
+
+
 def test_residuals_of_a_stack_equal_each_matrix_alone():
     rng = np.random.default_rng(12)
     stack = rng.normal(size=(7, 2, 3))
@@ -508,9 +545,13 @@ def test_register_equals_oracle_front_end(model, monkeypatch):
                         lambda img, c: EdgeMap(*canny_oracle(img, c), 16))
     monkeypatch.setattr(registration, "detect_corners", detect_corners_oracle)
     monkeypatch.setattr(registration, "score_matrix", score_matrix_oracle)
+    monkeypatch.setattr(registration, "_gate", gate_oracle)
+    monkeypatch.setattr(registration, "_inliers", inliers_oracle)
     slow = register(v, ir, cfg=cfg)
     assert fast.transform.m.tobytes() == slow.transform.m.tobytes()
     assert fast.inliers == slow.inliers
+    assert ([(t.m.tobytes(), n) for t, n in fast.per_iteration]
+            == [(t.m.tobytes(), n) for t, n in slow.per_iteration])
     assert len(fast.inliers) >= model.min_matches
 
 

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from crossband.errors import SingularTransformError
 from crossband.transform import (AffineTransform, TransformKind, format_matrix_text,
@@ -136,3 +136,88 @@ def test_apply_maps_a_point_alike_alone_or_in_a_batch(lin, shift, n, seed):
     assert batch.shape == (n, 2)
     for i in range(n):
         assert np.array_equal(batch[i], t.apply(points[i]))
+
+
+# Tolerances for the compose/inverse identities, in units of EPS. With
+# kappa = max|a_ij|^2 / |det| (at least half the max-norm condition number
+# of the linear part), inverting rounds each entry of the linear part to a
+# relative error of a few EPS * kappa, and the identities below lose at most
+# 16 EPS * kappa, times the size of the translation where one enters.
+# Matrices with |det| <= 1e-12 are singular to `inverse` and are excluded.
+EPS = np.finfo(np.float64).eps
+_entry = st.floats(-4.0, 4.0)
+_shift = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _transforms(draw):
+    kind = draw(st.sampled_from(list(TransformKind)))
+    tx, ty = draw(_shift), draw(_shift)
+    if kind == TransformKind.TRANSLATION:
+        return AffineTransform.translation(tx, ty)
+    if kind == TransformKind.SIMILARITY:
+        return AffineTransform.similarity(draw(_entry), draw(_entry), tx, ty)
+    a, b, c, d = (draw(_entry) for _ in range(4))
+    return AffineTransform(np.array([[a, b, tx], [c, d, ty]]))
+
+
+def _kappa(t):
+    return np.abs(t.m[:, :2]).max() ** 2 / abs(t.det())
+
+
+def _invertible(t):
+    return abs(t.det()) > 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(_transforms())
+def test_compose_with_inverse_is_identity(t):
+    assume(_invertible(t))
+    inv = t.inverse()
+    assert inv.kind == t.kind
+    tol = 16 * EPS * _kappa(t)
+    shift = 1.0 + np.abs(t.m[:, 2]).max()
+    for r in (t.compose(inv), inv.compose(t)):
+        assert np.abs(r.m[:, :2] - np.eye(2)).max() <= tol
+        assert np.abs(r.m[:, 2]).max() <= tol * shift
+
+
+@settings(max_examples=300, deadline=None)
+@given(_transforms())
+def test_inverse_of_inverse_is_the_transform(t):
+    assume(_invertible(t))
+    back = t.inverse().inverse()
+    assert back.kind == t.kind
+    tol = 16 * EPS * _kappa(t)
+    err = np.abs(back.m - t.m)
+    assert err[:, :2].max() <= tol * np.abs(t.m[:, :2]).max()
+    assert err[:, 2].max() <= tol * (1.0 + np.abs(t.m[:, 2]).max())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_transforms(), st.sampled_from(list(TransformKind)))
+def test_identity_is_neutral_for_compose(t, kind):
+    identity = AffineTransform.identity(kind)
+    for r in (t.compose(identity), identity.compose(t)):
+        assert np.array_equal(r.m, t.m)
+        assert r.kind == max(t.kind, kind, key=list(TransformKind).index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_transforms(), _transforms(), _transforms())
+def test_compose_is_associative(a, b, c):
+    # each entry is a sum of at most 8 rounded products: 8 EPS times the
+    # entry's magnitude bound, from the max-row-sum norms of the factors,
+    # plus 8 roundings at the subnormal spacing where products underflow
+    left, right = a.compose(b).compose(c), a.compose(b.compose(c))
+    assert left.kind == right.kind
+
+    def norm(t):
+        return np.abs(t.m[:, :2]).sum(axis=1).max()
+    lin = norm(a) * norm(b) * norm(c)
+    shift = norm(a) * (norm(b) * np.abs(c.m[:, 2]).max()
+                       + np.abs(b.m[:, 2]).max()) + np.abs(a.m[:, 2]).max()
+    err = np.abs(left.m - right.m)
+    tiny = 8 * np.finfo(np.float64).smallest_subnormal
+    assert err[:, :2].max() <= 8 * EPS * lin + tiny
+    assert err[:, 2].max() <= 8 * EPS * shift + tiny
