@@ -15,7 +15,6 @@ the better of the two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,18 +100,6 @@ def build_descriptors(corners, edge_map: EdgeMap,
     return out
 
 
-def same_grad(gp, gq, n_bins: int = 16):
-    """True when two direction bins differ by at most one bin, circularly
-    (the first and last bins are adjacent). Accepts scalars or arrays.
-    """
-    d = np.mod(np.asarray(gp, dtype=np.int64) - np.asarray(gq, dtype=np.int64),
-               n_bins)
-    hit = np.minimum(d, n_bins - d) <= 1
-    if np.isscalar(gp) and np.isscalar(gq):
-        return bool(hit)
-    return hit
-
-
 def _check_compatible(dp: EdgeDescriptor, dq: EdgeDescriptor) -> None:
     if dp.window != dq.window:
         raise ValueError(
@@ -123,23 +110,21 @@ def _check_compatible(dp: EdgeDescriptor, dq: EdgeDescriptor) -> None:
 
 
 def similarity(dp: EdgeDescriptor, dq: EdgeDescriptor) -> float:
-    """Direction-gated edge correlation, normalized by sqrt of dq's count.
-
-    Returns 0 when dq carries no edge pixels (the formula would otherwise
-    divide by zero). Written as sqrt(num^2 / count) so that a descriptor
-    scored against itself lands exactly on sqrt(edge_count).
-    """
-    _check_compatible(dp, dq)
-    if dq.edge_count == 0:
-        return 0.0
-    hits = same_grad(dp.directions, dq.directions, dp.n_bins)
-    num = int(np.count_nonzero((dp.edges != 0) & (dq.edges != 0) & hits))
-    return math.sqrt(num * num / dq.edge_count)
+    """The direct score of dp against dq: score_matrix([dp], [dq])[0, 0]."""
+    return float(score_matrix([dp], [dq], "direct")[0, 0])
 
 
 def score_matrix(src: list[EdgeDescriptor], dst: list[EdgeDescriptor],
                  polarity: str = "direct") -> np.ndarray:
-    """similarity(src[i], dst[j]) for every pair, as an (n_src, n_dst) array.
+    """Direction-gated edge correlation of every pair, as an (n_src, n_dst)
+    array.
+
+    Entry (i, j) counts the pixels that are edges in both src[i] and dst[j]
+    and whose direction bins differ by at most one bin, circularly (the
+    first and last bins are adjacent). The count is normalized by the square
+    root of dst[j]'s edge count, as sqrt(num^2 / count), so that a
+    descriptor scored against itself lands exactly on sqrt(edge_count). It
+    is 0 when dst[j] carries no edge pixels.
 
     polarity "flipped" scores src[i] with its directions shifted by
     -(n_bins // 2) bins, half a circle; "both" keeps the larger of the
@@ -151,8 +136,7 @@ def score_matrix(src: list[EdgeDescriptor], dst: list[EdgeDescriptor],
     bin of its edge pixels' bins. Blocks of about _BLOCK_BYTES of candidates,
     and of at most _SOURCE_EDGES edge pixels of sources, keep memory flat in
     n_dst and in the sources' edge count. Each entry is an integer no larger
-    than window**2, so the float32 sums are exact below 2**24, in any order,
-    and the scores equal the scalar similarity bit for bit.
+    than window**2, so the float32 sums are exact below 2**24, in any order.
     """
     if polarity not in POLARITIES:
         raise ValueError(f"unknown polarity mode {polarity!r}")

@@ -96,11 +96,21 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
 
 def gaussian_blur(img, sigma: float) -> np.ndarray:
-    """Separable Gaussian smoothing with replicate-border extension."""
+    """Separable Gaussian smoothing with replicate-border extension.
+
+    Computed a band of rows at a time; the result does not depend on the
+    band height.
+    """
     arr = as_gray(img)
     k = gaussian_kernel(sigma)
-    tmp = ndimage.correlate1d(arr, k, axis=0, mode="nearest")
-    return ndimage.correlate1d(tmp, k, axis=1, mode="nearest")
+    out = np.empty(arr.shape)
+
+    def band(lo, hi, y0, y1):
+        out[y0:y1] = _blur_rows(arr, k, slice(y0, y1))
+
+    # halo 0: _correlate_rows reads, and replicates, the rows it needs itself
+    _banded(band, arr.shape[0], 0)
+    return out
 
 
 # Separable Sobel: smooth [1, 2, 1] across the derivative axis, central
@@ -118,10 +128,13 @@ def gradients(img) -> tuple[np.ndarray, np.ndarray]:
     arr = as_gray(img)
     if arr.shape[0] < 3 or arr.shape[1] < 3:
         raise ValueError(f"image must be at least 3x3 for gradients, got {arr.shape}")
-    tmp = ndimage.correlate1d(arr, _SOBEL_SMOOTH, axis=0, mode="nearest")
-    ix = ndimage.correlate1d(tmp, _SOBEL_DIFF, axis=1, mode="nearest")
-    tmp = ndimage.correlate1d(arr, _SOBEL_DIFF, axis=0, mode="nearest")
-    iy = ndimage.correlate1d(tmp, _SOBEL_SMOOTH, axis=1, mode="nearest")
+    ix, iy = np.empty(arr.shape), np.empty(arr.shape)
+
+    def band(lo, hi, y0, y1):
+        ix[y0:y1], iy[y0:y1] = _gradient_rows(arr, slice(y0, y1))
+
+    # halo 0, as in gaussian_blur
+    _banded(band, arr.shape[0], 0)
     return ix, iy
 
 
@@ -133,12 +146,12 @@ def _correlate_rows(arr: np.ndarray, k: np.ndarray, rows: slice) -> np.ndarray:
     is. ndimage then takes the centre tap, and adds each pair of taps from
     the outermost in: (left + right) * w or (left - right) * w, w being the
     left weight. This does the same in the same order, a whole row at a
-    time, which numpy vectorises where ndimage walks each column. On a
-    band of rows that stays in cache that is about twice as fast; over a
-    whole 640x480 image it is slower, so gaussian_blur and gradients keep
-    ndimage. The banded stages call it through _blur_rows and
-    _gradient_rows: harris_score_map, canny, and every fusion scale
-    (fuse_single_scale, fuse_hplp, fuse_pair), a band of 64 rows at a time.
+    time, which numpy vectorises where ndimage walks each column; on a
+    band of rows that stays in cache that is faster than ndimage's pass.
+    It is the library's one vertical pass. Every raster stage calls it
+    through _blur_rows and _gradient_rows, a band of 64 rows at a time:
+    gaussian_blur, gradients, harris_score_map, canny, and every fusion
+    scale (fuse_single_scale, fuse_hplp, fuse_pair).
     """
     n = arr.shape[0]
     start, stop, _ = rows.indices(n)

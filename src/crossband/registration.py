@@ -145,7 +145,12 @@ def _within(dx: np.ndarray, dy: np.ndarray, r: float) -> np.ndarray:
 
 def _inliers(m: np.ndarray, src: np.ndarray, dst: np.ndarray,
              r: float) -> np.ndarray:
-    """`_residuals(m, src, dst) <= r`, through `_within`."""
+    """hypot(m(src) - dst) <= r, through `_within`.
+
+    `m` is one 2x3 matrix, giving shape (n,), or a stack (b, 2, 3), giving
+    (b, n). A matrix gets the same mask alone or inside a stack, and the
+    points the same projections as from `AffineTransform.apply`.
+    """
     x, y = project(m, src)
     return _within(x - dst[:, 0], y - dst[:, 1], r)
 
@@ -154,17 +159,6 @@ def _match_arrays(matches, src_positions, dst_positions):
     src = np.array([src_positions[m.src_index] for m in matches], dtype=np.float64)
     dst = np.array([dst_positions[m.dst_index] for m in matches], dtype=np.float64)
     return src.reshape(-1, 2), dst.reshape(-1, 2)
-
-
-def _residuals(m: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Distances between the transformed source points and their partners.
-
-    `m` is one 2x3 matrix, giving shape (n,), or a stack (b, 2, 3), giving
-    (b, n). A matrix gets the same residuals bit for bit alone or inside a
-    stack, and the points the same projections as from `AffineTransform.apply`.
-    """
-    x, y = project(m, src)
-    return np.hypot(x - dst[:, 0], y - dst[:, 1])
 
 
 def fit_least_squares(matches: list[Match], src_positions, dst_positions,
@@ -301,11 +295,12 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
     cfg.samples_per_iter of them, without drawing from `rng`, and otherwise
     cfg.samples_per_iter subsets drawn from `rng`. All samples are fitted
     as one batch and scored in blocks; ties go to the earlier sample.
-    Support is the number of `_inliers`: matches whose `_residuals` are at
-    most consensus_dist, counted without a hypot for the matches outside
-    the consensus_dist box around their projection. The refit transform is
-    returned only when its support is at least the winner's, so the
-    returned support is maximal over everything considered.
+    Support is the number of `_inliers`: matches whose transformed source
+    lies within consensus_dist of its partner, counted without a hypot for
+    the matches outside the consensus_dist box around their projection.
+    The refit transform is returned only when its support is at least the
+    winner's, so the returned support is maximal over everything
+    considered.
     """
     sample_size = cfg.model.min_matches
     if len(matches) < sample_size:

@@ -1,5 +1,6 @@
 """Shared oracles and fixture builders for the test suite."""
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -42,6 +43,25 @@ def gaussian_kernel_2d(sigma):
     return np.outer(k, k)
 
 
+def gaussian_blur_oracle(img, sigma):
+    """gaussian_blur as ndimage's two whole-image passes."""
+    k = gaussian_kernel(sigma)
+    tmp = ndimage.correlate1d(np.asarray(img, dtype=np.float64), k, axis=0,
+                              mode="nearest")
+    return ndimage.correlate1d(tmp, k, axis=1, mode="nearest")
+
+
+def gradients_oracle(img):
+    """gradients as ndimage's whole-image Sobel passes: (ix, iy)."""
+    arr = np.asarray(img, dtype=np.float64)
+    smooth, diff = np.array([1.0, 2.0, 1.0]), np.array([-1.0, 0.0, 1.0])
+    tmp = ndimage.correlate1d(arr, smooth, axis=0, mode="nearest")
+    ix = ndimage.correlate1d(tmp, diff, axis=1, mode="nearest")
+    tmp = ndimage.correlate1d(arr, diff, axis=0, mode="nearest")
+    iy = ndimage.correlate1d(tmp, smooth, axis=1, mode="nearest")
+    return ix, iy
+
+
 def checkerboard(side, cell, lo=0.2, hi=0.8):
     idx = np.add.outer(np.arange(side) // cell, np.arange(side) // cell)
     return np.where(idx % 2 == 0, lo, hi).astype(np.float64)
@@ -74,6 +94,31 @@ def similarity_oracle(ep, gp, eq, gq, n_bins=16):
     return num / np.sqrt(denom)
 
 
+def same_grad(gp, gq, n_bins=16):
+    """True when two direction bins differ by at most one bin, circularly
+    (the first and last bins are adjacent). Accepts scalars or arrays.
+    """
+    d = np.mod(np.asarray(gp, dtype=np.int64) - np.asarray(gq, dtype=np.int64),
+               n_bins)
+    hit = np.minimum(d, n_bins - d) <= 1
+    if np.isscalar(gp) and np.isscalar(gq):
+        return bool(hit)
+    return hit
+
+
+def scalar_similarity(dp, dq):
+    """One pair's direct descriptor score, from whole-window masks.
+
+    The per-pair form of score_matrix, equal to it bit for bit: 0 when dq
+    carries no edge pixels, else sqrt(num^2 / count).
+    """
+    if dq.edge_count == 0:
+        return 0.0
+    hits = same_grad(dp.directions, dq.directions, dp.n_bins)
+    num = int(np.count_nonzero((dp.edges != 0) & (dq.edges != 0) & hits))
+    return math.sqrt(num * num / dq.edge_count)
+
+
 def random_descriptor(rng, window=15, n_bins=16, density=0.3, x=100, y=100):
     from crossband.descriptor import EdgeDescriptor
     e = (rng.random((window, window)) < density).astype(np.uint8)
@@ -87,6 +132,18 @@ def residual(t, match, src_positions, dst_positions):
     p = t.apply(np.asarray(src_positions[match.src_index], dtype=np.float64))
     q = np.asarray(dst_positions[match.dst_index], dtype=np.float64)
     return float(np.hypot(p[0] - q[0], p[1] - q[1]))
+
+
+def residuals_oracle(m, src, dst):
+    """Distances between the transformed source points and their partners.
+
+    `m` is one 2x3 matrix, giving shape (n,), or a stack (b, 2, 3), giving
+    (b, n): the hypot of every residual, the test that
+    registration._inliers takes only inside the radius box.
+    """
+    from crossband.transform import project
+    x, y = project(m, src)
+    return np.hypot(x - dst[:, 0], y - dst[:, 1])
 
 
 def fit_sample_oracle(src, dst, model):
@@ -207,12 +264,11 @@ def canny_oracle(img, cfg=None, n_bins=16):
     one), then 8-connected hysteresis.
     """
     from crossband.edges import CannyConfig
-    from crossband.image import gaussian_blur, gradients
     if cfg is None:
         cfg = CannyConfig()
     arr = np.asarray(img, dtype=np.float64)
     h, w = arr.shape
-    ix, iy = gradients(gaussian_blur(arr, cfg.blur_sigma))
+    ix, iy = gradients_oracle(gaussian_blur_oracle(arr, cfg.blur_sigma))
     mag = np.hypot(ix, iy)
     full = np.mod(np.arctan2(iy, ix) + 2.0 * np.pi, 2.0 * np.pi)
     directions = (np.floor(full / (2.0 * np.pi / n_bins)).astype(np.int64)
@@ -247,13 +303,12 @@ def canny_oracle(img, cfg=None, n_bins=16):
 def harris_oracle(img, cfg=None):
     """harris_score_map computed on the whole image at once."""
     from crossband.features import HarrisConfig
-    from crossband.image import gaussian_blur, gradients
     if cfg is None:
         cfg = HarrisConfig()
-    ix, iy = gradients(np.asarray(img, dtype=np.float64))
-    sxx = gaussian_blur(ix * ix, cfg.window_sigma)
-    syy = gaussian_blur(iy * iy, cfg.window_sigma)
-    sxy = gaussian_blur(ix * iy, cfg.window_sigma)
+    ix, iy = gradients_oracle(img)
+    sxx = gaussian_blur_oracle(ix * ix, cfg.window_sigma)
+    syy = gaussian_blur_oracle(iy * iy, cfg.window_sigma)
+    sxy = gaussian_blur_oracle(ix * iy, cfg.window_sigma)
     trace = sxx + syy
     return sxx * syy - sxy * sxy - cfg.k * trace * trace
 
@@ -295,13 +350,12 @@ def gate_oracle(scores, src_positions, dst_positions, t, max_dist):
 
 def inliers_oracle(m, src, dst, r):
     """registration._inliers with a hypot for every match."""
-    from crossband.registration import _residuals
-    return _residuals(m, src, dst) <= r
+    return residuals_oracle(m, src, dst) <= r
 
 
 def score_matrix_oracle(src, dst, polarity="direct"):
-    """score_matrix from the scalar `similarity`, one pair at a time."""
-    from crossband.descriptor import EdgeDescriptor, similarity
+    """score_matrix from `scalar_similarity`, one pair at a time."""
+    from crossband.descriptor import EdgeDescriptor
     half = src[0].n_bins // 2
 
     def flipped(d):
@@ -309,10 +363,11 @@ def score_matrix_oracle(src, dst, polarity="direct"):
         return EdgeDescriptor(x=d.x, y=d.y, edges=d.edges,
                               directions=dirs.astype(np.uint8),
                               n_bins=d.n_bins, edge_count=d.edge_count)
-    direct = np.array([[similarity(p, q) for q in dst] for p in src])
+    direct = np.array([[scalar_similarity(p, q) for q in dst] for p in src])
     if polarity == "direct":
         return direct
-    flip = np.array([[similarity(flipped(p), q) for q in dst] for p in src])
+    flip = np.array([[scalar_similarity(flipped(p), q) for q in dst]
+                     for p in src])
     return flip if polarity == "flipped" else np.maximum(direct, flip)
 
 
@@ -347,12 +402,11 @@ def warp_oracle(img, t, out_w=None, out_h=None, fill=0.0):
 
 
 def fuse_single_scale_oracle(yv, ir, sigma, alpha, gain):
-    """fuse_single_scale on whole images, through the public gaussian_blur."""
-    from crossband.image import gaussian_blur
+    """fuse_single_scale on whole images, through `gaussian_blur_oracle`."""
     yv = np.asarray(yv, dtype=np.float64)
     ir = np.asarray(ir, dtype=np.float64)
-    lp_v = gaussian_blur(yv, sigma)
-    lp_i = gaussian_blur(ir, sigma)
+    lp_v = gaussian_blur_oracle(yv, sigma)
+    lp_i = gaussian_blur_oracle(ir, sigma)
     hp_v = yv - lp_v
     hp_i = ir - lp_i
     lp = alpha * lp_v + (1.0 - alpha) * lp_i

@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from crossband import descriptor
 from crossband.descriptor import (EdgeDescriptor, build_descriptor,
-                                  build_descriptors, same_grad, score_matrix,
-                                  similarity)
+                                  build_descriptors, score_matrix, similarity)
 from crossband.edges import CannyConfig, EdgeMap, canny
 from crossband.features import Corner
 from crossband.registration import Match, match_all
 from crossband.transform import AffineTransform
 
-from helpers import random_descriptor, score_matrix_oracle, similarity_oracle
+from helpers import (random_descriptor, same_grad, scalar_similarity,
+                     score_matrix_oracle, similarity_oracle)
 
 
 def _map_from(e, g, n_bins=16):
@@ -222,8 +222,8 @@ def _descriptor_sets(draw):
 def test_score_matrix_equals_scalar_similarity(sets):
     src, dst = sets
     half = src[0].n_bins // 2
-    direct = np.array([[similarity(p, q) for q in dst] for p in src])
-    flipped = np.array([[similarity(_shifted(p, -half), q) for q in dst]
+    direct = np.array([[scalar_similarity(p, q) for q in dst] for p in src])
+    flipped = np.array([[scalar_similarity(_shifted(p, -half), q) for q in dst]
                         for p in src])
     for polarity, expected in (("direct", direct), ("flipped", flipped),
                                ("both", np.maximum(direct, flipped))):

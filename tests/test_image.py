@@ -14,8 +14,9 @@ from crossband.image import (MAX_SIGMA, gaussian_blur, gaussian_kernel, gradient
                              replicate3, to_luminance, warp_affine)
 from crossband.transform import AffineTransform
 
-from helpers import (canny_oracle, correlate2d_replicate, gaussian_kernel_2d,
-                     row_bands, sobel_kernels, warp_oracle)
+from helpers import (canny_oracle, correlate2d_replicate, gaussian_blur_oracle,
+                     gaussian_kernel_2d, gradients_oracle, row_bands,
+                     sobel_kernels, warp_oracle)
 
 
 def test_luminance_gray_fixed_point():
@@ -322,7 +323,7 @@ def test_blur_rows_is_the_blur_then_the_rows():
     img = np.random.default_rng(9).random((23, 17))
     for rows in (slice(None), slice(3, 11), slice(0, 1), slice(20, 23)):
         assert (image._blur_rows(img, gaussian_kernel(1.3), rows).tobytes()
-                == gaussian_blur(img, 1.3)[rows].tobytes())
+                == gaussian_blur_oracle(img, 1.3)[rows].tobytes())
 
 
 @pytest.mark.parametrize("kernel", [gaussian_kernel(0.6), gaussian_kernel(1.5),
@@ -347,8 +348,45 @@ def test_correlate_rows_is_ndimage_bit_for_bit(kernel):
 
 def test_gradient_rows_are_the_gradients_then_the_rows():
     img = np.random.default_rng(11).random((19, 13))
-    ix, iy = gradients(img)
+    ix, iy = gradients_oracle(img)
     for rows in (slice(None), slice(4, 9), slice(0, 2), slice(17, 19)):
         got_x, got_y = image._gradient_rows(img, rows)
         assert got_x.tobytes() == ix[rows].tobytes()
         assert got_y.tobytes() == iy[rows].tobytes()
+
+
+@st.composite
+def _rasters(draw, min_side):
+    """A (h, w) image of 1-40 px per side (at least min_side), its band
+    height, and whether it holds signed zeros and ties or magnitudes of
+    1e-200 to 1e200."""
+    h = draw(st.one_of(st.just(min_side), st.integers(min_side, 40)))
+    w = draw(st.one_of(st.just(min_side), st.integers(min_side, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        img = rng.choice([-0.0, 0.0, -1.0, 0.5, 1.0], size=(h, w))
+    else:
+        img = rng.standard_normal((h, w)) * 10.0 ** rng.integers(-200, 200)
+    return img, draw(st.integers(1, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rasters(1), st.sampled_from([0.1, 0.6, 1.5, 4.0, 20.0]))
+def test_gaussian_blur_is_the_whole_image_passes_bit_for_bit(case, sigma):
+    # sigma 4 and 20 give kernels of 25 and 121 taps, longer than the image
+    img, rows = case
+    with row_bands(rows):
+        got = gaussian_blur(img, sigma)
+        expected = gaussian_blur_oracle(img, sigma)
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rasters(3))
+def test_gradients_are_the_whole_image_passes_bit_for_bit(case):
+    img, rows = case
+    with row_bands(rows):
+        got = gradients(img)
+        expected = gradients_oracle(img)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()

@@ -70,6 +70,40 @@ def test_write_rounds_half_up(tmp_path):
     assert p.read_bytes()[-1] == 11
 
 
+@st.composite
+def _codec_cases(draw):
+    """An image of 1-24 px per side for one format and bit depth, with
+    samples on, halfway between and beyond the integer codes."""
+    suffix, color = draw(st.sampled_from([(".png", False), (".png", True),
+                                          (".pgm", False), (".ppm", True)]))
+    bitdepth = draw(st.sampled_from([8, 16]))
+    side = st.integers(1, 24)
+    h, w = draw(st.sampled_from([(draw(side), draw(side)), (1, draw(side)),
+                                 (draw(side), 1)]))
+    shape = (h, w, 3) if color else (h, w)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    maxcode = (1 << bitdepth) - 1
+    codes = rng.integers(0, maxcode + 1, size=shape).astype(np.float64)
+    offsets = rng.choice([0.0, 0.5, -0.5, 0.49], size=shape)
+    img = (codes + offsets) / maxcode
+    img.flat[rng.integers(0, img.size, size=2)] = rng.choice([-0.3, 1.7], size=2)
+    return suffix, bitdepth, img
+
+
+@settings(max_examples=120, deadline=None)
+@given(_codec_cases())
+def test_codec_roundtrip_is_the_rounded_codes(tmp_path_factory, case):
+    suffix, bitdepth, img = case
+    maxcode = (1 << bitdepth) - 1
+    # round half up onto the codes, after clamping to [0, 1]
+    codes = np.floor(np.clip(img, 0.0, 1.0) * maxcode + 0.5)
+    p = tmp_path_factory.mktemp("codec") / ("img" + suffix)
+    write_image(p, img, bitdepth=bitdepth)
+    back = read_image(p)
+    assert back.dtype == np.float64 and back.shape == img.shape
+    assert np.array_equal(back, codes / maxcode)
+
+
 def test_pnm_header_comments(tmp_path):
     p = tmp_path / "c.pgm"
     p.write_bytes(b"P5\n# a comment\n2 1\n# another\n255\n\x00\xff")

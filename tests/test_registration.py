@@ -11,14 +11,14 @@ from crossband.errors import DegenerateFitError, RegistrationError
 from crossband.evaluation import SimulationSpec, simulate_pair, synthetic_texture
 from crossband.features import HarrisConfig, detect_corners, harris_score_map
 from crossband.registration import (Match, RansacConfig, _fit_points,
-                                    _minimal_samples, _residuals, _within,
+                                    _inliers, _minimal_samples, _within,
                                     fit_least_squares, match_all, positions_of,
                                     ransac_once, register)
 from crossband.transform import AffineTransform, TransformKind
 
 from helpers import (canny_oracle, detect_corners_oracle, fit_sample_oracle,
                      gate_oracle, inliers_oracle, random_descriptor, residual,
-                     row_bands, score_matrix_oracle)
+                     residuals_oracle, row_bands, score_matrix_oracle)
 
 
 def _descriptor_grid(rng, n=12, window=15, spacing=40, origin=(30, 30)):
@@ -378,7 +378,7 @@ def test_ransac_support_is_the_residual_count(kind, samples):
     cfg = RansacConfig(model=kind, samples_per_iter=samples, rng_seed=5)
     t, support = ransac_once(matches, src, dst, cfg, consensus_dist=2.0)
     assert t.kind == kind
-    assert support == np.count_nonzero(_residuals(t.m, src, dst) <= 2.0)
+    assert support == np.count_nonzero(residuals_oracle(t.m, src, dst) <= 2.0)
 
 
 def _near(r):
@@ -417,14 +417,21 @@ def test_within_equals_hypot_compare(case):
                               np.hypot(dx[:, None], dy[None, :]) <= r)
 
 
-def test_residuals_of_a_stack_equal_each_matrix_alone():
+def test_inliers_of_a_stack_equal_each_matrix_alone():
+    # consensus scores the winner inside a stack, then recounts it alone
     rng = np.random.default_rng(12)
     stack = rng.normal(size=(7, 2, 3))
     src = rng.uniform(0, 400, size=(50, 2))
     dst = rng.uniform(0, 400, size=(50, 2))
-    together = _residuals(stack, src, dst)
-    for m, row in zip(stack, together):
-        assert np.array_equal(_residuals(m, src, dst), row)
+    seen = set()
+    for r in (2.0, 50.0, 400.0):
+        together = _inliers(stack, src, dst, r)
+        assert together.shape == (7, 50)
+        seen.update(together.ravel().tolist())
+        for m, row in zip(stack, together):
+            assert np.array_equal(_inliers(m, src, dst, r), row)
+            assert np.array_equal(inliers_oracle(m, src, dst, r), row)
+    assert seen == {False, True}
 
 
 def test_minimal_samples_are_uniform_distinct_subsets():
