@@ -24,8 +24,8 @@ class SingularTransformError(ValueError):
 class DegenerateFitError(RuntimeError):
     """Raised when a least-squares fit has no well-posed solution.
 
-    Covers too few matches, coincident/collinear point configurations, and
-    normal matrices with condition estimates beyond 1e12.
+    Covers too few matches, coincident points, collinear points under the
+    affine model (cond above 1e12), and a fitted |det| below 1e-6.
     """
 
 

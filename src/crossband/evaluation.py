@@ -51,15 +51,15 @@ class SimulationSpec:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be in [0, inf), got {self.noise_sigma}")
         scales = tuple(float(s) for s in self.scales)
         if not scales or any(s <= 0 for s in scales):
             raise ValueError(f"scales must be positive, got {self.scales}")
         object.__setattr__(self, "scales", scales)
-        if self.translation_range < 0:
+        if not 0 <= self.translation_range < np.inf:
             raise ValueError(
-                f"translation_range must be >= 0, got {self.translation_range}")
+                f"translation_range must be in [0, inf), got {self.translation_range}")
 
 
 @dataclass(frozen=True)

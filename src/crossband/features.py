@@ -33,6 +33,8 @@ class HarrisConfig:
             raise ValueError(f"max_corners must be >= 4, got {self.max_corners}")
         if not self.window_sigma > 0:
             raise ValueError(f"window_sigma must be > 0, got {self.window_sigma}")
+        if not 0.0 <= self.min_score <= 1.0:
+            raise ValueError(f"min_score must be in [0, 1], got {self.min_score}")
 
 
 @dataclass(frozen=True)

@@ -33,15 +33,15 @@ class FusionConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.gain < 0.0:
-            raise ValueError(f"gain must be >= 0, got {self.gain}")
+        if not 0.0 <= self.gain < np.inf:
+            raise ValueError(f"gain must be in [0, inf), got {self.gain}")
         sig = tuple(float(s) for s in self.sigmas)
         if len(sig) != 3 or not (0.0 < sig[0] < sig[1] < sig[2]):
             raise ValueError(
                 f"sigmas must be three strictly increasing positives, got {self.sigmas}")
         object.__setattr__(self, "sigmas", sig)
-        if self.color_eps <= 0.0:
-            raise ValueError(f"color_eps must be > 0, got {self.color_eps}")
+        if not 0.0 < self.color_eps < np.inf:
+            raise ValueError(f"color_eps must be in (0, inf), got {self.color_eps}")
 
 
 def split_frequencies(img, sigma: float) -> tuple[np.ndarray, np.ndarray]:

@@ -165,10 +165,10 @@ def fit_least_squares(matches: list[Match], src_positions, dst_positions,
                       model: TransformKind) -> AffineTransform:
     """Least-squares transform over the matched corner pairs.
 
-    Each match contributes two linear constraints; the normal equations are
-    solved directly. Raises DegenerateFitError for too few matches,
-    ill-conditioned (coincident/collinear) configurations, or a fitted
-    |det| below 1e-6.
+    The fit is closed-form on the centred, normalized points (see
+    `_fit_points`). Raises DegenerateFitError for too few matches,
+    coincident points, an ill-conditioned affine fit (collinear points), or
+    a fitted |det| below 1e-6.
     """
     model = TransformKind(model)
     if len(matches) < model.min_matches:
@@ -200,12 +200,21 @@ def _fit_points(src: np.ndarray, dst: np.ndarray,
                 model: TransformKind) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares fits of a batch of point sets: (B, k, 2) -> (B, 2, 3).
 
+    Closed forms (Umeyama, TPAMI 1991) on the `_normalize`d points, from
+    their moments M = [[Sxx, Sxy], [Sxy, Syy]] and cross moments
+    C = [[Sxu, Sxv], [Syu, Syv]] about each set's mean: similarity takes
+    a = (Sxu + Syv) / S, b = (Sxv - Syu) / S with S = Sxx + Syy; affine
+    solves M r = C for both rows r at once. The intercept maps the source
+    mean onto the destination mean.
+
     Returns the matrices and the mask of usable fits. A fit is unusable when
     its points coincide (in a minimal sample, any two closer than 1e-9 on
     either side; in any set, all within 1e-12 of their centroid), when its
-    normal matrix is not finite or has a condition number above 1e12, or
-    when the fitted |det| is below _MIN_DET. Unusable rows hold
-    placeholders.
+    moments are not finite, when the fitted |det| is below _MIN_DET, or
+    (affine) when its normal matrix, with eigenvalues M's l1 >= l2 and k,
+    has cond = max(l1, k) / min(l2, k) above 1e12. Similarity skips that
+    check: its normal matrix is diag(S, S, k, k), and with mean distance
+    sqrt(2), S / k lies in [2, 2k]. Unusable rows hold placeholders.
     """
     b, k = src.shape[:2]
     if model == TransformKind.TRANSLATION:
@@ -222,45 +231,31 @@ def _fit_points(src: np.ndarray, dst: np.ndarray,
     ns, cs, ss, src_spread = _normalize(src)
     nd, cd, sd, dst_spread = _normalize(dst)
     usable &= src_spread & dst_spread
-    x, y = ns[..., 0], ns[..., 1]
-    one, zero = np.ones_like(x), np.zeros_like(x)
-    if model == TransformKind.SIMILARITY:
-        rows = ([x, -y, one, zero], [y, x, zero, one])
-    else:
-        rows = ([x, y, one, zero, zero, zero], [zero, zero, zero, x, y, one])
-    # each point's x and y constraints in turn, as in nd.reshape(b, 2 * k)
-    a_mat = np.stack([np.stack(r, axis=-1) for r in rows], axis=2)
-    params, conditioned = _solve_normal(a_mat.reshape(b, 2 * k, -1),
-                                        nd.reshape(b, 2 * k))
-    usable &= conditioned
-
+    mean_s, mean_d = ns.mean(axis=1), nd.mean(axis=1)
+    p, q = ns - mean_s[:, None], nd - mean_d[:, None]
+    moments, cross = (np.einsum("bki,bkj->bij", p, r) for r in (p, q))
+    usable &= np.isfinite([moments, cross]).all(axis=(0, 2, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if model == TransformKind.SIMILARITY:
+            s = moments[:, 0, 0] + moments[:, 1, 1]
+            a = (cross[:, 0, 0] + cross[:, 1, 1]) / s
+            c = (cross[:, 0, 1] - cross[:, 1, 0]) / s
+            lin_n = np.array([[a, -c], [c, a]]).transpose(2, 0, 1)
+        else:
+            sxx, sxy, syy = moments[:, 0, 0], moments[:, 0, 1], moments[:, 1, 1]
+            l1 = (sxx + syy) / 2 + np.hypot((sxx - syy) / 2, sxy)
+            l2 = (sxx * syy - sxy * sxy) / l1
+            # cond <= 1e12, written so that l2 <= 0 fails it too
+            usable &= np.maximum(l1, k) <= 1e12 * np.minimum(l2, k)
+            moments = np.where(usable[:, None, None], moments, np.eye(2))
+            lin_n = np.linalg.solve(moments, cross).transpose(0, 2, 1)
+    t_n = mean_d - (lin_n @ mean_s[..., None])[..., 0]
     # undo both normalizations: T = denorm(dst) o T_n o norm(src)
-    if model == TransformKind.SIMILARITY:
-        a = params[:, 0] * ss / sd
-        c = params[:, 1] * ss / sd
-        lin = np.array([[a, -c], [c, a]]).transpose(2, 0, 1)
-        t_n = params[:, 2:]
-    else:
-        lin = params.reshape(b, 2, 3)[:, :, :2] * (ss / sd)[:, None, None]
-        t_n = params.reshape(b, 2, 3)[:, :, 2]
+    lin = lin_n * (ss / sd)[:, None, None]
     t = (t_n / sd[:, None] + cd) - (lin @ cs[..., None])[..., 0]
     det = lin[:, 0, 0] * lin[:, 1, 1] - lin[:, 0, 1] * lin[:, 1, 0]
     usable &= np.abs(det) >= _MIN_DET
     return np.concatenate([lin, t[..., None]], axis=2), usable
-
-
-def _solve_normal(a_mat: np.ndarray, rhs: np.ndarray):
-    """Solve the normal equations of each system in a batch. Also returns
-    the mask of systems whose normal matrix is finite with a condition
-    number of at most 1e12; the others are solved against the identity."""
-    a_t = a_mat.transpose(0, 2, 1)
-    ata = a_t @ a_mat
-    eye = np.eye(ata.shape[-1])
-    ok = np.isfinite(ata).all(axis=(1, 2))
-    ata = np.where(ok[:, None, None], ata, eye)
-    ok &= np.linalg.cond(ata) <= 1e12
-    ata = np.where(ok[:, None, None], ata, eye)
-    return np.linalg.solve(ata, a_t @ rhs[..., None])[..., 0], ok
 
 
 def _minimal_samples(n: int, k: int, count: int,

@@ -146,13 +146,45 @@ def residuals_oracle(m, src, dst):
     return np.hypot(x - dst[:, 0], y - dst[:, 1])
 
 
-def fit_sample_oracle(src, dst, model):
-    """Scalar least-squares fit of one minimal sample, or None if unusable.
+def normalize_oracle(points):
+    """(normalized points, centroid, scale) of one point set, or None when
+    its points all lie within 1e-12 of their centroid: the centroid moves
+    to the origin and the mean distance from it becomes sqrt(2)."""
+    centroid = points.mean(axis=0)
+    shifted = points - centroid
+    mean_dist = float(np.hypot(shifted[:, 0], shifted[:, 1]).mean())
+    if mean_dist < 1e-12:
+        return None
+    scale = np.sqrt(2.0) / mean_dist
+    return shifted * scale, centroid, scale
 
-    The per-sample consensus fit, written out one sample at a time: a sample
-    with two points closer than 1e-9 on either side, points all at their
-    centroid, a normal matrix that is not finite or has cond > 1e12, or a
-    fitted |det| < 1e-6 is unusable. Returns the 2x3 matrix otherwise.
+
+def design_matrix_oracle(points, model):
+    """The (2n, 4) similarity or (2n, 6) affine design matrix of a point
+    set, one x row and one y row per point; the parameters are (a, b, tx,
+    ty) of [[a, -b, tx], [b, a, ty]], or the affine matrix row by row."""
+    from crossband.transform import TransformKind
+    n = len(points)
+    x, y = points[:, 0], points[:, 1]
+    if model == TransformKind.SIMILARITY:
+        a_mat = np.zeros((2 * n, 4))
+        a_mat[0::2, 0], a_mat[0::2, 1], a_mat[0::2, 2] = x, -y, 1.0
+        a_mat[1::2, 0], a_mat[1::2, 1], a_mat[1::2, 3] = y, x, 1.0
+    else:
+        a_mat = np.zeros((2 * n, 6))
+        a_mat[0::2, 0], a_mat[0::2, 1], a_mat[0::2, 2] = x, y, 1.0
+        a_mat[1::2, 3], a_mat[1::2, 4], a_mat[1::2, 5] = x, y, 1.0
+    return a_mat
+
+
+def fit_sample_oracle(src, dst, model):
+    """Scalar least-squares fit of one point set, or None if unusable.
+
+    The consensus fit, written out one set at a time through the normal
+    equations of the normalized design: a set with two points closer than
+    1e-9 on either side, points all at their centroid, a normal matrix that
+    is not finite or has cond > 1e12, or a fitted |det| < 1e-6 is unusable.
+    Returns the 2x3 matrix otherwise.
     """
     from crossband.transform import TransformKind
     src = np.asarray(src, dtype=np.float64)
@@ -167,27 +199,11 @@ def fit_sample_oracle(src, dst, model):
                     or np.hypot(*(dst[i] - dst[j])) < 1e-9):
                 return None
 
-    def normalize(points):
-        centroid = points.mean(axis=0)
-        shifted = points - centroid
-        mean_dist = float(np.hypot(shifted[:, 0], shifted[:, 1]).mean())
-        if mean_dist < 1e-12:
-            return None
-        scale = np.sqrt(2.0) / mean_dist
-        return shifted * scale, centroid, scale
-
-    src_norm, dst_norm = normalize(src), normalize(dst)
+    src_norm, dst_norm = normalize_oracle(src), normalize_oracle(dst)
     if src_norm is None or dst_norm is None:
         return None
     (ns, cs, ss), (nd, cd, sd) = src_norm, dst_norm
-    if model == TransformKind.SIMILARITY:
-        a_mat = np.zeros((2 * n, 4))
-        a_mat[0::2, 0], a_mat[0::2, 1], a_mat[0::2, 2] = ns[:, 0], -ns[:, 1], 1.0
-        a_mat[1::2, 0], a_mat[1::2, 1], a_mat[1::2, 3] = ns[:, 1], ns[:, 0], 1.0
-    else:
-        a_mat = np.zeros((2 * n, 6))
-        a_mat[0::2, 0], a_mat[0::2, 1], a_mat[0::2, 2] = ns[:, 0], ns[:, 1], 1.0
-        a_mat[1::2, 3], a_mat[1::2, 4], a_mat[1::2, 5] = ns[:, 0], ns[:, 1], 1.0
+    a_mat = design_matrix_oracle(ns, model)
     rhs = nd.reshape(-1)
     ata = a_mat.T @ a_mat
     if not np.isfinite(ata).all() or np.linalg.cond(ata) > 1e12:

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from crossband import config
 from crossband.descriptor import MatchingConfig
+from crossband.evaluation import SimulationSpec
+from crossband.features import HarrisConfig
+from crossband.fusion import FusionConfig
 
 
 @pytest.mark.parametrize("group", config.GROUPS, ids=lambda g: g.__name__)
@@ -28,6 +31,24 @@ def test_build_names_the_group_on_invalid_values():
     settings["descriptor.window"] = 4
     with pytest.raises(ValueError, match=r"descriptor\.\*.*window must be odd"):
         config.build(MatchingConfig, settings)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("group, name, value", [
+    (FusionConfig, "gain", _NAN), (FusionConfig, "gain", _INF),
+    (FusionConfig, "color_eps", _NAN), (FusionConfig, "color_eps", _INF),
+    (SimulationSpec, "noise_sigma", _NAN), (SimulationSpec, "noise_sigma", _INF),
+    (SimulationSpec, "translation_range", _NAN),
+    (SimulationSpec, "translation_range", _INF),
+    (HarrisConfig, "min_score", _NAN), (HarrisConfig, "min_score", _INF),
+    (HarrisConfig, "min_score", -_INF), (HarrisConfig, "min_score", -0.01),
+    (HarrisConfig, "min_score", 7.0),
+])
+def test_config_rejects_out_of_range_value(group, name, value):
+    with pytest.raises(ValueError, match=name):
+        group(**{name: value})
 
 
 def test_enum_default_shown_by_value_in_help():

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from crossband import registration
 from crossband.descriptor import EdgeDescriptor, build_descriptors
@@ -16,8 +16,9 @@ from crossband.registration import (Match, RansacConfig, _fit_points,
                                     ransac_once, register)
 from crossband.transform import AffineTransform, TransformKind
 
-from helpers import (canny_oracle, detect_corners_oracle, fit_sample_oracle,
-                     gate_oracle, inliers_oracle, random_descriptor, residual,
+from helpers import (canny_oracle, design_matrix_oracle, detect_corners_oracle,
+                     fit_sample_oracle, gate_oracle, inliers_oracle,
+                     normalize_oracle, random_descriptor, residual,
                      residuals_oracle, row_bands, score_matrix_oracle)
 
 
@@ -133,11 +134,12 @@ def test_fit_rejects_too_few_matches():
 
 
 def test_fit_rejects_collinear_affine():
-    src = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    dst = src + 1.0
-    matches = [Match(i, i, 1.0) for i in range(4)]
-    with pytest.raises(DegenerateFitError):
-        fit_least_squares(matches, src, dst, TransformKind.AFFINE)
+    for src in (np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),
+                np.column_stack([np.arange(10.0), 3.0 * np.arange(10.0) - 7.0])):
+        dst = src + 1.0
+        matches = [Match(i, i, 1.0) for i in range(len(src))]
+        with pytest.raises(DegenerateFitError):
+            fit_least_squares(matches, src, dst, TransformKind.AFFINE)
 
 
 def test_fit_rejects_coincident_points():
@@ -226,6 +228,84 @@ def test_batched_fit_matches_per_sample_oracle(batch):
         assert usable[b] == (expected is not None)
         if expected is not None:
             assert np.allclose(m[b], expected, rtol=1e-9, atol=1e-9)
+
+
+@st.composite
+def _refit_sets(draw):
+    """(model, src, dst): one noisy set of min + 1 to 60 matches, mapped by
+    a random similarity or affine, with one point moved 1e4 times further
+    from the origin, or (affine) near-collinear to a drawn relative width."""
+    model = draw(st.sampled_from([TransformKind.SIMILARITY, TransformKind.AFFINE]))
+    k = draw(st.integers(model.min_matches + 1, 60))
+    case = draw(st.sampled_from(
+        ["mapped", "outlier"] + (["collinear"] if model == TransformKind.AFFINE
+                                 else [])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    src = rng.uniform(-100.0, 100.0, size=(k, 2))
+    if case == "collinear":
+        width = 10.0 ** draw(st.floats(-12.0, -1.0))
+        along = rng.uniform(-100.0, 100.0, size=(k, 1))
+        across = rng.uniform(-100.0, 100.0, size=(k, 1)) * width
+        direction = rng.normal(size=2)
+        direction /= np.hypot(*direction)
+        normal = np.array([-direction[1], direction[0]])
+        src = rng.uniform(-50.0, 50.0, size=2) + along * direction + across * normal
+    angle = rng.uniform(-np.pi, np.pi)
+    lin = rng.uniform(0.5, 2.0) * np.array([[np.cos(angle), -np.sin(angle)],
+                                            [np.sin(angle), np.cos(angle)]])
+    if model == TransformKind.AFFINE:
+        lin = np.array([[1.0, rng.uniform(-0.5, 0.5)],
+                        [0.0, rng.uniform(0.5, 2.0)]]) @ lin
+    dst = src @ lin.T + rng.uniform(-100.0, 100.0, size=2)
+    dst += rng.normal(0.0, 10.0 ** draw(st.floats(-6.0, 1.0)), size=(k, 2))
+    if case == "outlier":
+        side = draw(st.sampled_from([src, dst]))
+        side[draw(st.integers(0, k - 1))] *= 1e4
+    # the oracle rejects two points closer than 1e-9 at any size, the
+    # library only in minimal samples
+    for pts in (src, dst):
+        gaps = np.hypot(*(pts[:, None] - pts[None]).T)
+        assume(gaps[np.triu_indices(k, 1)].min() >= 1e-9)
+    return model, src, dst
+
+
+def _rss(m, src, dst):
+    return float((residuals_oracle(m, src, dst) ** 2).sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_refit_sets())
+def test_refit_sized_fit_matches_oracle(case):
+    # Two fits of an ill-conditioned set may judge it differently near
+    # the cond = 1e12 line, so draws whose oracle cond lies in [1e9, 1e15]
+    # are skipped; the others must agree on usability, and a usable fit must
+    # leave no more than (1 + 1e-5) times the oracle's squared residuals.
+    model, src, dst = case
+    a_mat = design_matrix_oracle(normalize_oracle(src)[0], model)
+    assume(not 1e9 <= np.linalg.cond(a_mat.T @ a_mat) <= 1e15)
+    expected = fit_sample_oracle(src, dst, model)
+    m, usable = _fit_points(src[None], dst[None], model)
+    assert usable[0] == (expected is not None)
+    if expected is not None:
+        assert _rss(m[0], src, dst) <= (1 + 1e-5) * _rss(expected, src, dst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 60), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.0, 1e-9, 1e-3, 1.0]))
+def test_similarity_normal_matrix_condition_is_at_most_2k(k, seed, spread):
+    # Why the similarity fit needs no condition check: its normalized
+    # normal matrix is diag(S, S, k, k) up to rounding, and with mean
+    # distance sqrt(2) from the centroid S / k lies in [2, 2k]. Sets with
+    # all but a few points within `spread` of one spot give the largest S / k.
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1e3, 1e3, size=(k, 2))
+    n_far = rng.integers(1, k + 1)
+    points[n_far:] = points[0] + rng.uniform(-spread, spread, size=(k - n_far, 2))
+    normalized = normalize_oracle(points)
+    assume(normalized is not None)
+    a_mat = design_matrix_oracle(normalized[0], TransformKind.SIMILARITY)
+    assert np.linalg.cond(a_mat.T @ a_mat) <= 2 * k
 
 
 def test_fit_rejects_points_within_1e_12_of_their_centroid():
