@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -158,6 +159,8 @@ def _cmd_register(args) -> int:
 
 
 def _cmd_warp(args) -> int:
+    if not math.isfinite(args.fill):
+        raise ValueError(f"--fill must be finite, got {args.fill}")
     img = read_image(args.input)
     t = load_transform(args.transform)
     if args.invert:

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .image import (MAX_SIGMA, _banded, _blur_rows, _gradient_rows, as_gray,
-                    gaussian_kernel, require_finite)
+from .image import (MAX_SIGMA, NORM_SQ_MAX, NORM_SQ_MIN, NORM_TOL, _banded,
+                    _blur_rows, _gradient_rows, as_gray, gaussian_kernel,
+                    require_finite)
 
 DEFAULT_DIRECTION_BINS = 16
 
@@ -59,24 +60,32 @@ def quantize_direction(ix, iy, n_bins: int = DEFAULT_DIRECTION_BINS):
     bins = _angle_bins(np.arctan2(iy, ix), n_bins)
     if np.isscalar(ix) and np.isscalar(iy):
         return int(bins)
-    return bins
+    return bins.astype(np.int64)
 
 
 def _angle_bins(angle, n_bins: int):
-    """quantize_direction's bins of atan2 angles. angle + 2*pi lies in [pi,
-    3*pi], where taking 2*pi off is exact, so this equals np.mod bit for bit."""
+    """quantize_direction's bins of atan2 angles, as float64 integers.
+
+    Equal, bit for bit, to np.floor(np.mod(angle + 2*pi, 2*pi) / (2*pi /
+    n_bins)) % n_bins, without a branch per value: angle + 2*pi lies in
+    [pi, 3*pi], where taking 2*pi off is exact, and below 2*pi the rounded
+    quotient can reach n_bins but no more, so that one value wraps to 0.
+    """
     full = angle + 2.0 * np.pi
-    full = np.where(full >= 2.0 * np.pi, full - 2.0 * np.pi, full)
-    return np.floor(full / (2.0 * np.pi / n_bins)).astype(np.int64) % n_bins
+    full -= 2.0 * np.pi * (full >= 2.0 * np.pi)
+    bins = np.floor(full / (2.0 * np.pi / n_bins))
+    bins -= n_bins * (bins >= n_bins)
+    return bins
 
 
-# Gradient-axis sectors for the interpolation-free suppression step: the two
-# compared neighbors lie along the quantized gradient direction.
-_SECTOR_OFFSETS = (
-    ((0, 1), (0, -1)),     # near-horizontal gradient
-    ((1, 1), (-1, -1)),    # 45 degrees
-    ((1, 0), (-1, 0)),     # near-vertical
-    ((1, -1), (-1, 1)),    # 135 degrees
+# Gradient-axis sectors for the interpolation-free suppression step: a pixel
+# is compared with its neighbours at +(dy, dx) and -(dy, dx), which lie
+# along the quantized gradient direction.
+_SECTOR_STEPS = (
+    (0, 1),     # near-horizontal gradient
+    (1, 1),     # 45 degrees
+    (1, 0),     # near-vertical
+    (1, -1),    # 135 degrees
 )
 
 
@@ -90,6 +99,15 @@ def canny(img, cfg: CannyConfig | None = None,
     keep the pixel against the positive-offset neighbor and suppress it
     against the negative one, so plateau ridges thin to one pixel), then
     double-threshold hysteresis over 8-connected components.
+
+    The edges are those of the np.hypot(ix, iy) magnitudes, bit for bit,
+    but most magnitudes are taken as sqrt(ix*ix + iy*iy), within a relative
+    2**-50 of np.hypot's (see image.NORM_TOL). np.hypot is computed only
+    where the two could decide a comparison differently: where ix*ix +
+    iy*iy lies outside [NORM_SQ_MIN, NORM_SQ_MAX], for suppression pairs
+    within a relative NORM_TOL of each other, for the values within
+    NORM_TOL of the maximum, and for kept pixels within NORM_TOL of either
+    threshold, whose gradients are computed again.
     """
     if cfg is None:
         cfg = CannyConfig()
@@ -99,40 +117,102 @@ def canny(img, cfg: CannyConfig | None = None,
         raise ValueError(f"image must be at least 5x5 for edge detection, got {arr.shape}")
     mag = np.empty((h, w))
     directions = np.empty((h, w), dtype=np.uint8)
-    keep = np.zeros((h, w), dtype=bool)
+    keep = np.empty((h, w), dtype=bool)
     blur = gaussian_kernel(cfg.blur_sigma)
 
+    def gradient_rows(y0, y1):
+        # rows [y0, y1) of gradients(gaussian_blur(arr)): the same bits for
+        # any rows, since _correlate_rows replicates only beyond the image
+        g0, g1 = max(y0 - 1, 0), min(y1 + 1, h)
+        return _gradient_rows(_blur_rows(arr, blur, slice(g0, g1)),
+                              slice(y0 - g0, y1 - g0))
+
     def band(lo, hi, y0, y1):
-        # the suppression reads magnitudes one row beyond the kept rows, and
-        # their gradients read blurred rows one further
-        a, b = max(y0 - 1, lo), min(y1 + 1, hi)
-        g0 = max(a - 1, lo)
-        blurred = _blur_rows(arr[lo:hi], blur, slice(g0 - lo, min(b + 1, hi) - lo))
-        ix, iy = _gradient_rows(blurred, slice(a - g0, b - g0))
+        # the suppression reads magnitudes one row beyond the kept rows
+        a, b = max(y0 - 1, 0), min(y1 + 1, h)
+        ix, iy = gradient_rows(a, b)
         rows = slice(y0 - a, y1 - a)
         angle = np.arctan2(iy[rows], ix[rows])
         # the zero padding stands for rows beyond the image only: at a band's
         # cut, the row beyond is in ix and iy
-        padded = np.pad(np.hypot(ix, iy), 1, mode="constant")
-        mag[y0:y1] = m = padded[1:-1, 1:-1][rows]
+        padded = np.pad(_magnitudes(ix, iy), 1, mode="constant")
+        mag[y0:y1] = padded[1:-1, 1:-1][rows]
         directions[y0:y1] = _angle_bins(angle, n_bins)
         # angle mod pi as np.mod gives it, except that pi stays pi: sector 0 too
-        axis = np.where(angle < 0.0, angle + np.pi, angle)
+        axis = angle + np.pi * (angle < 0.0)
         sector = np.floor((axis + np.pi / 8) / (np.pi / 4)).astype(np.uint8) & 3
-        k = keep[y0:y1]
-        for s, ((dy1, dx1), (dy2, dx2)) in enumerate(_SECTOR_OFFSETS):
-            n1 = padded[1 + dy1:, 1 + dx1:][rows, :w]
-            n2 = padded[1 + dy2:, 1 + dx2:][rows, :w]
-            k |= (sector == s) & (m >= n1) & (m > n2)
+        keep[y0:y1] = _suppress(padded, y0 - a + 1, sector, ix, iy)
 
-    # stencil: blur, Sobel, then the suppression's 8-neighbours
-    _banded(band, h, blur.size // 2 + 2)
+    def exact_magnitudes(idx):
+        # np.hypot magnitudes at sorted flat pixel indices, one gradient
+        # computation per run of adjacent rows
+        out = np.empty(idx.size)
+        rows = idx // w
+        starts = np.flatnonzero(np.diff(rows, prepend=-2) > 1)
+        for s, e in zip(starts, [*starts[1:], idx.size]):
+            y0 = rows[s]
+            ix, iy = gradient_rows(y0, rows[e - 1] + 1)
+            j = idx[s:e] - y0 * w
+            out[s:e] = np.hypot(ix.ravel().take(j), iy.ravel().take(j))
+        return out
 
-    mag_max = float(mag.max())
-    weak = keep & (mag >= cfg.low_ratio * mag_max)
-    strong = keep & (mag >= cfg.high_ratio * mag_max)
-    labels, n_labels = ndimage.label(weak, structure=np.ones((3, 3), dtype=int))
+    # halo 0: gradient_rows reads the rows it needs itself
+    _banded(band, h, 0)
+
+    # the maximum is among the values within NORM_TOL of the largest one
+    # (all of them when a magnitude is NaN, as np.max then is)
+    top = mag.max()
+    mag_max = exact_magnitudes(np.flatnonzero(~(mag < top * (1 - NORM_TOL)))).max()
+    t_low, t_high = cfg.low_ratio * mag_max, cfg.high_ratio * mag_max
+    kept = np.flatnonzero(keep)
+    values = mag.ravel().take(kept)
+    low, high = values * (1 - NORM_TOL), values * (1 + NORM_TOL)
+    near = ((low < t_low) & (high >= t_low)) | ((low < t_high) & (high >= t_high))
+    values[near] = exact_magnitudes(kept[near])
+    weak = np.zeros(h * w, dtype=bool)
+    weak[kept[values >= t_low]] = True
+    labels, n_labels = ndimage.label(weak.reshape(h, w),
+                                     structure=np.ones((3, 3), dtype=int))
     # strong pixels are weak too, so the background label 0 stays unmarked
     reaches_strong = np.zeros(n_labels + 1, dtype=np.uint8)
-    reaches_strong[labels[strong]] = 1
+    reaches_strong[labels.ravel().take(kept[values >= t_high])] = 1
     return EdgeMap(reaches_strong.take(labels), directions, n_bins)
+
+
+def _magnitudes(ix, iy):
+    """sqrt(ix*ix + iy*iy), with np.hypot wherever the square lies outside
+    [NORM_SQ_MIN, NORM_SQ_MAX]: within a relative 2**-50 of np.hypot(ix,
+    iy) everywhere, and equal to it outside that range."""
+    with np.errstate(over="ignore"):
+        q = ix * ix
+        q += iy * iy
+    mag = np.sqrt(q)
+    np.hypot(ix, iy, out=mag, where=~((q >= NORM_SQ_MIN) & (q <= NORM_SQ_MAX)))
+    return mag
+
+
+def _suppress(padded, top, sector, ix, iy):
+    """Suppression mask of the rows of `padded` from `top` on, one per row of
+    `sector`: >= the neighbour at +step, > the one at -step.
+
+    `padded` holds `_magnitudes(ix, iy)` in a ring of zeros. A pixel is
+    decided on those values unless its magnitude lies within a relative
+    NORM_TOL of a neighbour's; then on np.hypot of the three.
+    """
+    n, w = sector.shape
+    stride = w + 2
+    at = np.arange(top, top + n)[:, None] * stride + np.arange(1, w + 1)
+    step = np.array([dy * stride + dx for dy, dx in _SECTOR_STEPS]).take(sector)
+    flat = padded.ravel()
+    n1, n2 = flat.take(at + step), flat.take(at - step)
+    m = padded[top:top + n, 1:-1]
+    low, high = m * (1 - NORM_TOL), m * (1 + NORM_TOL)
+    keep = (low >= n1) & (low > n2)
+    close = np.flatnonzero(((high >= n1) & (high > n2)) & ~keep)
+    if close.size:
+        at, step = at.ravel()[close], step.ravel()[close]
+        px, py = np.pad(ix, 1).ravel(), np.pad(iy, 1).ravel()
+        me, e1, e2 = (np.hypot(px.take(j), py.take(j))
+                      for j in (at, at + step, at - step))
+        keep.ravel()[close] = (me >= e1) & (me > e2)
+    return keep

@@ -47,15 +47,15 @@ class SimulationSpec:
         if self.modality not in MODALITY_MODELS:
             raise ValueError(
                 f"modality must be one of {MODALITY_MODELS}, got {self.modality!r}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be in (0, inf), got {self.gamma}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError(f"noise_sigma must be in [0, inf), got {self.noise_sigma}")
         scales = tuple(float(s) for s in self.scales)
-        if not scales or any(s <= 0 for s in scales):
-            raise ValueError(f"scales must be positive, got {self.scales}")
+        if not scales or not all(0 < s < np.inf for s in scales):
+            raise ValueError(f"scales must be positive and finite, got {self.scales}")
         object.__setattr__(self, "scales", scales)
         if not 0 <= self.translation_range < np.inf:
             raise ValueError(

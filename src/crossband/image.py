@@ -19,6 +19,19 @@ LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 # largest Gaussian sigma: a 601-tap kernel, radius 300 rows of band halo
 MAX_SIGMA = 100.0
 
+# Norms as np.sqrt(x*x + y*y) in place of np.hypot(x, y), which costs about
+# ten times as much. Where q = x*x + y*y lies in [NORM_SQ_MIN, NORM_SQ_MAX],
+# no square overflows and an underflowed one is negligible against q; there
+# sqrt(q) is within about 1.1 ulp of the exact norm and np.hypot within
+# about 0.55 ulp (measured on 1e5 random pairs against 50-digit decimals),
+# so the two lie within a relative 2**-50 of each other. They still differ
+# in the last bit on about a sixth of pairs, so wherever a comparison's
+# operands lie within a relative NORM_TOL of each other, or q is outside the
+# range, np.hypot decides it. NORM_TOL leaves a 2**10 margin.
+NORM_SQ_MIN = 2.0 ** -960
+NORM_SQ_MAX = 2.0 ** 960
+NORM_TOL = 2.0 ** -40
+
 
 def as_gray(img) -> np.ndarray:
     """Validate and return a 2D float64 gray image."""

@@ -14,6 +14,7 @@ import zlib
 import numpy as np
 
 from .errors import ImageIOError
+from .image import require_finite
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 MAX_PNG_PIXELS = 1 << 25  # larger IHDR dimensions are rejected before inflating
@@ -38,7 +39,10 @@ def read_image(path) -> np.ndarray:
 
 
 def write_image(path, img, bitdepth: int = 8) -> None:
-    """Write [0, 1] intensities as PNG, PGM, or PPM, chosen by extension."""
+    """Write [0, 1] intensities as PNG, PGM, or PPM, chosen by extension.
+
+    Values outside [0, 1] are clipped; NaN or inf pixels raise ValueError.
+    """
     if bitdepth not in (8, 16):
         raise ValueError(f"bitdepth must be 8 or 16, got {bitdepth}")
     arr = np.asarray(img, dtype=np.float64)
@@ -48,6 +52,7 @@ def write_image(path, img, bitdepth: int = 8) -> None:
         color = True
     else:
         raise ValueError(f"expected (H, W) or (H, W, 3) image, got shape {arr.shape}")
+    require_finite(arr, "output")
 
     maxcode = (1 << bitdepth) - 1
     codes = np.floor(np.clip(arr, 0.0, 1.0) * maxcode + 0.5)

@@ -21,7 +21,7 @@ from .descriptor import EdgeDescriptor, MatchingConfig, score_matrix
 from .edges import CannyConfig, canny
 from .errors import DegenerateFitError, RegistrationError
 from .features import HarrisConfig, detect_corners, harris_score_map
-from .image import as_gray, require_finite
+from .image import NORM_SQ_MAX, NORM_SQ_MIN, NORM_TOL, as_gray, require_finite
 from .transform import AffineTransform, TransformKind, project
 from . import descriptor as _descriptor
 
@@ -108,7 +108,8 @@ def _best_matches(scores: np.ndarray, src_positions: np.ndarray,
     """match_all on a precomputed (n_src, n_dst) score matrix.
 
     A gate zeroes the scores that `_gate` rules out; the hypot of a pair is
-    computed only inside the max_distance box around its projection.
+    computed only where its squared distance is within a relative 2**-40 of
+    max_distance**2.
     """
     if gate is not None:
         scores = _gate(scores, src_positions, dst_positions, *gate)
@@ -131,16 +132,27 @@ def _gate(scores: np.ndarray, src_positions: np.ndarray,
 
 
 def _within(dx: np.ndarray, dy: np.ndarray, r: float) -> np.ndarray:
-    """np.hypot(dx, dy) <= r, with the hypot taken only inside the box
-    |dx| <= r, |dy| <= r.
+    """np.hypot(dx, dy) <= r, for any shapes that broadcast, with np.hypot
+    taken only where q = dx*dx + dy*dy lies within a relative NORM_TOL of
+    r*r.
 
-    Exact: hypot(dx, dy) is never below max(|dx|, |dy|), which holds for the
-    true value and survives faithful rounding because |dx| is itself a
-    double, so a pair outside the box fails both forms. NaN and inf fail
-    both forms too.
+    Exact: for r*r in [NORM_SQ_MIN, NORM_SQ_MAX], q is off the exact squared
+    norm by a relative 2**-51 plus at most 2**-1073 from underflowed
+    squares, or overflows only far above r*r, so q < r*r*(1 - NORM_TOL)
+    puts np.hypot below r and q > r*r*(1 + NORM_TOL) puts it above. For any
+    other r the band holds every pair. NaN offsets fail both forms.
     """
-    box = (np.abs(dx) <= r) & (np.abs(dy) <= r)
-    return np.hypot(dx, dy, out=np.full(box.shape, np.inf), where=box) <= r
+    with np.errstate(over="ignore"):
+        r2 = r * r
+        q = dx * dx + dy * dy
+    lo, hi = ((r2 * (1 - NORM_TOL), r2 * (1 + NORM_TOL))
+              if r > 0 and NORM_SQ_MIN <= r2 <= NORM_SQ_MAX else (0.0, np.inf))
+    inside = q < lo
+    band = (q <= hi) ^ inside
+    shape = band.shape
+    inside[band] = np.hypot(np.broadcast_to(dx, shape)[band],
+                            np.broadcast_to(dy, shape)[band]) <= r
+    return inside
 
 
 def _inliers(m: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -291,8 +303,9 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
     cfg.samples_per_iter subsets drawn from `rng`. All samples are fitted
     as one batch and scored in blocks; ties go to the earlier sample.
     Support is the number of `_inliers`: matches whose transformed source
-    lies within consensus_dist of its partner, counted without a hypot for
-    the matches outside the consensus_dist box around their projection.
+    lies within consensus_dist of its partner, counted without a hypot
+    except where the squared distance is within a relative 2**-40 of
+    consensus_dist**2.
     The refit transform is returned only when its support is at least the
     winner's, so the returned support is maximal over everything
     considered.

@@ -139,6 +139,17 @@ def test_warp_non_finite_transform_exits_1(tmp_path, texture_png, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fill", ["nan", "inf", "-inf"])
+def test_warp_non_finite_fill_exits_1(tmp_path, texture_png, capsys, fill):
+    t = tmp_path / "t34.json"
+    t.write_text(json.dumps(to_json_dict(AffineTransform.translation(3, 4))))
+    out = tmp_path / "w.png"
+    assert main(["warp", str(texture_png), str(t), str(out),
+                 f"--fill={fill}"]) == 1
+    assert "--fill must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_warp_color_image(tmp_path):
     rng = np.random.default_rng(52)
     img = rng.random((70, 70, 3))

@@ -45,6 +45,8 @@ _NAN, _INF = float("nan"), float("inf")
     (HarrisConfig, "min_score", _NAN), (HarrisConfig, "min_score", _INF),
     (HarrisConfig, "min_score", -_INF), (HarrisConfig, "min_score", -0.01),
     (HarrisConfig, "min_score", 7.0),
+    (SimulationSpec, "scales", (_NAN,)), (SimulationSpec, "scales", (1.0, _INF)),
+    (SimulationSpec, "scales", (-_INF,)), (SimulationSpec, "gamma", _INF),
 ])
 def test_config_rejects_out_of_range_value(group, name, value):
     with pytest.raises(ValueError, match=name):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
-from crossband.edges import CannyConfig, EdgeMap, canny, quantize_direction
+from crossband.edges import (CannyConfig, EdgeMap, _angle_bins, canny,
+                             quantize_direction)
 from crossband.image import gaussian_blur, gradients
 
 from helpers import canny_oracle, row_bands
@@ -41,6 +42,22 @@ def test_quantize_bins_in_range():
     for n_bins in (2, 3, 8, 16, 32):
         q = quantize_direction(rng.normal(size=500), rng.normal(size=500), n_bins)
         assert q.min() >= 0 and q.max() < n_bins
+
+
+def test_angle_bins_equal_the_mod_form():
+    for n_bins in range(2, 18):
+        step = 2.0 * np.pi / n_bins
+        edge = np.arange(n_bins + 1) * step
+        # every bin edge and one ulp either side, as atan2 angles and as
+        # angle + 2*pi, the value that is divided (at n_bins 3, 6 and 12 one
+        # ulp below 2*pi divides to n_bins)
+        near = [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+        angle = np.concatenate([*near, *(v - 2.0 * np.pi for v in near),
+                                [np.pi, -np.pi, 0.0, -0.0]])
+        angle = angle[np.abs(angle) <= np.pi]
+        expected = (np.floor(np.mod(angle + 2.0 * np.pi, 2.0 * np.pi) / step)
+                    .astype(np.int64) % n_bins)
+        assert np.array_equal(_angle_bins(angle, n_bins), expected)
 
 
 def test_quantize_rejects_bad_bins():
@@ -158,20 +175,31 @@ def test_canny_directions_defined_everywhere():
 def _canny_cases(draw):
     h, w = draw(st.integers(5, 40)), draw(st.integers(5, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    kind = draw(st.sampled_from(["random", "constant", "plateaus"]))
+    kind = draw(st.sampled_from(["random", "constant", "plateaus", "ramp",
+                                 "levels"]))
     if kind == "random":
         img = rng.random((h, w))
     elif kind == "constant":
         img = np.full((h, w), rng.random())
-    else:
+    elif kind == "plateaus":
         # 2-3 grey levels on blocks: flat runs tie in magnitude and angle
         levels = rng.random(draw(st.integers(2, 3)))
         cell = draw(st.integers(1, 8))
         coarse = rng.integers(0, len(levels), size=(h // cell + 1, w // cell + 1))
         img = levels[np.kron(coarse, np.ones((cell, cell), int))[:h, :w]]
+    elif kind == "ramp":
+        # a linear ramp: neighbouring magnitudes tie, or nearly
+        img = np.add.outer(np.arange(h) * rng.random(), np.arange(w) * rng.random())
+    else:
+        # pixels quantized to a few levels: magnitudes tie exactly
+        img = np.round(rng.random((h, w)) * draw(st.integers(1, 4))) / 4
+    # scaled by 1e-300 or 1e300, ix*ix + iy*iy underflows or overflows
+    img = img * draw(st.sampled_from([1.0, 1e-300, 1e300]))
     sigma = draw(st.sampled_from([0.5, 1.0, 2.0]))
-    return (img, CannyConfig(blur_sigma=sigma), draw(st.integers(2, 17)),
-            draw(st.integers(1, 9)))
+    # high_ratio 1.0 puts the high threshold on the maximum
+    high = draw(st.sampled_from([0.2, 1.0]))
+    return (img, CannyConfig(blur_sigma=sigma, high_ratio=high),
+            draw(st.integers(2, 17)), draw(st.integers(1, 9)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -362,3 +362,13 @@ def test_write_clamps_out_of_range(tmp_path):
     p = tmp_path / "clamp.pgm"
     write_image(p, np.array([[-0.5, 1.5]]))
     assert p.read_bytes()[-2:] == b"\x00\xff"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["x.png", "x.pgm"])
+def test_write_rejects_non_finite_pixels(tmp_path, bad, name):
+    img = np.full((3, 4), 0.5)
+    img[1, 2] = bad
+    with pytest.raises(ValueError, match="1 non-finite"):
+        write_image(tmp_path / name, img)
+    assert not (tmp_path / name).exists()

@@ -462,26 +462,36 @@ def test_ransac_support_is_the_residual_count(kind, samples):
 
 
 def _near(r):
-    """Values at, and one ulp either side of, +-r: the box edge and the
-    circle's crossings of the axes."""
+    """Values at, and one ulp either side of, +-r: the circle's crossings of
+    the axes (one ulp beyond the largest double is inf)."""
     out = []
-    for v in (r, -r):
-        out += [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+    with np.errstate(over="ignore"):
+        for v in (r, -r):
+            out += [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
     return out
 
 
+_MAX = float(np.finfo(np.float64).max)
 _SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
             2.2250738585072014e-308, 1e-300]
 
 
 @st.composite
 def _offsets(draw):
-    r = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 2.0, 5.0, 15.0]),
+    # 1e-160 and up: r*r is subnormal or overflows; no pair is within -2
+    r = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 2.0, 5.0, 15.0,
+                                        1e-160, 1e160, 1e300, _MAX, -2.0]),
                        st.floats(0.0, 1e3)))
     value = st.one_of(st.sampled_from(_SPECIAL + _near(r)),
-                      st.floats(-2 * r - 1, 2 * r + 1),
+                      st.floats(-2 * abs(r) - 1, 2 * abs(r) + 1),
+                      st.floats(-2.0, 2.0).map(lambda v: v * r),
                       st.floats(allow_nan=True, allow_infinity=True))
     n = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        # on the circle: np.hypot within an ulp or two of r
+        theta = np.array(draw(st.lists(st.floats(0.0, 2.0 * np.pi),
+                                       min_size=n, max_size=n)))
+        return r * np.cos(theta), r * np.sin(theta), r
     dx = np.array(draw(st.lists(value, min_size=n, max_size=n)))
     dy = np.array(draw(st.lists(value, min_size=n, max_size=n)))
     return dx, dy, r
