@@ -104,10 +104,10 @@ def canny(img, cfg: CannyConfig | None = None,
     but most magnitudes are taken as sqrt(ix*ix + iy*iy), within a relative
     2**-50 of np.hypot's (see image.NORM_TOL). np.hypot is computed only
     where the two could decide a comparison differently: where ix*ix +
-    iy*iy lies outside [NORM_SQ_MIN, NORM_SQ_MAX], for suppression pairs
-    within a relative NORM_TOL of each other, for the values within
-    NORM_TOL of the maximum, and for kept pixels within NORM_TOL of either
-    threshold, whose gradients are computed again.
+    iy*iy lies outside [NORM_SQ_MIN, NORM_SQ_MAX], in a band where two
+    compared neighbours lie within a relative NORM_TOL of each other, for
+    the values within NORM_TOL of each band's largest, and for kept pixels
+    within NORM_TOL of either threshold, whose gradients are computed again.
     """
     if cfg is None:
         cfg = CannyConfig()
@@ -136,7 +136,11 @@ def canny(img, cfg: CannyConfig | None = None,
         # the zero padding stands for rows beyond the image only: at a band's
         # cut, the row beyond is in ix and iy
         padded = np.pad(_magnitudes(ix, iy), 1, mode="constant")
-        mag[y0:y1] = padded[1:-1, 1:-1][rows]
+        mag[y0:y1] = m = padded[1:-1, 1:-1][rows]
+        # the band's largest magnitude is among the values within NORM_TOL
+        # of its largest value (all of them when one is NaN, as np.max is)
+        near = ~(m < m.max() * (1 - NORM_TOL))
+        maxima.append(np.hypot(ix[rows][near], iy[rows][near]).max())
         directions[y0:y1] = _angle_bins(angle, n_bins)
         # angle mod pi as np.mod gives it, except that pi stays pi: sector 0 too
         axis = angle + np.pi * (angle < 0.0)
@@ -144,8 +148,8 @@ def canny(img, cfg: CannyConfig | None = None,
         keep[y0:y1] = _suppress(padded, y0 - a + 1, sector, ix, iy)
 
     def exact_magnitudes(idx):
-        # np.hypot magnitudes at sorted flat pixel indices, one gradient
-        # computation per run of adjacent rows
+        # np.hypot magnitudes at sorted flat pixel indices, from gradients
+        # computed again for each run of adjacent rows
         out = np.empty(idx.size)
         rows = idx // w
         starts = np.flatnonzero(np.diff(rows, prepend=-2) > 1)
@@ -156,13 +160,11 @@ def canny(img, cfg: CannyConfig | None = None,
             out[s:e] = np.hypot(ix.ravel().take(j), iy.ravel().take(j))
         return out
 
+    maxima = []
     # halo 0: gradient_rows reads the rows it needs itself
     _banded(band, h, 0)
 
-    # the maximum is among the values within NORM_TOL of the largest one
-    # (all of them when a magnitude is NaN, as np.max then is)
-    top = mag.max()
-    mag_max = exact_magnitudes(np.flatnonzero(~(mag < top * (1 - NORM_TOL)))).max()
+    mag_max = np.max(maxima)
     t_low, t_high = cfg.low_ratio * mag_max, cfg.high_ratio * mag_max
     kept = np.flatnonzero(keep)
     values = mag.ravel().take(kept)
@@ -197,7 +199,9 @@ def _suppress(padded, top, sector, ix, iy):
 
     `padded` holds `_magnitudes(ix, iy)` in a ring of zeros. A pixel is
     decided on those values unless its magnitude lies within a relative
-    NORM_TOL of a neighbour's; then on np.hypot of the three.
+    NORM_TOL of a neighbour's; then on np.hypot of the three, taken for the
+    whole band at once (ties are rare in a textured image and common in a
+    flat or quantized one).
     """
     n, w = sector.shape
     stride = w + 2
@@ -210,9 +214,8 @@ def _suppress(padded, top, sector, ix, iy):
     keep = (low >= n1) & (low > n2)
     close = np.flatnonzero(((high >= n1) & (high > n2)) & ~keep)
     if close.size:
+        exact = np.pad(np.hypot(ix, iy), 1).ravel()
         at, step = at.ravel()[close], step.ravel()[close]
-        px, py = np.pad(ix, 1).ravel(), np.pad(iy, 1).ravel()
-        me, e1, e2 = (np.hypot(px.take(j), py.take(j))
-                      for j in (at, at + step, at - step))
-        keep.ravel()[close] = (me >= e1) & (me > e2)
+        me = exact.take(at)
+        keep.ravel()[close] = (me >= exact.take(at + step)) & (me > exact.take(at - step))
     return keep
