@@ -107,7 +107,8 @@ def canny(img, cfg: CannyConfig | None = None,
     iy*iy lies outside [NORM_SQ_MIN, NORM_SQ_MAX], in a band where two
     compared neighbours lie within a relative NORM_TOL of each other, for
     the values within NORM_TOL of each band's largest, and for kept pixels
-    within NORM_TOL of either threshold, whose gradients are computed again.
+    within NORM_TOL of either threshold, from the gradients that each band
+    stores with its kept pixels.
     """
     if cfg is None:
         cfg = CannyConfig()
@@ -115,28 +116,23 @@ def canny(img, cfg: CannyConfig | None = None,
     h, w = arr.shape
     if h < 5 or w < 5:
         raise ValueError(f"image must be at least 5x5 for edge detection, got {arr.shape}")
-    mag = np.empty((h, w))
     directions = np.empty((h, w), dtype=np.uint8)
-    keep = np.empty((h, w), dtype=bool)
     blur = gaussian_kernel(cfg.blur_sigma)
 
-    def gradient_rows(y0, y1):
-        # rows [y0, y1) of gradients(gaussian_blur(arr)): the same bits for
-        # any rows, since _correlate_rows replicates only beyond the image
-        g0, g1 = max(y0 - 1, 0), min(y1 + 1, h)
-        return _gradient_rows(_blur_rows(arr, blur, slice(g0, g1)),
-                              slice(y0 - g0, y1 - g0))
-
-    def band(lo, hi, y0, y1):
-        # the suppression reads magnitudes one row beyond the kept rows
+    def band(y0, y1):
+        # rows [a, b) of gradients(gaussian_blur(arr)), one beyond the kept
+        # rows for the suppression: the same bits for any rows, since
+        # _correlate_rows replicates only beyond the image
         a, b = max(y0 - 1, 0), min(y1 + 1, h)
-        ix, iy = gradient_rows(a, b)
+        g0, g1 = max(a - 1, 0), min(b + 1, h)
+        ix, iy = _gradient_rows(_blur_rows(arr, blur, slice(g0, g1)),
+                                slice(a - g0, b - g0))
         rows = slice(y0 - a, y1 - a)
         angle = np.arctan2(iy[rows], ix[rows])
         # the zero padding stands for rows beyond the image only: at a band's
         # cut, the row beyond is in ix and iy
         padded = np.pad(_magnitudes(ix, iy), 1, mode="constant")
-        mag[y0:y1] = m = padded[1:-1, 1:-1][rows]
+        m = padded[1:-1, 1:-1][rows]
         # the band's largest magnitude is among the values within NORM_TOL
         # of its largest value (all of them when one is NaN, as np.max is)
         near = ~(m < m.max() * (1 - NORM_TOL))
@@ -145,39 +141,29 @@ def canny(img, cfg: CannyConfig | None = None,
         # angle mod pi as np.mod gives it, except that pi stays pi: sector 0 too
         axis = angle + np.pi * (angle < 0.0)
         sector = np.floor((axis + np.pi / 8) / (np.pi / 4)).astype(np.uint8) & 3
-        keep[y0:y1] = _suppress(padded, y0 - a + 1, sector, ix, iy)
+        at = np.flatnonzero(_suppress(padded, y0 - a + 1, sector, ix, iy))
+        found.append((at + y0 * w, m.ravel().take(at),
+                      ix[rows].ravel().take(at), iy[rows].ravel().take(at)))
 
-    def exact_magnitudes(idx):
-        # np.hypot magnitudes at sorted flat pixel indices, from gradients
-        # computed again for each run of adjacent rows
-        out = np.empty(idx.size)
-        rows = idx // w
-        starts = np.flatnonzero(np.diff(rows, prepend=-2) > 1)
-        for s, e in zip(starts, [*starts[1:], idx.size]):
-            y0 = rows[s]
-            ix, iy = gradient_rows(y0, rows[e - 1] + 1)
-            j = idx[s:e] - y0 * w
-            out[s:e] = np.hypot(ix.ravel().take(j), iy.ravel().take(j))
-        return out
-
-    maxima = []
-    # halo 0: gradient_rows reads the rows it needs itself
-    _banded(band, h, 0)
+    maxima, found = [], []
+    _banded(band, h)
 
     mag_max = np.max(maxima)
     t_low, t_high = cfg.low_ratio * mag_max, cfg.high_ratio * mag_max
-    kept = np.flatnonzero(keep)
-    values = mag.ravel().take(kept)
-    low, high = values * (1 - NORM_TOL), values * (1 + NORM_TOL)
-    near = ((low < t_low) & (high >= t_low)) | ((low < t_high) & (high >= t_high))
-    values[near] = exact_magnitudes(kept[near])
     weak = np.zeros(h * w, dtype=bool)
-    weak[kept[values >= t_low]] = True
+    strong = []
+    while found:  # a band's kept pixels are dropped once thresholded
+        kept, values, kx, ky = found.pop()
+        low, high = values * (1 - NORM_TOL), values * (1 + NORM_TOL)
+        near = ((low < t_low) & (high >= t_low)) | ((low < t_high) & (high >= t_high))
+        values[near] = np.hypot(kx[near], ky[near])
+        weak[kept[values >= t_low]] = True
+        strong.append(kept[values >= t_high])
     labels, n_labels = ndimage.label(weak.reshape(h, w),
                                      structure=np.ones((3, 3), dtype=int))
     # strong pixels are weak too, so the background label 0 stays unmarked
     reaches_strong = np.zeros(n_labels + 1, dtype=np.uint8)
-    reaches_strong[labels.ravel().take(kept[values >= t_high])] = 1
+    reaches_strong[labels.ravel().take(np.concatenate(strong))] = 1
     return EdgeMap(reaches_strong.take(labels), directions, n_bins)
 
 

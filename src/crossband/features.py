@@ -48,21 +48,23 @@ def harris_score_map(img, cfg: HarrisConfig | None = None) -> np.ndarray:
     """Per-pixel corner score det(A) - k * trace(A)^2.
 
     A is the Gaussian-weighted structure tensor of the Sobel gradients. The
-    returned map is signed and unclamped.
+    returned map is signed and unclamped. Raises ValueError when the input's
+    values are so large that a score overflows.
     """
     if cfg is None:
         cfg = HarrisConfig()
     arr = require_finite(as_gray(img), "input")
-    if arr.shape[0] < 3 or arr.shape[1] < 3:
+    h = arr.shape[0]
+    if h < 3 or arr.shape[1] < 3:
         raise ValueError(f"image must be at least 3x3, got {arr.shape}")
     out = np.empty(arr.shape)
     k = gaussian_kernel(cfg.window_sigma)
     radius = k.size // 2
 
-    def band(lo, hi, y0, y1):
+    def band(y0, y1):
         # the kept rows' blurs read gradients `radius` rows beyond them
-        g0, g1 = max(lo, y0 - radius), min(hi, y1 + radius)
-        ix, iy = _gradient_rows(arr[lo:hi], slice(g0 - lo, g1 - lo))
+        g0, g1 = max(0, y0 - radius), min(h, y1 + radius)
+        ix, iy = _gradient_rows(arr, slice(g0, g1))
         # products and blurs replace their inputs, so few band arrays live
         sxy = ix * iy
         ix *= ix
@@ -75,9 +77,14 @@ def harris_score_map(img, cfg: HarrisConfig | None = None) -> np.ndarray:
         sxy = _blur_rows(sxy, k, rows)
         trace = sxx + syy
         out[y0:y1] = sxx * syy - sxy * sxy - cfg.k * trace * trace
+        # an overflow anywhere in the band leaves an inf or NaN score
+        if not np.isfinite(out[y0:y1]).all():
+            raise ValueError(
+                "input image values overflow the Harris score (largest "
+                f"magnitude {np.abs(arr).max():g}); scale the image down")
 
-    # stencil: Sobel, then the structure tensor's Gaussian
-    _banded(band, arr.shape[0], 1 + radius)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _banded(band, h)
     return out
 
 
@@ -97,15 +104,17 @@ def detect_corners(score, cfg: HarrisConfig | None = None) -> list[Corner]:
     s = require_finite(as_gray(score), "score")
     smax = float(s.max())
     radius = cfg.nms_window // 2
+    h = s.shape[0]
     cand = np.empty(s.shape, dtype=bool)
 
-    def band(lo, hi, y0, y1):
+    def band(y0, y1):
+        lo, hi = max(0, y0 - radius), min(h, y1 + radius)
         window_max = _window_max(s[lo:hi], cfg.nms_window)
         kept = s[y0:y1]
         cand[y0:y1] = ((kept == window_max[y0 - lo:y1 - lo]) & (kept > 0.0)
                        & (kept >= cfg.min_score * smax))
 
-    _banded(band, s.shape[0], radius)
+    _banded(band, h)
     ys, xs = np.divmod(np.flatnonzero(cand), s.shape[1])
     vals = s[ys, xs]
 

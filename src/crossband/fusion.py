@@ -78,11 +78,10 @@ def fuse_single_scale(visible_luma, infrared, sigma: float,
     k = gaussian_kernel(sigma)
     out = np.empty(yv.shape)
 
-    def band(lo, hi, y0, y1):
+    def band(y0, y1):
         out[y0:y1] = _scale_rows(yv, ir, k, slice(y0, y1), alpha, gain)
 
-    # halo 0: _scale_rows replicates the edge rows itself
-    _banded(band, yv.shape[0], 0)
+    _banded(band, yv.shape[0])
     return out
 
 
@@ -159,7 +158,7 @@ def _fuse(yv: np.ndarray, ir: np.ndarray, cfg: FusionConfig, visible=None
     fused = np.empty(yv.shape)
     color = None if visible is None else np.empty(visible.shape)
 
-    def band(lo, hi, y0, y1):
+    def band(y0, y1):
         rows = slice(y0, y1)
         s0, s1, s2 = (_scale_rows(yv, ir, k, rows, cfg.alpha, cfg.gain)
                       for k in kernels)
@@ -171,8 +170,7 @@ def _fuse(yv: np.ndarray, ir: np.ndarray, cfg: FusionConfig, visible=None
         if color is not None:
             _color_rows(f, visible[rows], yv[rows], cfg.color_eps, color[rows])
 
-    # halo 0: _scale_rows replicates the edge rows itself
-    _banded(band, yv.shape[0], 0)
+    _banded(band, yv.shape[0])
     return fused, color
 
 

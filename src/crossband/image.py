@@ -16,7 +16,7 @@ from .transform import AffineTransform
 
 # BT.601 luma weights; the conventional choice for R/G/B -> Y.
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
-# largest Gaussian sigma: a 601-tap kernel, radius 300 rows of band halo
+# largest Gaussian sigma: a 601-tap kernel, reading 300 rows beyond a band
 MAX_SIGMA = 100.0
 
 # Norms as np.sqrt(x*x + y*y) in place of np.hypot(x, y), which costs about
@@ -64,18 +64,16 @@ def require_finite(img: np.ndarray, name: str) -> np.ndarray:
 _BAND_ROWS = 64
 
 
-def _banded(stage, height: int, halo: int) -> None:
+def _banded(stage, height: int) -> None:
     """Run a row-local raster stage over bands of rows, top to bottom.
 
-    stage(lo, hi, y0, y1) must compute output rows [y0, y1) from input rows
-    [lo, hi) and store them; lo and hi extend the band by `halo` rows on
-    each side, clipped to the image. When halo covers the stage's stencil
-    radius, every kept row sees the same inputs and operations as on the
-    whole image, so the output does not depend on the band height.
+    stage(y0, y1) must compute output rows [y0, y1) and store them. It reads
+    the neighbouring rows its stencil needs from the whole image, so every
+    kept row sees the same inputs and operations as on the whole image, and
+    the output does not depend on the band height.
     """
     for y0 in range(0, height, _BAND_ROWS):
-        y1 = min(y0 + _BAND_ROWS, height)
-        stage(max(0, y0 - halo), min(height, y1 + halo), y0, y1)
+        stage(y0, min(y0 + _BAND_ROWS, height))
 
 
 def replicate3(gray) -> np.ndarray:
@@ -118,11 +116,10 @@ def gaussian_blur(img, sigma: float) -> np.ndarray:
     k = gaussian_kernel(sigma)
     out = np.empty(arr.shape)
 
-    def band(lo, hi, y0, y1):
+    def band(y0, y1):
         out[y0:y1] = _blur_rows(arr, k, slice(y0, y1))
 
-    # halo 0: _correlate_rows reads, and replicates, the rows it needs itself
-    _banded(band, arr.shape[0], 0)
+    _banded(band, arr.shape[0])
     return out
 
 
@@ -143,11 +140,10 @@ def gradients(img) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"image must be at least 3x3 for gradients, got {arr.shape}")
     ix, iy = np.empty(arr.shape), np.empty(arr.shape)
 
-    def band(lo, hi, y0, y1):
+    def band(y0, y1):
         ix[y0:y1], iy[y0:y1] = _gradient_rows(arr, slice(y0, y1))
 
-    # halo 0, as in gaussian_blur
-    _banded(band, arr.shape[0], 0)
+    _banded(band, arr.shape[0])
     return ix, iy
 
 
@@ -226,7 +222,7 @@ def warp_affine(img, t: AffineTransform, out_w: int | None = None,
     mx0, mx1 = m[0, 0] * xx, m[1, 0] * xx
     out = np.empty((out_h, out_w))
 
-    def band(lo, hi, y0, y1):
+    def band(y0, y1):
         # the bilinear formula's order of operations: sx = (m00 x + m01 y)
         # + m02, each tap weighted as (a (1 - fx)) (1 - fy), the four summed
         # left to right; updated in place, so few band arrays live at once
@@ -261,8 +257,7 @@ def warp_affine(img, t: AffineTransform, out_w: int | None = None,
             res += tap
         np.copyto(res, float(fill), where=~valid)
 
-    # halo 0: a band reads source pixels by index, not neighbouring rows
-    _banded(band, out_h, 0)
+    _banded(band, out_h)
     return out
 
 

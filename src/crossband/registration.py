@@ -393,34 +393,28 @@ def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
 
     rng = np.random.default_rng(cfg.rng_seed)
     per_iteration = []
-    t_prev = None
-    for it in range(1, 4):
-        if it == 1:
-            gate = None
-            consensus = cfg.inlier_dist_coarse
-        elif it == 2:
-            gate = (t_prev, cfg.gate_dist_coarse)
-            consensus = cfg.inlier_dist_coarse
-        else:
-            gate = (t_prev, cfg.gate_dist_fine)
-            consensus = cfg.inlier_dist_fine
+    estimate = None
+    # (gate radius about the previous round's estimate, consensus radius)
+    rounds = ((None, cfg.inlier_dist_coarse),
+              (cfg.gate_dist_coarse, cfg.inlier_dist_coarse),
+              (cfg.gate_dist_fine, cfg.inlier_dist_fine))
+    for it, (gate_dist, consensus) in enumerate(rounds, 1):
+        gate = None if gate_dist is None else (estimate, gate_dist)
         matches = _best_matches(scores, pos_v, pos_ir, gate)
         if len(matches) < cfg.model.min_matches:
             raise RegistrationError(
                 f"iteration {it} matching: {len(matches)} matches, need "
                 f"at least {cfg.model.min_matches} for a {cfg.model.value} fit")
         try:
-            t_prev, support = ransac_once(matches, pos_v, pos_ir, cfg,
-                                          consensus, rng)
+            estimate, support = ransac_once(matches, pos_v, pos_ir, cfg,
+                                            consensus, rng)
         except RegistrationError as exc:
             raise RegistrationError(f"iteration {it} consensus: {exc}") from exc
-        per_iteration.append((t_prev, support))
-        final_matches = matches
+        per_iteration.append((estimate, support))
 
-    t_final = per_iteration[-1][0]
-    src, dst = _match_arrays(final_matches, pos_v, pos_ir)
-    inlier_mask = _inliers(t_final.m, src, dst, cfg.inlier_dist_fine)
-    inliers = [m for m, ok in zip(final_matches, inlier_mask) if ok]
-    return RegistrationResult(transform=t_final, inliers=inliers,
+    src, dst = _match_arrays(matches, pos_v, pos_ir)
+    inlier_mask = _inliers(estimate.m, src, dst, cfg.inlier_dist_fine)
+    inliers = [m for m, ok in zip(matches, inlier_mask) if ok]
+    return RegistrationResult(transform=estimate, inliers=inliers,
                               support=len(inliers),
                               per_iteration=tuple(per_iteration))

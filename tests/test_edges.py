@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from scipy import ndimage
 
 from crossband.edges import (CannyConfig, EdgeMap, _angle_bins, canny,
                              quantize_direction)
+from crossband.evaluation import synthetic_texture
 from crossband.image import gaussian_blur, gradients
 
 from helpers import canny_oracle, row_bands
@@ -161,6 +164,22 @@ def test_canny_hysteresis_invariant():
     strong = mag >= cfg.high_ratio * mag.max()
     for lab in range(1, n + 1):
         assert np.any(strong[labels == lab])
+
+
+def test_canny_memory_is_rasters_plus_a_few_bands():
+    img = synthetic_texture(640, 480, seed=5)
+    band = 64 * 640 * 8
+    with row_bands(64):
+        canny(img)
+        tracemalloc.start()
+        try:
+            out = canny(img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # the two uint8 outputs, the int32 labels and the bands; the kept
+    # pixels' magnitudes and gradients are a few bands more
+    assert peak <= out.edges.nbytes + out.directions.nbytes + 4 * img.size + 14 * band
 
 
 def test_canny_directions_defined_everywhere():

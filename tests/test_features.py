@@ -223,6 +223,14 @@ def test_score_rejects_non_finite_pixels():
         harris_score_map(img)
 
 
+@pytest.mark.parametrize("scale", [1e80, 1e300])
+def test_score_rejects_finite_input_that_overflows(scale):
+    # 1e80: the structure tensor's products overflow; 1e300: the gradients
+    img = np.random.default_rng(15).random((32, 32)) * scale
+    with pytest.raises(ValueError, match="input image values overflow the Harris score"):
+        harris_score_map(img)
+
+
 def test_detect_rejects_non_finite_scores():
     score = np.random.default_rng(16).random((32, 32))
     score[3, 30] = np.nan

@@ -281,15 +281,15 @@ def test_warp_memory_is_output_plus_a_few_bands():
 def test_banded_band_taller_than_image_is_one_call():
     calls = []
     with row_bands(10):
-        image._banded(lambda *rows: calls.append(rows), 10, 3)
-    assert calls == [(0, 10, 0, 10)]
+        image._banded(lambda *rows: calls.append(rows), 10)
+    assert calls == [(0, 10)]
 
 
-def test_banded_covers_every_row_once_with_clipped_halos():
+def test_banded_covers_every_row_once():
     calls = []
     with row_bands(4):
-        image._banded(lambda *rows: calls.append(rows), 10, 2)
-    assert calls == [(0, 6, 0, 4), (2, 10, 4, 8), (6, 10, 8, 10)]
+        image._banded(lambda *rows: calls.append(rows), 10)
+    assert calls == [(0, 4), (4, 8), (8, 10)]
 
 
 def test_banded_stages_from_concurrent_callers():

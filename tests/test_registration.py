@@ -680,6 +680,12 @@ def test_register_rejects_non_finite_pixels(band):
         register(images["visible"], images["infrared"])
 
 
+def test_register_finite_input_overflowing_harris_names_the_input():
+    tex = synthetic_texture(128, seed=1) * 1e80
+    with pytest.raises(ValueError, match="input image values overflow the Harris score"):
+        register(tex, tex)
+
+
 def test_register_featureless_image_fails_with_stage():
     flat = np.full((96, 96), 0.5)
     tex = synthetic_texture(96, seed=26)
