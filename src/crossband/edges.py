@@ -112,7 +112,12 @@ def canny(img, cfg: CannyConfig | None = None,
     """
     if cfg is None:
         cfg = CannyConfig()
-    arr = require_finite(as_gray(img), "input")
+    return _canny(require_finite(as_gray(img), "input"), cfg, n_bins)
+
+
+def _canny(arr: np.ndarray, cfg: CannyConfig,
+           n_bins: int = DEFAULT_DIRECTION_BINS) -> EdgeMap:
+    """canny of a gray image known to be finite."""
     h, w = arr.shape
     if h < 5 or w < 5:
         raise ValueError(f"image must be at least 5x5 for edge detection, got {arr.shape}")

@@ -53,7 +53,11 @@ def harris_score_map(img, cfg: HarrisConfig | None = None) -> np.ndarray:
     """
     if cfg is None:
         cfg = HarrisConfig()
-    arr = require_finite(as_gray(img), "input")
+    return _harris_score_map(require_finite(as_gray(img), "input"), cfg)
+
+
+def _harris_score_map(arr: np.ndarray, cfg: HarrisConfig) -> np.ndarray:
+    """harris_score_map of a gray image known to be finite."""
     h = arr.shape[0]
     if h < 3 or arr.shape[1] < 3:
         raise ValueError(f"image must be at least 3x3, got {arr.shape}")
@@ -101,7 +105,11 @@ def detect_corners(score, cfg: HarrisConfig | None = None) -> list[Corner]:
     """
     if cfg is None:
         cfg = HarrisConfig()
-    s = require_finite(as_gray(score), "score")
+    return _detect_corners(require_finite(as_gray(score), "score"), cfg)
+
+
+def _detect_corners(s: np.ndarray, cfg: HarrisConfig) -> list[Corner]:
+    """detect_corners of a score map known to be finite."""
     smax = float(s.max())
     radius = cfg.nms_window // 2
     h = s.shape[0]

@@ -105,6 +105,8 @@ def _decode_png(path, data: bytes) -> np.ndarray:
         pos += 12 + length
     if ihdr is None or not seen_iend:
         raise ImageIOError(path, "truncated PNG stream")
+    if len(ihdr) != 13:
+        raise ImageIOError(path, f"malformed PNG IHDR chunk ({len(ihdr)} bytes, not 13)")
 
     w, h, bitdepth, colortype, compression, filt, interlace = struct.unpack(
         ">IIBBBBB", ihdr)

@@ -16,11 +16,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .descriptor import EdgeDescriptor, MatchingConfig, score_matrix
-from .edges import CannyConfig, canny
+from .edges import CannyConfig, _canny
 from .errors import DegenerateFitError, RegistrationError
-from .features import HarrisConfig, detect_corners, harris_score_map
+from .features import HarrisConfig, _detect_corners, _harris_score_map
 from .image import NORM_SQ_MAX, NORM_SQ_MIN, NORM_TOL, as_gray, require_finite
 from .transform import AffineTransform, TransformKind, project
 from . import descriptor as _descriptor
@@ -28,6 +29,8 @@ from . import descriptor as _descriptor
 MIN_REGISTER_SIDE = 64   # below this, corner statistics collapse
 _MIN_DET = 1e-6          # fits with smaller |det| are discarded
 _SCORE_BLOCK = 1 << 16   # residuals per consensus scoring block
+_SAMPLE_CHUNK = 100      # minimal samples drawn, fitted and scored at a time
+_CONFIDENCE = 0.999      # wanted chance of drawing one all-inlier sample
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,8 @@ class RansacConfig:
         "key": "ransac.model",
         "help": "transform model: translation, similarity, or affine"})
     samples_per_iter: int = field(default=1000, metadata={
-        "key": "ransac.samples_per_iter", "help": "consensus samples per iteration"})
+        "key": "ransac.samples_per_iter",
+        "help": "consensus samples per iteration, or fewer once enough agree"})
     inlier_dist_coarse: float = field(default=5.0, metadata={
         "key": "ransac.inlier_dist_coarse",
         "help": "consensus radius (px), iterations 1-2"})
@@ -291,6 +295,33 @@ def _minimal_samples(n: int, k: int, count: int,
     return samples
 
 
+def _destination_groups(matches: list[Match]) -> sparse.csr_array:
+    """The (destinations, matches) 0/1 matrix that sends each match to its
+    destination corner."""
+    _, corner = np.unique([m.dst_index for m in matches], return_inverse=True)
+    n = len(matches)
+    return sparse.csr_array((np.ones(n, dtype=np.int32), (corner, np.arange(n))))
+
+
+def _distinct(mask: np.ndarray, groups: sparse.csr_array):
+    """Distinct destination corners among the inliers of each row of mask:
+    the corners whose count of inliers in the groups product is nonzero."""
+    return np.count_nonzero(groups @ mask.T.view(np.uint8), axis=0)
+
+
+def _samples_needed(w: float, k: int) -> float:
+    """Samples of k matches that hold an all-inlier one with probability
+    _CONFIDENCE when a fraction w of the matches are inliers: N = log(1 - p)
+    / log(1 - w**k) (Fischler & Bolles 1981); 0 once w**k is 1, inf at w = 0.
+    """
+    p_good = w ** k
+    if p_good >= 1.0:
+        return 0
+    if p_good <= 0.0:
+        return math.inf
+    return math.ceil(math.log1p(-_CONFIDENCE) / math.log1p(-p_good))
+
+
 def ransac_once(matches: list[Match], src_positions, dst_positions,
                 cfg: RansacConfig, consensus_dist: float,
                 rng: np.random.Generator | None = None
@@ -298,17 +329,22 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
     """One consensus round: fit minimal match subsets, keep the hypothesis
     with the largest support, then refit on its full inlier set.
 
+    A match is an inlier (`_inliers`) when its transformed source lies
+    within consensus_dist of its partner. Support is the number of distinct
+    destination corners among the inliers, so a near-singular transform that
+    sends many sources onto one popular corner counts that corner once.
+
     The round fits every minimal subset when there are at most
-    cfg.samples_per_iter of them, without drawing from `rng`, and otherwise
-    cfg.samples_per_iter subsets drawn from `rng`. All samples are fitted
-    as one batch and scored in blocks; ties go to the earlier sample.
-    Support is the number of `_inliers`: matches whose transformed source
-    lies within consensus_dist of its partner, counted without a hypot
-    except where the squared distance is within a relative 2**-40 of
-    consensus_dist**2.
+    cfg.samples_per_iter of them, without drawing from `rng`. Otherwise it
+    draws subsets from `rng` in chunks of _SAMPLE_CHUNK, and stops once
+    ceil(log(1 - p) / log(1 - w**k)) subsets are drawn, with p = _CONFIDENCE,
+    k the sample size and w the best support so far over the match count,
+    or at cfg.samples_per_iter subsets. Ties go to the earlier sample.
     The refit transform is returned only when its support is at least the
-    winner's, so the returned support is maximal over everything
+    winner's, so the returned transform's support is maximal over everything
     considered.
+
+    Returns the transform and its number of inliers.
     """
     sample_size = cfg.model.min_matches
     if len(matches) < sample_size:
@@ -319,31 +355,43 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
         rng = np.random.default_rng(cfg.rng_seed)
     src, dst = _match_arrays(matches, src_positions, dst_positions)
     n = len(matches)
-
-    samples = _minimal_samples(n, sample_size, cfg.samples_per_iter, rng)
-    hypotheses, usable = _fit_points(src[samples], dst[samples], cfg.model)
-    hypotheses = hypotheses[usable]
-    if len(hypotheses) == 0:
-        raise RegistrationError(
-            f"all {len(samples)} sampled match subsets were degenerate")
+    groups = _destination_groups(matches)
     per_block = max(1, _SCORE_BLOCK // n)
-    support = np.concatenate([
-        np.count_nonzero(_inliers(hypotheses[i:i + per_block], src, dst,
-                                  consensus_dist), axis=1)
-        for i in range(0, len(hypotheses), per_block)])
-    best_t = hypotheses[np.argmax(support)]
+    cap = cfg.samples_per_iter
+    exhaustive = math.comb(n, sample_size) <= cap
+
+    best_support, best_t, tried, limit = -1, None, 0, cap
+    while tried < limit:
+        samples = _minimal_samples(
+            n, sample_size, cap if exhaustive else min(_SAMPLE_CHUNK, limit - tried),
+            rng)
+        tried += len(samples)
+        hypotheses, usable = _fit_points(src[samples], dst[samples], cfg.model)
+        hypotheses = hypotheses[usable]
+        if len(hypotheses):
+            support = np.concatenate([
+                _distinct(_inliers(hypotheses[i:i + per_block], src, dst,
+                                   consensus_dist), groups)
+                for i in range(0, len(hypotheses), per_block)])
+            i = int(np.argmax(support))
+            if support[i] > best_support:
+                best_support, best_t = int(support[i]), hypotheses[i]
+        limit = tried if exhaustive else min(
+            cap, _samples_needed(max(best_support, 0) / n, sample_size))
+    if best_t is None:
+        raise RegistrationError(
+            f"all {tried} sampled match subsets were degenerate")
 
     inlier_mask = _inliers(best_t, src, dst, consensus_dist)
-    best_support = int(np.count_nonzero(inlier_mask))
-    if best_support >= sample_size:
+    if np.count_nonzero(inlier_mask) >= sample_size:
         refit, ok = _fit_points(src[inlier_mask][None], dst[inlier_mask][None],
                                 cfg.model)
         if ok[0]:
-            refit_support = int(np.count_nonzero(
-                _inliers(refit[0], src, dst, consensus_dist)))
-            if refit_support >= best_support:
-                return AffineTransform(refit[0], cfg.model), refit_support
-    return AffineTransform(best_t, cfg.model), best_support
+            refit_mask = _inliers(refit[0], src, dst, consensus_dist)
+            if _distinct(refit_mask, groups) >= best_support:
+                return (AffineTransform(refit[0], cfg.model),
+                        int(np.count_nonzero(refit_mask)))
+    return AffineTransform(best_t, cfg.model), int(np.count_nonzero(inlier_mask))
 
 
 def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
@@ -379,8 +427,10 @@ def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
 
     descs = {}
     for name, img in (("visible", vis), ("infrared", ir)):
-        corners = detect_corners(harris_score_map(img, harris_cfg), harris_cfg)
-        edge_map = canny(img, canny_cfg)
+        # the input was checked finite above, and a Harris score that
+        # overflows raises, so the stages skip their own checks
+        corners = _detect_corners(_harris_score_map(img, harris_cfg), harris_cfg)
+        edge_map = _canny(img, canny_cfg)
         descs[name] = _descriptor.build_descriptors(corners, edge_map, window)
         if len(descs[name]) < 4:
             raise RegistrationError(

@@ -11,12 +11,16 @@ from crossband.image_io import _unfilter, read_image, write_image
 from helpers import unfilter_oracle
 
 
-def _png(path, chunks):
+def _png_bytes(chunks):
     blob = b"\x89PNG\r\n\x1a\n"
     for ctype, payload in chunks:
         blob += struct.pack(">I", len(payload)) + ctype + payload
         blob += struct.pack(">I", zlib.crc32(payload, zlib.crc32(ctype)))
-    path.write_bytes(blob)
+    return blob
+
+
+def _png(path, chunks):
+    path.write_bytes(_png_bytes(chunks))
 
 
 def _ihdr(w, h, bitdepth, colortype, interlace=0):
@@ -206,6 +210,15 @@ def test_png_crc_mismatch(tmp_path):
         read_image(bad)
 
 
+@pytest.mark.parametrize("length", [0, 12, 14])
+def test_png_ihdr_of_the_wrong_length(tmp_path, length):
+    p = tmp_path / "h.png"
+    _png(p, [(b"IHDR", (_ihdr(1, 1, 8, 0) + b"\x00")[:length]),
+             (b"IDAT", zlib.compress(b"\x00\x00")), (b"IEND", b"")])
+    with pytest.raises(ImageIOError, match=f"malformed PNG IHDR chunk \\({length} bytes"):
+        read_image(p)
+
+
 def test_png_unsupported_bitdepth(tmp_path):
     p = tmp_path / "b.png"
     raw = zlib.compress(b"\x00\x00")
@@ -372,3 +385,74 @@ def test_write_rejects_non_finite_pixels(tmp_path, bad, name):
     with pytest.raises(ValueError, match="1 non-finite"):
         write_image(tmp_path / name, img)
     assert not (tmp_path / name).exists()
+
+
+# --- fuzz: hostile bytes fail with ImageIOError, or decode ---------------------
+
+def _fuzz_seeds():
+    """Small valid files: PNGs (chunk lists) of every filter type, and PNMs."""
+    rng = np.random.default_rng(21)
+    pngs = {}
+    for name, bitdepth, colortype, channels in (("png8-gray", 8, 0, 1),
+                                               ("png16-rgb", 16, 2, 3)):
+        bpp = channels * bitdepth // 8
+        rows = rng.integers(0, 256, size=(6, 5 * bpp), dtype=np.uint8)
+        raw = _filter_forward(rows, bpp=bpp, ftypes=(0, 1, 2, 3, 4))
+        pngs[name] = [(b"IHDR", _ihdr(5, 6, bitdepth, colortype)),
+                      (b"IDAT", zlib.compress(raw)), (b"IEND", b"")]
+    files = {name: _png_bytes(chunks) for name, chunks in pngs.items()}
+    files["pgm8"] = b"P5\n# fuzz\n5 6\n255\n" + rng.bytes(30)
+    files["ppm16"] = b"P6\n5 6\n65535\n" + rng.bytes(180)
+    return pngs, files
+
+
+_FUZZ_PNGS, _FUZZ_FILES = _fuzz_seeds()
+_edits = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)),
+                  max_size=4)
+_cut = st.none() | st.integers(0, 1 << 16)
+
+
+def _mutate(data: bytes, edits, cut, extra=b"") -> bytes:
+    out = bytearray(data)
+    for pos, value in edits:
+        if out:
+            out[pos % len(out)] = value
+    if cut is not None:
+        del out[cut % (len(out) + 1):]
+    return bytes(out) + extra
+
+
+def _read_fuzzed(tmp_path_factory, data: bytes) -> None:
+    path = tmp_path_factory.getbasetemp() / "fuzz.img"
+    path.write_bytes(data)
+    try:
+        img = read_image(path)
+    except ImageIOError:
+        return
+    assert img.dtype == np.float64 and img.ndim in (2, 3)
+    assert np.all((img >= 0.0) & (img <= 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_FUZZ_FILES)), _edits, _cut, st.binary(max_size=8))
+def test_read_image_of_mutated_bytes_raises_only_image_io_error(
+        tmp_path_factory, name, edits, cut, extra):
+    _read_fuzzed(tmp_path_factory, _mutate(_FUZZ_FILES[name], edits, cut, extra))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_FUZZ_PNGS)), st.sampled_from([0, 1, 2]),
+       st.booleans(), _edits, _cut, st.binary(max_size=8))
+def test_read_image_of_mutated_png_payloads_raises_only_image_io_error(
+        tmp_path_factory, name, which, inflated, edits, cut, extra):
+    # the chunk CRCs are recomputed, so the mutation reaches the header
+    # checks, the inflater and the unfilter; `inflated` mutates the IDAT's
+    # scanlines (filter bytes included) and compresses them again
+    chunks = list(_FUZZ_PNGS[name])
+    ctype, payload = chunks[which]
+    if inflated and ctype == b"IDAT":
+        payload = zlib.compress(_mutate(zlib.decompress(payload), edits, cut, extra))
+    else:
+        payload = _mutate(payload, edits, cut, extra)
+    chunks[which] = (ctype, payload)
+    _read_fuzzed(tmp_path_factory, _png_bytes(chunks))

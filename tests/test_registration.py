@@ -1,4 +1,5 @@
 import itertools
+import zlib
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from crossband import registration
 from crossband.descriptor import EdgeDescriptor, build_descriptors
 from crossband.edges import EdgeMap, canny
 from crossband.errors import DegenerateFitError, RegistrationError
-from crossband.evaluation import SimulationSpec, simulate_pair, synthetic_texture
+from crossband.evaluation import (SimulationSpec, simulate_pair, synthetic_texture,
+                                  translation_error)
 from crossband.features import HarrisConfig, detect_corners, harris_score_map
 from crossband.registration import (Match, RansacConfig, _fit_points,
                                     _inliers, _minimal_samples, _within,
@@ -461,6 +463,115 @@ def test_ransac_support_is_the_residual_count(kind, samples):
     assert support == np.count_nonzero(residuals_oracle(t.m, src, dst) <= 2.0)
 
 
+def _drawn_chunks(seed, n, k, sizes):
+    """A generator seeded like ransac_once's after it draws these chunks."""
+    rng = np.random.default_rng(seed)
+    for size in sizes:
+        _minimal_samples(n, k, size, rng)
+    return rng.bit_generator.state
+
+
+def _mostly_outliers(kind, n, seed, inlier_share=0.1):
+    """n matches, the first inlier_share of them on a planted transform."""
+    matches, src, dst = _planted_matches(kind, n, seed)
+    rng = np.random.default_rng(seed + 1)
+    n_in = int(inlier_share * n)
+    dst[n_in:] = rng.uniform(0, 400, size=(n - n_in, 2))
+    return matches, src, dst
+
+
+@pytest.mark.parametrize("kind", [TransformKind.SIMILARITY, TransformKind.AFFINE])
+def test_ransac_stops_after_one_chunk_when_every_match_agrees(kind):
+    # C(60, k) > 1000 subsets, so the round draws; the first chunk's winner
+    # holds every match, so w = 1 and no second chunk is drawn
+    truth = AffineTransform(np.array([[1.03, -0.05, 6.0], [0.05, 1.03, -4.0]]))
+    src = np.random.default_rng(13).uniform(0, 400, size=(60, 2))
+    matches = [Match(i, i, 1.0) for i in range(60)]
+    cfg = RansacConfig(model=kind, samples_per_iter=1000)
+    rng = np.random.default_rng(3)
+    t, support = ransac_once(matches, src, truth.apply(src), cfg, 2.0, rng)
+    assert support == 60
+    assert rng.bit_generator.state == _drawn_chunks(
+        3, 60, kind.min_matches, [registration._SAMPLE_CHUNK])
+
+
+@pytest.mark.parametrize("kind", [TransformKind.SIMILARITY, TransformKind.AFFINE])
+def test_ransac_draws_the_cap_at_a_low_inlier_ratio(kind):
+    # 5% inliers: 0.05**k is so small that the stopping rule asks for more
+    # than samples_per_iter subsets, so every chunk up to the cap is drawn
+    matches, src, dst = _mostly_outliers(kind, 300, seed=14, inlier_share=0.05)
+    cfg = RansacConfig(model=kind, samples_per_iter=1000)
+    rng = np.random.default_rng(4)
+    ransac_once(matches, src, dst, cfg, 2.0, rng)
+    assert rng.bit_generator.state == _drawn_chunks(
+        4, 300, kind.min_matches, [registration._SAMPLE_CHUNK] * 10)
+
+
+@pytest.mark.parametrize("share", [0.05, 1.0])
+def test_ransac_draws_exactly_a_cap_below_one_chunk(share):
+    kind = TransformKind.AFFINE
+    matches, src, dst = _mostly_outliers(kind, 100, seed=15, inlier_share=share)
+    cfg = RansacConfig(model=kind, samples_per_iter=40)
+    rng = np.random.default_rng(5)
+    ransac_once(matches, src, dst, cfg, 2.0, rng)
+    assert rng.bit_generator.state == _drawn_chunks(5, 100, 3, [40])
+
+
+@pytest.mark.parametrize("kind", [TransformKind.SIMILARITY, TransformKind.AFFINE])
+@pytest.mark.parametrize("share", [0.05, 0.3, 0.7])
+def test_ransac_drawn_rounds_are_bit_identical(kind, share):
+    matches, src, dst = _mostly_outliers(kind, 200, seed=16, inlier_share=share)
+    cfg = RansacConfig(model=kind, samples_per_iter=1000)
+    runs = []
+    for _ in range(2):
+        rng = np.random.default_rng(6)
+        t, support = ransac_once(matches, src, dst, cfg, 2.0, rng)
+        runs.append((t.m.tobytes(), support, rng.bit_generator.state))
+    assert runs[0] == runs[1]
+
+
+def test_ransac_support_counts_distinct_destinations():
+    # 15 matches on a similarity, and 40 more from scattered sources onto
+    # two destination corners 1 px apart. A fit of one such match onto each
+    # corner has a scale below 0.01 and sends the sources into a few pixels
+    # about both: most of the 40 are its inliers, but on only 2 distinct
+    # corners, against the true transform's 15.
+    rng = np.random.default_rng(12)
+    truth = AffineTransform.similarity(1.02, 0.03, 6.0, -4.0)
+    n_true, n_pile = 15, 40
+    src = rng.uniform(0, 400, size=(n_true + n_pile, 2))
+    dst = np.vstack([truth.apply(src[:n_true]), [[200.0, 200.0], [201.0, 200.0]]])
+    matches = ([Match(i, i, 1.0) for i in range(n_true)]
+               + [Match(n_true + j, n_true + j % 2, 1.0) for j in range(n_pile)])
+    # the pile match onto each corner whose sources lie furthest apart
+    src_m = src[[m.src_index for m in matches]]
+    dst_m = dst[[m.dst_index for m in matches]]
+    onto = [range(n_true + c, n_true + n_pile, 2) for c in (0, 1)]
+    a, b = max(itertools.product(*onto),
+               key=lambda ab: np.hypot(*(src_m[ab[0]] - src_m[ab[1]])))
+    collapse = fit_least_squares([matches[a], matches[b]], src, dst,
+                                 TransformKind.SIMILARITY)
+    assert collapse.scale() < 0.01
+    # counted by matches, the collapse would win
+    assert np.count_nonzero(residuals_oracle(collapse.m, src_m, dst_m) <= 5.0) > 2 * n_true
+
+    # every one of the C(55, 2) subsets is fitted, the collapse included
+    cfg = RansacConfig(model=TransformKind.SIMILARITY, samples_per_iter=2000)
+    t, support = ransac_once(matches, src, dst, cfg, consensus_dist=5.0)
+    assert np.allclose(t.m, truth.m, atol=1e-9)
+    assert support == n_true
+
+
+def test_ransac_degenerate_error_counts_every_sample_tried():
+    # every match shares one source position: each drawn pair is degenerate
+    src = np.full((40, 2), 5.0)
+    dst = np.random.default_rng(17).uniform(0, 100, size=(40, 2))
+    matches = [Match(i, i, 1.0) for i in range(40)]
+    cfg = RansacConfig(model=TransformKind.SIMILARITY, samples_per_iter=250)
+    with pytest.raises(RegistrationError, match="all 250 sampled"):
+        ransac_once(matches, src, dst, cfg, 2.0)
+
+
 def _near(r):
     """Values at, and one ulp either side of, +-r: the circle's crossings of
     the axes (one ulp beyond the largest double is inf)."""
@@ -638,9 +749,9 @@ def test_register_equals_oracle_front_end(model, monkeypatch):
     cfg = RansacConfig(model=model)
     fast = register(v, ir, cfg=cfg)
 
-    monkeypatch.setattr(registration, "canny",
+    monkeypatch.setattr(registration, "_canny",
                         lambda img, c: EdgeMap(*canny_oracle(img, c), 16))
-    monkeypatch.setattr(registration, "detect_corners", detect_corners_oracle)
+    monkeypatch.setattr(registration, "_detect_corners", detect_corners_oracle)
     monkeypatch.setattr(registration, "score_matrix", score_matrix_oracle)
     monkeypatch.setattr(registration, "_gate", gate_oracle)
     monkeypatch.setattr(registration, "_inliers", inliers_oracle)
@@ -678,6 +789,56 @@ def test_register_rejects_non_finite_pixels(band):
     images[band][40, 50] = np.inf
     with pytest.raises(ValueError, match=f"{band} image has 1 non-finite"):
         register(images["visible"], images["infrared"])
+
+
+def test_register_checks_each_band_finite_once(monkeypatch):
+    from crossband import edges, features
+    calls = []
+
+    def counting(module):
+        check = module.require_finite
+
+        def counted(img, name):
+            calls.append((module.__name__, name))
+            return check(img, name)
+        return counted
+
+    for module in (registration, features, edges):
+        monkeypatch.setattr(module, "require_finite", counting(module))
+    v, ir = _planted_pair()
+    register(v, ir)
+    assert calls == [("crossband.registration", "visible"),
+                     ("crossband.registration", "infrared")]
+
+
+def _register_scaled_input(seed, op):
+    """The benchmark's register-scaled input number `op` for `seed`: a
+    640x480 texture, a similarity planted about the frame centre, and an
+    invert+gamma pair; even ops use the similarity model, odd ops affine."""
+    rng = np.random.default_rng([seed, zlib.crc32(b"register-scaled"), op])
+    base = synthetic_texture(640, 480, seed=int(rng.integers(1 << 31)))
+    scale, angle = rng.uniform(0.9, 1.1), np.deg2rad(rng.uniform(-2.0, 2.0))
+    shift = rng.uniform(-10.0, 10.0, size=2)
+    lin = scale * np.array([[np.cos(angle), -np.sin(angle)],
+                            [np.sin(angle), np.cos(angle)]])
+    centre = np.array([639 / 2.0, 479 / 2.0])
+    t = centre + shift - lin @ centre
+    t_true = AffineTransform.similarity(float(lin[0, 0]), float(lin[1, 0]),
+                                        float(t[0]), float(t[1]))
+    spec = SimulationSpec(modality="invert+gamma", gamma=2.2, noise_sigma=0.02)
+    v, ir, t_eff = simulate_pair(base, t_true, spec, rng)
+    model = (TransformKind.SIMILARITY, TransformKind.AFFINE)[op % 2]
+    return v, ir, t_eff, t_true.scale(), model
+
+
+@pytest.mark.parametrize("op", [31, 36])
+def test_register_scaled_seed_46_lands_within_criterion_2(op):
+    # op 36 once collapsed onto two infrared corners (scale 0.017), and op 31
+    # locked onto a wrong anisotropic fit after a round-1 winner of support 7
+    v, ir, t_eff, scale, model = _register_scaled_input(46, op)
+    result = register(v, ir, cfg=RansacConfig(model=model), polarity="both")
+    assert translation_error(result.transform, t_eff) <= 2.0
+    assert abs(result.transform.scale() - scale) <= 0.01
 
 
 def test_register_finite_input_overflowing_harris_names_the_input():
