@@ -298,9 +298,12 @@ def _minimal_samples(n: int, k: int, count: int,
 def _destination_groups(matches: list[Match]) -> sparse.csr_array:
     """The (destinations, matches) 0/1 matrix that sends each match to its
     destination corner."""
-    _, corner = np.unique([m.dst_index for m in matches], return_inverse=True)
     n = len(matches)
-    return sparse.csr_array((np.ones(n, dtype=np.int32), (corner, np.arange(n))))
+    dst_index = np.fromiter((m.dst_index for m in matches), dtype=np.intp, count=n)
+    order = np.argsort(dst_index, kind="stable")
+    indptr = np.append(np.flatnonzero(np.diff(dst_index[order], prepend=-1)), n)
+    return sparse.csr_array((np.ones(n, dtype=np.int32), order, indptr),
+                            shape=(len(indptr) - 1, n))
 
 
 def _distinct(mask: np.ndarray, groups: sparse.csr_array):
@@ -368,14 +371,16 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
         tried += len(samples)
         hypotheses, usable = _fit_points(src[samples], dst[samples], cfg.model)
         hypotheses = hypotheses[usable]
-        if len(hypotheses):
-            support = np.concatenate([
-                _distinct(_inliers(hypotheses[i:i + per_block], src, dst,
-                                   consensus_dist), groups)
-                for i in range(0, len(hypotheses), per_block)])
-            i = int(np.argmax(support))
-            if support[i] > best_support:
-                best_support, best_t = int(support[i]), hypotheses[i]
+        for i in range(0, len(hypotheses), per_block):
+            mask = _inliers(hypotheses[i:i + per_block], src, dst, consensus_dist)
+            # support is at most the inlier count, so only the rows whose
+            # count beats the best support so far can win
+            rows = np.flatnonzero(np.count_nonzero(mask, axis=1) > best_support)
+            if len(rows):
+                support = _distinct(mask[rows], groups)
+                j = int(np.argmax(support))
+                if support[j] > best_support:
+                    best_support, best_t = int(support[j]), hypotheses[i + rows[j]]
         limit = tried if exhaustive else min(
             cap, _samples_needed(max(best_support, 0) / n, sample_size))
     if best_t is None:
