@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .image import (MAX_SIGMA, NORM_SQ_MAX, NORM_SQ_MIN, NORM_TOL, _banded,
-                    _blur_rows, _gradient_rows, as_gray, gaussian_kernel,
-                    require_finite)
+from .image import (MAX_SIGMA, _banded, _blur_rows, _gradient_rows,
+                    _magnitudes, as_gray, gaussian_kernel, require_finite)
 
 DEFAULT_DIRECTION_BINS = 16
 
@@ -100,15 +99,8 @@ def canny(img, cfg: CannyConfig | None = None,
     against the negative one, so plateau ridges thin to one pixel), then
     double-threshold hysteresis over 8-connected components.
 
-    The edges are those of the np.hypot(ix, iy) magnitudes, bit for bit,
-    but most magnitudes are taken as sqrt(ix*ix + iy*iy), within a relative
-    2**-50 of np.hypot's (see image.NORM_TOL). np.hypot is computed only
-    where the two could decide a comparison differently: where ix*ix +
-    iy*iy lies outside [NORM_SQ_MIN, NORM_SQ_MAX], in a band where two
-    compared neighbours lie within a relative NORM_TOL of each other, for
-    the values within NORM_TOL of each band's largest, and for kept pixels
-    within NORM_TOL of either threshold, from the gradients that each band
-    stores with its kept pixels.
+    The magnitudes are image._magnitudes(ix, iy), sqrt(ix*ix + iy*iy)
+    wherever that square neither overflows nor underflows.
     """
     if cfg is None:
         cfg = CannyConfig()
@@ -138,17 +130,13 @@ def _canny(arr: np.ndarray, cfg: CannyConfig,
         # cut, the row beyond is in ix and iy
         padded = np.pad(_magnitudes(ix, iy), 1, mode="constant")
         m = padded[1:-1, 1:-1][rows]
-        # the band's largest magnitude is among the values within NORM_TOL
-        # of its largest value (all of them when one is NaN, as np.max is)
-        near = ~(m < m.max() * (1 - NORM_TOL))
-        maxima.append(np.hypot(ix[rows][near], iy[rows][near]).max())
+        maxima.append(m.max())
         directions[y0:y1] = _angle_bins(angle, n_bins)
         # angle mod pi as np.mod gives it, except that pi stays pi: sector 0 too
         axis = angle + np.pi * (angle < 0.0)
         sector = np.floor((axis + np.pi / 8) / (np.pi / 4)).astype(np.uint8) & 3
-        at = np.flatnonzero(_suppress(padded, y0 - a + 1, sector, ix, iy))
-        found.append((at + y0 * w, m.ravel().take(at),
-                      ix[rows].ravel().take(at), iy[rows].ravel().take(at)))
+        at = np.flatnonzero(_suppress(padded, y0 - a + 1, sector))
+        found.append((at + y0 * w, m.ravel().take(at)))
 
     maxima, found = [], []
     _banded(band, h)
@@ -158,10 +146,7 @@ def _canny(arr: np.ndarray, cfg: CannyConfig,
     weak = np.zeros(h * w, dtype=bool)
     strong = []
     while found:  # a band's kept pixels are dropped once thresholded
-        kept, values, kx, ky = found.pop()
-        low, high = values * (1 - NORM_TOL), values * (1 + NORM_TOL)
-        near = ((low < t_low) & (high >= t_low)) | ((low < t_high) & (high >= t_high))
-        values[near] = np.hypot(kx[near], ky[near])
+        kept, values = found.pop()
         weak[kept[values >= t_low]] = True
         strong.append(kept[values >= t_high])
     labels, n_labels = ndimage.label(weak.reshape(h, w),
@@ -172,41 +157,14 @@ def _canny(arr: np.ndarray, cfg: CannyConfig,
     return EdgeMap(reaches_strong.take(labels), directions, n_bins)
 
 
-def _magnitudes(ix, iy):
-    """sqrt(ix*ix + iy*iy), with np.hypot wherever the square lies outside
-    [NORM_SQ_MIN, NORM_SQ_MAX]: within a relative 2**-50 of np.hypot(ix,
-    iy) everywhere, and equal to it outside that range."""
-    with np.errstate(over="ignore"):
-        q = ix * ix
-        q += iy * iy
-    mag = np.sqrt(q)
-    np.hypot(ix, iy, out=mag, where=~((q >= NORM_SQ_MIN) & (q <= NORM_SQ_MAX)))
-    return mag
-
-
-def _suppress(padded, top, sector, ix, iy):
+def _suppress(padded, top, sector):
     """Suppression mask of the rows of `padded` from `top` on, one per row of
-    `sector`: >= the neighbour at +step, > the one at -step.
-
-    `padded` holds `_magnitudes(ix, iy)` in a ring of zeros. A pixel is
-    decided on those values unless its magnitude lies within a relative
-    NORM_TOL of a neighbour's; then on np.hypot of the three, taken for the
-    whole band at once (ties are rare in a textured image and common in a
-    flat or quantized one).
-    """
+    `sector`: >= the neighbour at +step, > the one at -step. `padded` holds
+    the magnitudes in a ring of zeros."""
     n, w = sector.shape
     stride = w + 2
     at = np.arange(top, top + n)[:, None] * stride + np.arange(1, w + 1)
     step = np.array([dy * stride + dx for dy, dx in _SECTOR_STEPS]).take(sector)
     flat = padded.ravel()
-    n1, n2 = flat.take(at + step), flat.take(at - step)
     m = padded[top:top + n, 1:-1]
-    low, high = m * (1 - NORM_TOL), m * (1 + NORM_TOL)
-    keep = (low >= n1) & (low > n2)
-    close = np.flatnonzero(((high >= n1) & (high > n2)) & ~keep)
-    if close.size:
-        exact = np.pad(np.hypot(ix, iy), 1).ravel()
-        at, step = at.ravel()[close], step.ravel()[close]
-        me = exact.take(at)
-        keep.ravel()[close] = (me >= exact.take(at + step)) & (me > exact.take(at - step))
-    return keep
+    return (m >= flat.take(at + step)) & (m > flat.take(at - step))

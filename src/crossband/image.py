@@ -19,18 +19,9 @@ LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 # largest Gaussian sigma: a 601-tap kernel, reading 300 rows beyond a band
 MAX_SIGMA = 100.0
 
-# Norms as np.sqrt(x*x + y*y) in place of np.hypot(x, y), which costs about
-# ten times as much. Where q = x*x + y*y lies in [NORM_SQ_MIN, NORM_SQ_MAX],
-# no square overflows and an underflowed one is negligible against q; there
-# sqrt(q) is within about 1.1 ulp of the exact norm and np.hypot within
-# about 0.55 ulp (measured on 1e5 random pairs against 50-digit decimals),
-# so the two lie within a relative 2**-50 of each other. They still differ
-# in the last bit on about a sixth of pairs, so wherever a comparison's
-# operands lie within a relative NORM_TOL of each other, or q is outside the
-# range, np.hypot decides it. NORM_TOL leaves a 2**10 margin.
+# outside [NORM_SQ_MIN, NORM_SQ_MAX], x*x + y*y may overflow or underflow
 NORM_SQ_MIN = 2.0 ** -960
 NORM_SQ_MAX = 2.0 ** 960
-NORM_TOL = 2.0 ** -40
 
 
 def as_gray(img) -> np.ndarray:
@@ -74,6 +65,20 @@ def _banded(stage, height: int) -> None:
     """
     for y0 in range(0, height, _BAND_ROWS):
         stage(y0, min(y0 + _BAND_ROWS, height))
+
+
+def _magnitudes(x, y):
+    """The library's norm of (x, y), for any shapes that broadcast:
+    sqrt(x*x + y*y), or np.hypot(x, y) where that square lies outside
+    [NORM_SQ_MIN, NORM_SQ_MAX]. Gradient magnitudes and point distances
+    are both this value."""
+    with np.errstate(over="ignore"):
+        q = x * x + y * y
+    mag = np.sqrt(q)
+    # a masked np.hypot costs a pass even when it masks every value out
+    if q.size and not (q.min() >= NORM_SQ_MIN and q.max() <= NORM_SQ_MAX):
+        np.hypot(x, y, out=mag, where=~((q >= NORM_SQ_MIN) & (q <= NORM_SQ_MAX)))
+    return mag
 
 
 def replicate3(gray) -> np.ndarray:

@@ -22,7 +22,7 @@ from .descriptor import EdgeDescriptor, MatchingConfig, score_matrix
 from .edges import CannyConfig, _canny
 from .errors import DegenerateFitError, RegistrationError
 from .features import HarrisConfig, _detect_corners, _harris_score_map
-from .image import NORM_SQ_MAX, NORM_SQ_MIN, NORM_TOL, as_gray, require_finite
+from .image import _magnitudes, as_gray, require_finite
 from .transform import AffineTransform, TransformKind, project
 from . import descriptor as _descriptor
 
@@ -109,12 +109,8 @@ def match_all(src_descriptors: list[EdgeDescriptor],
 def _best_matches(scores: np.ndarray, src_positions: np.ndarray,
                   dst_positions: np.ndarray,
                   gate: tuple[AffineTransform, float] | None) -> list[Match]:
-    """match_all on a precomputed (n_src, n_dst) score matrix.
-
-    A gate zeroes the scores that `_gate` rules out; the hypot of a pair is
-    computed only where its squared distance is within a relative 2**-40 of
-    max_distance**2.
-    """
+    """match_all on a precomputed (n_src, n_dst) score matrix; a gate
+    zeroes the scores that `_gate` rules out."""
     if gate is not None:
         scores = _gate(scores, src_positions, dst_positions, *gate)
     best = np.argmax(scores, axis=1)
@@ -128,47 +124,24 @@ def _best_matches(scores: np.ndarray, src_positions: np.ndarray,
 def _gate(scores: np.ndarray, src_positions: np.ndarray,
           dst_positions: np.ndarray, t: AffineTransform,
           max_dist: float) -> np.ndarray:
-    """scores where hypot(t(src) - dst) <= max_dist, else 0."""
+    """scores where the distance from t(src) to dst is at most max_dist,
+    else 0; distances are image._magnitudes of the offsets."""
     projected = t.apply(src_positions)
-    near = _within(projected[:, None, 0] - dst_positions[None, :, 0],
-                   projected[:, None, 1] - dst_positions[None, :, 1], max_dist)
-    return np.where(near, scores, 0.0)
-
-
-def _within(dx: np.ndarray, dy: np.ndarray, r: float) -> np.ndarray:
-    """np.hypot(dx, dy) <= r, for any shapes that broadcast, with np.hypot
-    taken only where q = dx*dx + dy*dy lies within a relative NORM_TOL of
-    r*r.
-
-    Exact: for r*r in [NORM_SQ_MIN, NORM_SQ_MAX], q is off the exact squared
-    norm by a relative 2**-51 plus at most 2**-1073 from underflowed
-    squares, or overflows only far above r*r, so q < r*r*(1 - NORM_TOL)
-    puts np.hypot below r and q > r*r*(1 + NORM_TOL) puts it above. For any
-    other r the band holds every pair. NaN offsets fail both forms.
-    """
-    with np.errstate(over="ignore"):
-        r2 = r * r
-        q = dx * dx + dy * dy
-    lo, hi = ((r2 * (1 - NORM_TOL), r2 * (1 + NORM_TOL))
-              if r > 0 and NORM_SQ_MIN <= r2 <= NORM_SQ_MAX else (0.0, np.inf))
-    inside = q < lo
-    band = (q <= hi) ^ inside
-    shape = band.shape
-    inside[band] = np.hypot(np.broadcast_to(dx, shape)[band],
-                            np.broadcast_to(dy, shape)[band]) <= r
-    return inside
+    dist = _magnitudes(projected[:, None, 0] - dst_positions[None, :, 0],
+                       projected[:, None, 1] - dst_positions[None, :, 1])
+    return np.where(dist <= max_dist, scores, 0.0)
 
 
 def _inliers(m: np.ndarray, src: np.ndarray, dst: np.ndarray,
              r: float) -> np.ndarray:
-    """hypot(m(src) - dst) <= r, through `_within`.
+    """_magnitudes(m(src) - dst) <= r.
 
     `m` is one 2x3 matrix, giving shape (n,), or a stack (b, 2, 3), giving
     (b, n). A matrix gets the same mask alone or inside a stack, and the
     points the same projections as from `AffineTransform.apply`.
     """
     x, y = project(m, src)
-    return _within(x - dst[:, 0], y - dst[:, 1], r)
+    return _magnitudes(x - dst[:, 0], y - dst[:, 1]) <= r
 
 
 def _match_arrays(matches, src_positions, dst_positions):

@@ -134,16 +134,26 @@ def residual(t, match, src_positions, dst_positions):
     return float(np.hypot(p[0] - q[0], p[1] - q[1]))
 
 
+def norm_oracle(x, y):
+    """The norm of (x, y), elementwise over arrays that broadcast:
+    sqrt(q) with q = x**2 + y**2 where q lies in [2**-960, 2**960], where it
+    neither overflows nor underflows, and np.hypot(x, y) elsewhere (a NaN q
+    included)."""
+    with np.errstate(over="ignore"):
+        q = np.square(x) + np.square(y)
+        exact = np.hypot(x, y)
+    return np.where((q >= 2.0 ** -960) & (q <= 2.0 ** 960), np.sqrt(q), exact)
+
+
 def residuals_oracle(m, src, dst):
     """Distances between the transformed source points and their partners.
 
     `m` is one 2x3 matrix, giving shape (n,), or a stack (b, 2, 3), giving
-    (b, n): the hypot of every residual, the test that
-    registration._inliers takes only inside the radius box.
+    (b, n): the norm_oracle of every residual.
     """
     from crossband.transform import project
     x, y = project(m, src)
-    return np.hypot(x - dst[:, 0], y - dst[:, 1])
+    return norm_oracle(x - dst[:, 0], y - dst[:, 1])
 
 
 def normalize_oracle(points):
@@ -275,9 +285,9 @@ def canny_oracle(img, cfg=None, n_bins=16):
     """Canny with `np.mgrid` neighbour gathers and `np.isin` hysteresis.
 
     Returns (edges, directions) as uint8 rasters: blur, Sobel gradients,
-    full-circle direction bins, suppression against the two 8-neighbours
-    along the gradient axis (>= the positive-offset one, > the negative
-    one), then 8-connected hysteresis.
+    norm_oracle magnitudes, full-circle direction bins, suppression against
+    the two 8-neighbours along the gradient axis (>= the positive-offset
+    one, > the negative one), then 8-connected hysteresis.
     """
     from crossband.edges import CannyConfig
     if cfg is None:
@@ -285,7 +295,7 @@ def canny_oracle(img, cfg=None, n_bins=16):
     arr = np.asarray(img, dtype=np.float64)
     h, w = arr.shape
     ix, iy = gradients_oracle(gaussian_blur_oracle(arr, cfg.blur_sigma))
-    mag = np.hypot(ix, iy)
+    mag = norm_oracle(ix, iy)
     full = np.mod(np.arctan2(iy, ix) + 2.0 * np.pi, 2.0 * np.pi)
     directions = (np.floor(full / (2.0 * np.pi / n_bins)).astype(np.int64)
                   % n_bins).astype(np.uint8)
@@ -357,15 +367,16 @@ def detect_corners_oracle(score, cfg=None):
 
 
 def gate_oracle(scores, src_positions, dst_positions, t, max_dist):
-    """registration._gate with a hypot for every (source, candidate) pair."""
+    """registration._gate with a norm_oracle for every (source, candidate)
+    pair."""
     projected = t.apply(src_positions)
-    dist = np.hypot(projected[:, None, 0] - dst_positions[None, :, 0],
-                    projected[:, None, 1] - dst_positions[None, :, 1])
+    dist = norm_oracle(projected[:, None, 0] - dst_positions[None, :, 0],
+                       projected[:, None, 1] - dst_positions[None, :, 1])
     return np.where(dist <= max_dist, scores, 0.0)
 
 
 def inliers_oracle(m, src, dst, r):
-    """registration._inliers with a hypot for every match."""
+    """registration._inliers with a norm_oracle for every match."""
     return residuals_oracle(m, src, dst) <= r
 
 

@@ -8,7 +8,7 @@ from scipy import ndimage
 from crossband.edges import (CannyConfig, EdgeMap, _angle_bins, canny,
                              quantize_direction)
 from crossband.evaluation import synthetic_texture
-from crossband.image import gaussian_blur, gradients
+from crossband.image import _magnitudes, gaussian_blur, gradients
 
 from helpers import canny_oracle, row_bands
 
@@ -156,7 +156,7 @@ def test_canny_hysteresis_invariant():
     cfg = CannyConfig()
     out = canny(img, cfg)
     ix, iy = gradients(gaussian_blur(img, cfg.blur_sigma))
-    mag = np.hypot(ix, iy)
+    mag = _magnitudes(ix, iy)
     edges = out.edges.astype(bool)
     assert np.all(mag[edges] >= cfg.low_ratio * mag.max() - 1e-12)
     # every edge component carries at least one strong pixel
@@ -178,8 +178,9 @@ def test_canny_memory_is_rasters_plus_a_few_bands():
         finally:
             tracemalloc.stop()
     # the two uint8 outputs, the int32 labels and the bands; the kept
-    # pixels' magnitudes and gradients are a few bands more
-    assert peak <= out.edges.nbytes + out.directions.nbytes + 4 * img.size + 14 * band
+    # pixels' indices and magnitudes are a few bands more (9.3 bands in all
+    # with numpy 2 on x86-64)
+    assert peak <= out.edges.nbytes + out.directions.nbytes + 4 * img.size + 11 * band
 
 
 def test_canny_directions_defined_everywhere():

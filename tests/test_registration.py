@@ -12,15 +12,16 @@ from crossband.errors import DegenerateFitError, RegistrationError
 from crossband.evaluation import (SimulationSpec, simulate_pair, synthetic_texture,
                                   translation_error)
 from crossband.features import HarrisConfig, detect_corners, harris_score_map
+from crossband.image import _magnitudes
 from crossband.registration import (Match, RansacConfig, _fit_points,
-                                    _inliers, _minimal_samples, _within,
+                                    _inliers, _minimal_samples,
                                     fit_least_squares, match_all, positions_of,
                                     ransac_once, register)
 from crossband.transform import AffineTransform, TransformKind
 
 from helpers import (canny_oracle, design_matrix_oracle, detect_corners_oracle,
                      fit_sample_oracle, gate_oracle, inliers_oracle,
-                     normalize_oracle, random_descriptor, residual,
+                     norm_oracle, normalize_oracle, random_descriptor, residual,
                      residuals_oracle, row_bands, score_matrix_oracle)
 
 
@@ -610,12 +611,32 @@ def _offsets(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(_offsets())
-def test_within_equals_hypot_compare(case):
+def test_distance_test_equals_norm_oracle(case):
     dx, dy, r = case
+    n = len(dx)
+    # matrix b of the stack sends the origin to (dx[b], 0), and match j's
+    # partner is (0, -dy[j]), so the inlier test sees the offset (dx[b], dy[j])
+    stack = np.tile(np.eye(2, 3), (n, 1, 1))
+    stack[:, 0, 2] = dx
+    dst = np.column_stack([np.zeros(n), -dy])
     with np.errstate(over="ignore"):  # hypot of two huge finite offsets
-        assert np.array_equal(_within(dx, dy, r), np.hypot(dx, dy) <= r)
-        assert np.array_equal(_within(dx[:, None], dy[None, :], r),
-                              np.hypot(dx[:, None], dy[None, :]) <= r)
+        for x, y in ((dx, dy), (dx[:, None], dy[None, :])):
+            assert _magnitudes(x, y).tobytes() == norm_oracle(x, y).tobytes()
+        assert np.array_equal(_inliers(stack, np.zeros((n, 2)), dst, r),
+                              norm_oracle(dx[:, None], dy[None, :]) <= r)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_offsets())
+def test_magnitudes_within_2_to_minus_50_of_hypot(case):
+    dx, dy, _ = case
+    x, y = dx[:, None], dy[None, :]
+    with np.errstate(over="ignore"):
+        mag, exact = _magnitudes(x, y), np.hypot(x, y)
+        q = x * x + y * y
+    inside = (q >= 2.0 ** -960) & (q <= 2.0 ** 960)
+    assert np.array_equal(mag[~inside], exact[~inside], equal_nan=True)
+    assert np.all(np.abs(mag[inside] - exact[inside]) <= 2.0 ** -50 * exact[inside])
 
 
 def test_inliers_of_a_stack_equal_each_matrix_alone():
