@@ -19,6 +19,7 @@ from .image import require_finite
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 MAX_PNG_PIXELS = 1 << 25  # larger IHDR dimensions are rejected before inflating
 MAX_PNG_SIDES = 1 << 16  # so is a larger w + h: _unfilter takes w + h - 1 steps
+_MAX_PNM_DIGITS = 10  # a longer PNM header field is rejected before int()
 
 
 def read_image(path) -> np.ndarray:
@@ -294,6 +295,10 @@ def _pnm_header_fields(path, data: bytes):
             end = pos
             while end < len(data) and data[end:end + 1].isdigit():
                 end += 1
+                if end - pos > _MAX_PNM_DIGITS:
+                    name = ("width", "height", "maxval")[len(fields)]
+                    raise ImageIOError(
+                        path, f"PNM {name} has more than {_MAX_PNM_DIGITS} digits")
             fields.append(int(data[pos:end]))
             pos = end
         else:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .descriptor import EdgeDescriptor, MatchingConfig, score_matrix
 from .edges import CannyConfig, _canny
@@ -93,13 +92,16 @@ def match_all(src_descriptors: list[EdgeDescriptor],
               dst_descriptors: list[EdgeDescriptor],
               gate: tuple[AffineTransform, float] | None = None,
               polarity: str = "direct") -> list[Match]:
-    """Best destination candidate for every source descriptor.
+    """One-to-one matches: the source and destination descriptors that are
+    each other's best candidate.
 
     An optional gate (transform, max_distance) admits only candidates whose
     position lies within max_distance of the source's transformed position.
-    Sources whose candidates are all gated out or all score zero produce no
-    match; ties go to the smallest destination index. The result is sorted
-    by descending score (ties by source index).
+    A source is matched to its best admitted destination only when that
+    destination's best admitted source is this source and their score is
+    above zero; ties go to the smallest index on both sides. So no two
+    matches share a source or a destination. The result is sorted by
+    descending score (ties by source index).
     """
     scores = score_matrix(src_descriptors, dst_descriptors, polarity)
     return _best_matches(scores, positions_of(src_descriptors),
@@ -110,13 +112,16 @@ def _best_matches(scores: np.ndarray, src_positions: np.ndarray,
                   dst_positions: np.ndarray,
                   gate: tuple[AffineTransform, float] | None) -> list[Match]:
     """match_all on a precomputed (n_src, n_dst) score matrix; a gate
-    zeroes the scores that `_gate` rules out."""
+    zeroes the scores that `_gate` rules out. A pair is kept when it is
+    the first maximum of its row and of its column, and above zero."""
     if gate is not None:
         scores = _gate(scores, src_positions, dst_positions, *gate)
+    rows = np.arange(len(scores))
     best = np.argmax(scores, axis=1)
-    top = scores[np.arange(len(scores)), best]
+    top = scores[rows, best]
+    mutual = np.argmax(scores, axis=0)[best] == rows
     matches = [Match(int(p), int(best[p]), float(top[p]))
-               for p in np.flatnonzero(top > 0.0)]
+               for p in np.flatnonzero(mutual & (top > 0.0))]
     matches.sort(key=lambda m: (-m.score, m.src_index, m.dst_index))
     return matches
 
@@ -268,23 +273,6 @@ def _minimal_samples(n: int, k: int, count: int,
     return samples
 
 
-def _destination_groups(matches: list[Match]) -> sparse.csr_array:
-    """The (destinations, matches) 0/1 matrix that sends each match to its
-    destination corner."""
-    n = len(matches)
-    dst_index = np.fromiter((m.dst_index for m in matches), dtype=np.intp, count=n)
-    order = np.argsort(dst_index, kind="stable")
-    indptr = np.append(np.flatnonzero(np.diff(dst_index[order], prepend=-1)), n)
-    return sparse.csr_array((np.ones(n, dtype=np.int32), order, indptr),
-                            shape=(len(indptr) - 1, n))
-
-
-def _distinct(mask: np.ndarray, groups: sparse.csr_array):
-    """Distinct destination corners among the inliers of each row of mask:
-    the corners whose count of inliers in the groups product is nonzero."""
-    return np.count_nonzero(groups @ mask.T.view(np.uint8), axis=0)
-
-
 def _samples_needed(w: float, k: int) -> float:
     """Samples of k matches that hold an all-inlier one with probability
     _CONFIDENCE when a fraction w of the matches are inliers: N = log(1 - p)
@@ -306,9 +294,10 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
     with the largest support, then refit on its full inlier set.
 
     A match is an inlier (`_inliers`) when its transformed source lies
-    within consensus_dist of its partner. Support is the number of distinct
-    destination corners among the inliers, so a near-singular transform that
-    sends many sources onto one popular corner counts that corner once.
+    within consensus_dist of its partner, and support is the number of
+    inlier matches. `match_all`'s matches are one-to-one, so a
+    near-singular transform that sends many sources onto one popular corner
+    finds at most one match there.
 
     The round fits every minimal subset when there are at most
     cfg.samples_per_iter of them, without drawing from `rng`. Otherwise it
@@ -320,7 +309,7 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
     winner's, so the returned transform's support is maximal over everything
     considered.
 
-    Returns the transform and its number of inliers.
+    Returns the transform and its support.
     """
     sample_size = cfg.model.min_matches
     if len(matches) < sample_size:
@@ -331,7 +320,6 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
         rng = np.random.default_rng(cfg.rng_seed)
     src, dst = _match_arrays(matches, src_positions, dst_positions)
     n = len(matches)
-    groups = _destination_groups(matches)
     per_block = max(1, _SCORE_BLOCK // n)
     cap = cfg.samples_per_iter
     exhaustive = math.comb(n, sample_size) <= cap
@@ -345,31 +333,27 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
         hypotheses, usable = _fit_points(src[samples], dst[samples], cfg.model)
         hypotheses = hypotheses[usable]
         for i in range(0, len(hypotheses), per_block):
-            mask = _inliers(hypotheses[i:i + per_block], src, dst, consensus_dist)
-            # support is at most the inlier count, so only the rows whose
-            # count beats the best support so far can win
-            rows = np.flatnonzero(np.count_nonzero(mask, axis=1) > best_support)
-            if len(rows):
-                support = _distinct(mask[rows], groups)
-                j = int(np.argmax(support))
-                if support[j] > best_support:
-                    best_support, best_t = int(support[j]), hypotheses[i + rows[j]]
+            support = np.count_nonzero(
+                _inliers(hypotheses[i:i + per_block], src, dst, consensus_dist),
+                axis=1)
+            j = int(np.argmax(support))
+            if support[j] > best_support:
+                best_support, best_t = int(support[j]), hypotheses[i + j]
         limit = tried if exhaustive else min(
             cap, _samples_needed(max(best_support, 0) / n, sample_size))
     if best_t is None:
         raise RegistrationError(
             f"all {tried} sampled match subsets were degenerate")
 
-    inlier_mask = _inliers(best_t, src, dst, consensus_dist)
-    if np.count_nonzero(inlier_mask) >= sample_size:
-        refit, ok = _fit_points(src[inlier_mask][None], dst[inlier_mask][None],
-                                cfg.model)
+    if best_support >= sample_size:
+        inliers = _inliers(best_t, src, dst, consensus_dist)
+        refit, ok = _fit_points(src[inliers][None], dst[inliers][None], cfg.model)
         if ok[0]:
-            refit_mask = _inliers(refit[0], src, dst, consensus_dist)
-            if _distinct(refit_mask, groups) >= best_support:
-                return (AffineTransform(refit[0], cfg.model),
-                        int(np.count_nonzero(refit_mask)))
-    return AffineTransform(best_t, cfg.model), int(np.count_nonzero(inlier_mask))
+            support = int(np.count_nonzero(
+                _inliers(refit[0], src, dst, consensus_dist)))
+            if support >= best_support:
+                return AffineTransform(refit[0], cfg.model), support
+    return AffineTransform(best_t, cfg.model), best_support
 
 
 def register(visible, infrared, harris_cfg: HarrisConfig | None = None,

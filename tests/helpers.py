@@ -375,6 +375,32 @@ def gate_oracle(scores, src_positions, dst_positions, t, max_dist):
     return np.where(dist <= max_dist, scores, 0.0)
 
 
+def best_matches_oracle(scores, src_positions, dst_positions, gate):
+    """registration._best_matches as plain loops: after gate_oracle, keep a
+    (source, destination) pair when the destination is the source's first
+    maximum, the source is the destination's first maximum, and their score
+    is above zero; sort by (-score, source, destination)."""
+    from crossband.registration import Match
+    if gate is not None:
+        scores = gate_oracle(scores, src_positions, dst_positions, *gate)
+
+    def first_max(values):
+        best = 0
+        for i, v in enumerate(values):
+            if v > values[best]:
+                best = i
+        return best
+    n_src, n_dst = scores.shape
+    row_best = [first_max([scores[p, q] for q in range(n_dst)])
+                for p in range(n_src)]
+    col_best = [first_max([scores[p, q] for p in range(n_src)])
+                for q in range(n_dst)]
+    matches = [Match(p, q, float(scores[p, q])) for p, q in enumerate(row_best)
+               if col_best[q] == p and scores[p, q] > 0.0]
+    matches.sort(key=lambda m: (-m.score, m.src_index, m.dst_index))
+    return matches
+
+
 def inliers_oracle(m, src, dst, r):
     """registration._inliers with a norm_oracle for every match."""
     return residuals_oracle(m, src, dst) <= r

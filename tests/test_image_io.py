@@ -258,6 +258,18 @@ def test_pnm_truncated_body(tmp_path):
         read_image(p)
 
 
+@pytest.mark.parametrize("field", range(3))
+def test_pnm_header_field_with_5000_digits(tmp_path, field):
+    # int() of a run this long raises a bare ValueError (its digit limit)
+    fields = [b"4", b"4", b"255"]
+    fields[field] = b"1" * 5000
+    p = tmp_path / "d.pgm"
+    p.write_bytes(b"P5\n" + b" ".join(fields) + b"\n\x00")
+    name = ("width", "height", "maxval")[field]
+    with pytest.raises(ImageIOError, match=f"PNM {name} has more than 10 digits"):
+        read_image(p)
+
+
 def _filter_forward(rows, bpp, ftypes):
     """Independent forward PNG filtering, to exercise the reader's inverse."""
     h, stride = rows.shape

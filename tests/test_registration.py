@@ -13,14 +13,14 @@ from crossband.evaluation import (SimulationSpec, simulate_pair, synthetic_textu
                                   translation_error)
 from crossband.features import HarrisConfig, detect_corners, harris_score_map
 from crossband.image import _magnitudes
-from crossband.registration import (Match, RansacConfig, _fit_points,
-                                    _inliers, _minimal_samples,
+from crossband.registration import (Match, RansacConfig, _best_matches,
+                                    _fit_points, _inliers, _minimal_samples,
                                     fit_least_squares, match_all, positions_of,
                                     ransac_once, register)
 from crossband.transform import AffineTransform, TransformKind
 
-from helpers import (canny_oracle, design_matrix_oracle, detect_corners_oracle,
-                     fit_sample_oracle, gate_oracle, inliers_oracle,
+from helpers import (best_matches_oracle, canny_oracle, design_matrix_oracle,
+                     detect_corners_oracle, fit_sample_oracle, inliers_oracle,
                      norm_oracle, normalize_oracle, random_descriptor, residual,
                      residuals_oracle, row_bands, score_matrix_oracle)
 
@@ -69,6 +69,37 @@ def test_match_all_planted_translation():
     matches = match_all(a, b)
     agree = sum(1 for m in matches if m.src_index == m.dst_index)
     assert agree >= 0.9 * len(a)
+
+
+@st.composite
+def _score_cases(draw):
+    """A score matrix on a small set of values (so rows and columns tie),
+    with some rows and columns zeroed, integer corner positions, and a gate:
+    none, one at radius 0 about a half-pixel shift (admits nothing), one
+    that admits everything, or one between."""
+    n_src, n_dst = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    values = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.0])
+    scores = np.array(draw(st.lists(values, min_size=n_src * n_dst,
+                                    max_size=n_src * n_dst))).reshape(n_src, n_dst)
+    scores[draw(st.lists(st.integers(0, n_src - 1), max_size=2)), :] = 0.0
+    scores[:, draw(st.lists(st.integers(0, n_dst - 1), max_size=2))] = 0.0
+    corners = st.tuples(st.integers(0, 20), st.integers(0, 20))
+    src = np.array(draw(st.lists(corners, min_size=n_src, max_size=n_src)), float)
+    dst = np.array(draw(st.lists(corners, min_size=n_dst, max_size=n_dst)), float)
+    radius = draw(st.one_of(st.none(), st.sampled_from([0.0, 1e6]),
+                            st.floats(0.0, 15.0)))
+    gate = (None if radius is None
+            else (AffineTransform.translation(0.5, 0.25), radius))
+    return scores, src, dst, gate
+
+
+@settings(max_examples=300, deadline=None)
+@given(_score_cases())
+def test_best_matches_equal_oracle(case):
+    scores, src, dst, gate = case
+    matches = _best_matches(scores, src, dst, gate)
+    assert matches == best_matches_oracle(scores, src, dst, gate)
+    assert len({m.dst_index for m in matches}) == len(matches)
 
 
 def test_match_all_rejects_empty():
@@ -531,33 +562,29 @@ def test_ransac_drawn_rounds_are_bit_identical(kind, share):
     assert runs[0] == runs[1]
 
 
-def test_ransac_support_counts_distinct_destinations():
-    # 15 matches on a similarity, and 40 more from scattered sources onto
-    # two destination corners 1 px apart. A fit of one such match onto each
-    # corner has a scale below 0.01 and sends the sources into a few pixels
-    # about both: most of the 40 are its inliers, but on only 2 distinct
-    # corners, against the true transform's 15.
+def test_one_to_one_matching_leaves_no_collapse(monkeypatch):
+    # 15 sources on a similarity, and 40 scattered sources scored onto two
+    # infrared corners 1 px apart, above every true pair. Taken row by row,
+    # all 40 would pile onto the two corners; one-to-one, each corner keeps
+    # one match, its first best.
     rng = np.random.default_rng(12)
     truth = AffineTransform.similarity(1.02, 0.03, 6.0, -4.0)
     n_true, n_pile = 15, 40
     src = rng.uniform(0, 400, size=(n_true + n_pile, 2))
     dst = np.vstack([truth.apply(src[:n_true]), [[200.0, 200.0], [201.0, 200.0]]])
-    matches = ([Match(i, i, 1.0) for i in range(n_true)]
-               + [Match(n_true + j, n_true + j % 2, 1.0) for j in range(n_pile)])
-    # the pile match onto each corner whose sources lie furthest apart
-    src_m = src[[m.src_index for m in matches]]
-    dst_m = dst[[m.dst_index for m in matches]]
-    onto = [range(n_true + c, n_true + n_pile, 2) for c in (0, 1)]
-    a, b = max(itertools.product(*onto),
-               key=lambda ab: np.hypot(*(src_m[ab[0]] - src_m[ab[1]])))
-    collapse = fit_least_squares([matches[a], matches[b]], src, dst,
-                                 TransformKind.SIMILARITY)
-    assert collapse.scale() < 0.01
-    # counted by matches, the collapse would win
-    assert np.count_nonzero(residuals_oracle(collapse.m, src_m, dst_m) <= 5.0) > 2 * n_true
+    scores = np.zeros((n_true + n_pile, n_true + 2))
+    scores[np.arange(n_true), np.arange(n_true)] = 1.0
+    scores[n_true + np.arange(n_pile), n_true + np.arange(n_pile) % 2] = 2.0
+    assert np.bincount(np.argmax(scores, axis=1))[n_true:].tolist() == [20, 20]
 
-    # every one of the C(55, 2) subsets is fitted, the collapse included
-    cfg = RansacConfig(model=TransformKind.SIMILARITY, samples_per_iter=2000)
+    def descriptors(points):
+        return [random_descriptor(rng, x=x, y=y) for x, y in points]
+    monkeypatch.setattr(registration, "score_matrix", lambda p, q, polarity: scores)
+    matches = match_all(descriptors(src), descriptors(dst))
+    assert sorted((m.src_index, m.dst_index) for m in matches) == (
+        [(i, i) for i in range(n_true + 2)])
+
+    cfg = RansacConfig(model=TransformKind.SIMILARITY)
     t, support = ransac_once(matches, src, dst, cfg, consensus_dist=5.0)
     assert np.allclose(t.m, truth.m, atol=1e-9)
     assert support == n_true
@@ -774,7 +801,7 @@ def test_register_equals_oracle_front_end(model, monkeypatch):
                         lambda img, c: EdgeMap(*canny_oracle(img, c), 16))
     monkeypatch.setattr(registration, "_detect_corners", detect_corners_oracle)
     monkeypatch.setattr(registration, "score_matrix", score_matrix_oracle)
-    monkeypatch.setattr(registration, "_gate", gate_oracle)
+    monkeypatch.setattr(registration, "_best_matches", best_matches_oracle)
     monkeypatch.setattr(registration, "_inliers", inliers_oracle)
     slow = register(v, ir, cfg=cfg)
     assert fast.transform.m.tobytes() == slow.transform.m.tobytes()
