@@ -133,19 +133,25 @@ def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 def fuse_scales(visible_luma, infrared, cfg: FusionConfig | None = None
                 ) -> list[np.ndarray]:
-    """The three per-scale fusions (signed, unclamped), for inspection."""
+    """The three per-scale fusions (signed, unclamped), for inspection.
+    Raises ValueError naming the band if a pixel is NaN or inf."""
     if cfg is None:
         cfg = FusionConfig()
     yv, ir = _same_shape(visible_luma, infrared)
+    require_finite(yv, "visible")
+    require_finite(ir, "infrared")
     return [fuse_single_scale(yv, ir, sigma, cfg.alpha, cfg.gain)
             for sigma in cfg.sigmas]
 
 
 def fuse_hplp(visible_luma, infrared, cfg: FusionConfig | None = None) -> np.ndarray:
-    """Equal-weight average of the three per-scale fusions, clamped to [0, 1]."""
+    """Equal-weight average of the three per-scale fusions, clamped to [0, 1].
+    Raises ValueError naming the band if a pixel is NaN or inf."""
     if cfg is None:
         cfg = FusionConfig()
     yv, ir = _same_shape(visible_luma, infrared)
+    require_finite(yv, "visible")
+    require_finite(ir, "infrared")
     return _fuse(yv, ir, cfg)[0]
 
 

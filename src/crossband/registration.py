@@ -27,7 +27,6 @@ from . import descriptor as _descriptor
 
 MIN_REGISTER_SIDE = 64   # below this, corner statistics collapse
 _MIN_DET = 1e-6          # fits with smaller |det| are discarded
-_SCORE_BLOCK = 1 << 16   # residuals per consensus scoring block
 _SAMPLE_CHUNK = 100      # minimal samples drawn, fitted and scored at a time
 _CONFIDENCE = 0.999      # wanted chance of drawing one all-inlier sample
 
@@ -254,17 +253,11 @@ def _fit_points(src: np.ndarray, dst: np.ndarray,
 
 def _minimal_samples(n: int, k: int, count: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Index rows of one round's minimal samples, shape (B, k).
-
-    When the n matches have at most `count` k-subsets, every subset is
-    listed in lexicographic order and `rng` is left untouched. Otherwise
-    `count` subsets are drawn by Floyd's method: column j draws from
-    [0, n-k+j] and takes n-k+j instead when the draw repeats an earlier
-    column, so each row holds k distinct indices, a uniform k-subset.
+    """`count` minimal samples of k of the n matches, drawn from `rng` by
+    Floyd's method, shape (count, k): column j draws from [0, n-k+j] and
+    takes n-k+j instead when the draw repeats an earlier column, so each
+    row holds k distinct indices, a uniform k-subset.
     """
-    if math.comb(n, k) <= count:
-        flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-        return np.fromiter(flat, dtype=np.intp).reshape(-1, k)
     samples = np.empty((count, k), dtype=np.intp)
     for j, top in enumerate(range(n - k, n)):
         draw = rng.integers(0, top + 1, size=count)
@@ -299,9 +292,8 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
     near-singular transform that sends many sources onto one popular corner
     finds at most one match there.
 
-    The round fits every minimal subset when there are at most
-    cfg.samples_per_iter of them, without drawing from `rng`. Otherwise it
-    draws subsets from `rng` in chunks of _SAMPLE_CHUNK, and stops once
+    The round always draws its subsets from `rng`, however few matches
+    there are, in chunks of _SAMPLE_CHUNK, and stops once
     ceil(log(1 - p) / log(1 - w**k)) subsets are drawn, with p = _CONFIDENCE,
     k the sample size and w the best support so far over the match count,
     or at cfg.samples_per_iter subsets. Ties go to the earlier sample.
@@ -320,27 +312,21 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
         rng = np.random.default_rng(cfg.rng_seed)
     src, dst = _match_arrays(matches, src_positions, dst_positions)
     n = len(matches)
-    per_block = max(1, _SCORE_BLOCK // n)
     cap = cfg.samples_per_iter
-    exhaustive = math.comb(n, sample_size) <= cap
 
     best_support, best_t, tried, limit = -1, None, 0, cap
     while tried < limit:
-        samples = _minimal_samples(
-            n, sample_size, cap if exhaustive else min(_SAMPLE_CHUNK, limit - tried),
-            rng)
+        samples = _minimal_samples(n, sample_size,
+                                   min(_SAMPLE_CHUNK, limit - tried), rng)
         tried += len(samples)
         hypotheses, usable = _fit_points(src[samples], dst[samples], cfg.model)
         hypotheses = hypotheses[usable]
-        for i in range(0, len(hypotheses), per_block):
-            support = np.count_nonzero(
-                _inliers(hypotheses[i:i + per_block], src, dst, consensus_dist),
-                axis=1)
+        support = np.count_nonzero(
+            _inliers(hypotheses, src, dst, consensus_dist), axis=1)
+        if len(support) and support.max() > best_support:
             j = int(np.argmax(support))
-            if support[j] > best_support:
-                best_support, best_t = int(support[j]), hypotheses[i + j]
-        limit = tried if exhaustive else min(
-            cap, _samples_needed(max(best_support, 0) / n, sample_size))
+            best_support, best_t = int(support[j]), hypotheses[j]
+        limit = min(cap, _samples_needed(max(best_support, 0) / n, sample_size))
     if best_t is None:
         raise RegistrationError(
             f"all {tried} sampled match subsets were degenerate")

@@ -5,8 +5,8 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from crossband.fusion import (FusionConfig, fuse_hplp, fuse_pair, fuse_single_scale,
-                              restore_color, split_frequencies)
+from crossband.fusion import (FusionConfig, fuse_hplp, fuse_pair, fuse_scales,
+                              fuse_single_scale, restore_color, split_frequencies)
 from crossband.image import gaussian_blur, replicate3, to_luminance
 from crossband.evaluation import synthetic_texture
 
@@ -239,11 +239,14 @@ def test_fuse_pair_dimension_mismatch():
 
 @pytest.mark.parametrize("band", ["visible", "infrared"])
 def test_fuse_pair_rejects_non_finite_pixels(band):
+    # fuse_hplp and fuse_scales take the visible luminance, fuse_pair RGB
     g = synthetic_texture(64, seed=9)
-    images = {"visible": replicate3(g), "infrared": g.copy()}
-    images[band].flat[500] = np.nan
-    with pytest.raises(ValueError, match=f"{band} image has 1 non-finite"):
-        fuse_pair(images["visible"], images["infrared"])
+    for fuse, visible in ((fuse_pair, replicate3(g)), (fuse_hplp, g.copy()),
+                          (fuse_scales, g.copy())):
+        images = {"visible": visible, "infrared": g.copy()}
+        images[band].flat[500] = np.nan
+        with pytest.raises(ValueError, match=f"{band} image has 1 non-finite"):
+            fuse(images["visible"], images["infrared"])
 
 
 # --- row bands -----------------------------------------------------------------

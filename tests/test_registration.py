@@ -1,4 +1,4 @@
-import itertools
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -466,25 +466,6 @@ def _planted_matches(kind, n, seed):
     return [Match(i, i, 1.0) for i in range(n)], src, dst
 
 
-@pytest.mark.parametrize("kind,n", [(TransformKind.TRANSLATION, 40),
-                                    (TransformKind.SIMILARITY, 30),
-                                    (TransformKind.AFFINE, 12)])
-def test_ransac_enumerates_small_sample_spaces(kind, n):
-    # C(n, k) <= samples_per_iter: every subset is fitted and none is drawn
-    matches, src, dst = _planted_matches(kind, n, seed=10)
-    cfg = RansacConfig(model=kind, samples_per_iter=1000)
-    results = []
-    for seed in (1, 2):
-        rng = np.random.default_rng(seed)
-        state = rng.bit_generator.state
-        results.append(ransac_once(matches, src, dst, cfg, 2.0, rng))
-        assert rng.bit_generator.state == state
-    results.append(ransac_once(matches, src, dst, cfg, 2.0))
-    for t, support in results[1:]:
-        assert np.array_equal(t.m, results[0][0].m)
-        assert support == results[0][1]
-
-
 @pytest.mark.parametrize("kind", list(TransformKind))
 @pytest.mark.parametrize("samples", [40, 1000])
 def test_ransac_support_is_the_residual_count(kind, samples):
@@ -496,10 +477,12 @@ def test_ransac_support_is_the_residual_count(kind, samples):
 
 
 def _drawn_chunks(seed, n, k, sizes):
-    """A generator seeded like ransac_once's after it draws these chunks."""
+    """A generator seeded like ransac_once's after it draws these chunks of
+    k of n matches: one `integers` call per sample column."""
     rng = np.random.default_rng(seed)
     for size in sizes:
-        _minimal_samples(n, k, size, rng)
+        for top in range(n - k, n):
+            rng.integers(0, top + 1, size=size)
     return rng.bit_generator.state
 
 
@@ -512,17 +495,21 @@ def _mostly_outliers(kind, n, seed, inlier_share=0.1):
     return matches, src, dst
 
 
-@pytest.mark.parametrize("kind", [TransformKind.SIMILARITY, TransformKind.AFFINE])
+@pytest.mark.parametrize("kind", list(TransformKind))
 def test_ransac_stops_after_one_chunk_when_every_match_agrees(kind):
-    # C(60, k) > 1000 subsets, so the round draws; the first chunk's winner
-    # holds every match, so w = 1 and no second chunk is drawn
-    truth = AffineTransform(np.array([[1.03, -0.05, 6.0], [0.05, 1.03, -4.0]]))
+    # the round draws even where C(60, k) <= 1000 (translation: 60 subsets);
+    # the first chunk's winner holds every match, so w = 1 and no second
+    # chunk is drawn
+    truth = (AffineTransform.translation(6.0, -4.0)
+             if kind == TransformKind.TRANSLATION else
+             AffineTransform(np.array([[1.03, -0.05, 6.0], [0.05, 1.03, -4.0]])))
     src = np.random.default_rng(13).uniform(0, 400, size=(60, 2))
     matches = [Match(i, i, 1.0) for i in range(60)]
     cfg = RansacConfig(model=kind, samples_per_iter=1000)
     rng = np.random.default_rng(3)
     t, support = ransac_once(matches, src, truth.apply(src), cfg, 2.0, rng)
     assert support == 60
+    assert rng.bit_generator.state != np.random.default_rng(3).bit_generator.state
     assert rng.bit_generator.state == _drawn_chunks(
         3, 60, kind.min_matches, [registration._SAMPLE_CHUNK])
 
@@ -547,6 +534,23 @@ def test_ransac_draws_exactly_a_cap_below_one_chunk(share):
     rng = np.random.default_rng(5)
     ransac_once(matches, src, dst, cfg, 2.0, rng)
     assert rng.bit_generator.state == _drawn_chunks(5, 100, 3, [40])
+
+
+@pytest.mark.parametrize("kind", list(TransformKind))
+def test_ransac_memory_stays_within_a_few_chunk_arrays(kind):
+    # one chunk's support is scored in one pass: its residual temporaries
+    # are a few (_SAMPLE_CHUNK, n) float64 arrays (about 6.4 measured), far
+    # below the (n, n) score matrix that register holds anyway
+    n = 2000
+    matches, src, dst = _mostly_outliers(kind, n, seed=17, inlier_share=0.05)
+    cfg = RansacConfig(model=kind)
+    tracemalloc.start()
+    try:
+        ransac_once(matches, src, dst, cfg, 2.0, np.random.default_rng(7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * registration._SAMPLE_CHUNK * n * 8
 
 
 @pytest.mark.parametrize("kind", [TransformKind.SIMILARITY, TransformKind.AFFINE])
@@ -698,12 +702,18 @@ def test_minimal_samples_are_uniform_distinct_subsets():
     assert np.abs(counts - 100 * 500 * k / n).max() < 400
 
 
-def test_minimal_samples_lists_small_spaces_in_order():
+@pytest.mark.parametrize("n,k", [(1, 1), (3, 3), (5, 3), (60, 1)])
+def test_minimal_samples_draw_spaces_no_larger_than_the_count(n, k):
     rng = np.random.default_rng(14)
-    state = rng.bit_generator.state
-    samples = _minimal_samples(5, 3, 10, rng)
-    assert samples.tolist() == [list(c) for c in itertools.combinations(range(5), 3)]
-    assert rng.bit_generator.state == state
+    samples = _minimal_samples(n, k, 100, rng)
+    assert samples.shape == (100, k)
+    assert ((samples >= 0) & (samples < n)).all()
+    assert (np.sort(samples, axis=1)[:, 1:]
+            != np.sort(samples, axis=1)[:, :-1]).all()
+    # integers(0, 1) consumes nothing, so only a one-match space leaves
+    # the generator where it was
+    advanced = rng.bit_generator.state != np.random.default_rng(14).bit_generator.state
+    assert advanced == (n > 1)
 
 
 def test_ransac_config_validation():
@@ -910,11 +920,26 @@ def test_gate_admissibility_nests():
     small = match_all(a, b, gate=(t, 5.0))
     large = match_all(a, b, gate=(t, 50.0))
     small_pairs = {(m.src_index, m.dst_index) for m in small}
-    pos_b = positions_of(b)
+    projected, pos_b = t.apply(positions_of(a)), positions_of(b)
+    dist = _magnitudes(projected[:, None, 0] - pos_b[None, :, 0],
+                       projected[:, None, 1] - pos_b[None, :, 1])
     # every pair admissible under the small gate stays admissible under the
     # large one (the chosen assignment may legitimately differ)
     for p, q in small_pairs:
-        dist = np.hypot(*(pos_b[q] - t.apply(np.array([a[p].x, a[p].y],
-                                                      dtype=float))))
-        assert dist <= 50.0
-    assert {m.src_index for m in small} <= {m.src_index for m in large}
+        assert dist[p, q] <= 50.0
+    # a large-gate match that the small gate admits is a small-gate match:
+    # removing candidates cannot unseat the first best of a row and a column
+    inside = {(m.src_index, m.dst_index) for m in large
+              if dist[m.src_index, m.dst_index] <= 5.0}
+    assert inside and inside <= small_pairs
+
+
+def test_larger_gate_can_move_a_match_to_another_source():
+    # mutual-best matching: at r = 50 source 1 also reaches the one
+    # destination and outscores source 0, which is then left unmatched
+    scores = np.array([[1.0], [2.0]])
+    src = np.array([[0.0, 0.0], [10.0, 0.0]])
+    dst = np.array([[0.0, 0.0]])
+    t = AffineTransform.identity()
+    assert _best_matches(scores, src, dst, (t, 5.0)) == [Match(0, 0, 1.0)]
+    assert _best_matches(scores, src, dst, (t, 50.0)) == [Match(1, 0, 2.0)]
