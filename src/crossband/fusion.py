@@ -56,9 +56,10 @@ def split_frequencies(img, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     allows about 2**60. Outside that range it rounds: img =
     2**-16 * (1 + 2**-52) against lp ~ 0.5 needs 67 bits. Where
     ``np.longdouble`` is float64 (MSVC, macOS arm64) hp is the ordinary
-    rounded subtraction, which the README shows cannot be exact.
+    rounded subtraction, which the README shows cannot be exact. Raises
+    ValueError if a pixel is NaN or inf.
     """
-    arr = as_gray(img)
+    arr = require_finite(as_gray(img), "input")
     lp = gaussian_blur(arr, sigma).astype(np.longdouble)
     return lp, arr - lp
 
@@ -67,7 +68,8 @@ def fuse_single_scale(visible_luma, infrared, sigma: float,
                       alpha: float, gain: float) -> np.ndarray:
     """One-scale fusion: alpha-blend the low bands, keep the stronger
     high band per pixel (ties take the visible channel), recombine with
-    gain on the high band. Signed, unclamped float64 output.
+    gain on the high band. Signed, unclamped float64 output. Raises
+    ValueError naming the band if a pixel is NaN or inf.
 
     The bands split in float64 (blur, then the rounded residual), not
     through the extended-precision ``split_frequencies``: the output stays
@@ -75,6 +77,8 @@ def fuse_single_scale(visible_luma, infrared, sigma: float,
     float64 subtract.
     """
     yv, ir = _same_shape(visible_luma, infrared)
+    require_finite(yv, "visible")
+    require_finite(ir, "infrared")
     k = gaussian_kernel(sigma)
     out = np.empty(yv.shape)
 
@@ -138,8 +142,6 @@ def fuse_scales(visible_luma, infrared, cfg: FusionConfig | None = None
     if cfg is None:
         cfg = FusionConfig()
     yv, ir = _same_shape(visible_luma, infrared)
-    require_finite(yv, "visible")
-    require_finite(ir, "infrared")
     return [fuse_single_scale(yv, ir, sigma, cfg.alpha, cfg.gain)
             for sigma in cfg.sigmas]
 

@@ -284,7 +284,7 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
                 rng: np.random.Generator | None = None
                 ) -> tuple[AffineTransform, int]:
     """One consensus round: fit minimal match subsets, keep the hypothesis
-    with the largest support, then refit on its full inlier set.
+    with the largest support, then fit least squares to its inliers.
 
     A match is an inlier (`_inliers`) when its transformed source lies
     within consensus_dist of its partner, and support is the number of
@@ -297,11 +297,11 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
     ceil(log(1 - p) / log(1 - w**k)) subsets are drawn, with p = _CONFIDENCE,
     k the sample size and w the best support so far over the match count,
     or at cfg.samples_per_iter subsets. Ties go to the earlier sample.
-    The refit transform is returned only when its support is at least the
-    winner's, so the returned transform's support is maximal over everything
-    considered.
 
-    Returns the transform and its support.
+    Returns the least-squares fit of the winner's inliers (LO-RANSAC's
+    local optimisation, Chum, Matas & Kittler 2003) and that fit's support,
+    which may differ from the winner's; or the winner and its support when
+    the fit is unusable or the winner has fewer inliers than a sample holds.
     """
     sample_size = cfg.model.min_matches
     if len(matches) < sample_size:
@@ -331,15 +331,13 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
         raise RegistrationError(
             f"all {tried} sampled match subsets were degenerate")
 
+    inliers = _inliers(best_t, src, dst, consensus_dist)
     if best_support >= sample_size:
-        inliers = _inliers(best_t, src, dst, consensus_dist)
         refit, ok = _fit_points(src[inliers][None], dst[inliers][None], cfg.model)
         if ok[0]:
-            support = int(np.count_nonzero(
-                _inliers(refit[0], src, dst, consensus_dist)))
-            if support >= best_support:
-                return AffineTransform(refit[0], cfg.model), support
-    return AffineTransform(best_t, cfg.model), best_support
+            best_t = refit[0]
+            inliers = _inliers(best_t, src, dst, consensus_dist)
+    return AffineTransform(best_t, cfg.model), int(np.count_nonzero(inliers))
 
 
 def register(visible, infrared, harris_cfg: HarrisConfig | None = None,

@@ -237,16 +237,30 @@ def test_fuse_pair_dimension_mismatch():
         fuse_hplp(np.zeros((8, 8)), np.zeros((10, 10)))
 
 
+def _fuse_one_scale(visible_luma, infrared):
+    return fuse_single_scale(visible_luma, infrared, 2.0, 0.5, 1.5)
+
+
 @pytest.mark.parametrize("band", ["visible", "infrared"])
 def test_fuse_pair_rejects_non_finite_pixels(band):
-    # fuse_hplp and fuse_scales take the visible luminance, fuse_pair RGB
+    # fuse_hplp, fuse_scales and fuse_single_scale take the visible
+    # luminance, fuse_pair RGB
     g = synthetic_texture(64, seed=9)
-    for fuse, visible in ((fuse_pair, replicate3(g)), (fuse_hplp, g.copy()),
-                          (fuse_scales, g.copy())):
-        images = {"visible": visible, "infrared": g.copy()}
-        images[band].flat[500] = np.nan
-        with pytest.raises(ValueError, match=f"{band} image has 1 non-finite"):
-            fuse(images["visible"], images["infrared"])
+    for fuse, visible in ((fuse_pair, replicate3(g)), (fuse_hplp, g),
+                          (fuse_scales, g), (_fuse_one_scale, g)):
+        for bad in (np.nan, np.inf):
+            images = {"visible": visible.copy(), "infrared": g.copy()}
+            images[band].flat[500] = bad
+            with pytest.raises(ValueError, match=f"{band} image has 1 non-finite"):
+                fuse(images["visible"], images["infrared"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_split_frequencies_rejects_non_finite_pixels(bad):
+    img = synthetic_texture(32, seed=9)
+    img.flat[500] = bad
+    with pytest.raises(ValueError, match="input image has 1 non-finite"):
+        split_frequencies(img, 2.0)
 
 
 # --- row bands -----------------------------------------------------------------

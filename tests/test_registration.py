@@ -380,27 +380,47 @@ def test_ransac_majority_inliers_beats_outliers():
     dst[n_in:] = rng.uniform(0, 400, size=(n_out, 2))
     matches = [Match(i, i, 1.0) for i in range(n_in + n_out)]
     cfg = RansacConfig(model=TransformKind.TRANSLATION, rng_seed=1)
-    t, support = ransac_once(matches, src, dst, cfg, consensus_dist=2.0)
+    t, _ = ransac_once(matches, src, dst, cfg, consensus_dist=2.0)
     assert np.hypot(t.m[0, 2] - 5.0, t.m[1, 2]) < 0.5
-
-    # exhaustive single-hypothesis oracle: every match displacement as T
-    best_single = 0
-    for i in range(len(matches)):
-        d = dst[i] - src[i]
-        res = np.hypot(*(src + d - dst).T)
-        best_single = max(best_single, int((res <= 2.0).sum()))
-    assert support >= best_single
+    assert _is_a_single_match_refit(t, src, dst, 2.0)
 
 
-def test_ransac_two_matches_exhaustive():
+def _is_a_single_match_refit(t, src, dst, r):
+    """Whether translation t is, within 1e-12, the mean displacement over
+    the inliers (within r) of some single match's displacement: the
+    least-squares fit of a one-match hypothesis's inliers."""
+    shifts = dst - src
+    for d in shifts:
+        inliers = inliers_oracle(AffineTransform.translation(*d).m, src, dst, r)
+        if np.abs(shifts[inliers].mean(axis=0) - t.m[:, 2]).max() <= 1e-12:
+            return True
+    return False
+
+
+def test_ransac_translation_is_sub_pixel_on_integer_corners():
+    # corners on the pixel grid, planted shift (3.4, -1.6): every one-match
+    # hypothesis is an integer shift, and only the fit of its inliers
+    # averages the rounding out
+    rng = np.random.default_rng(0)
+    src = rng.integers(0, 600, size=(200, 2)).astype(np.float64)
+    dst = np.round(src + np.array([3.4, -1.6]) + rng.normal(0, 0.7, (200, 2)))
+    dst[150:] = rng.integers(0, 600, size=(50, 2))
+    matches = [Match(i, i, 1.0) for i in range(200)]
+    cfg = RansacConfig(model=TransformKind.TRANSLATION)
+    t, _ = ransac_once(matches, src, dst, cfg, 2.0, np.random.default_rng(0))
+    assert np.hypot(t.m[0, 2] - 3.4, t.m[1, 2] + 1.6) <= 0.25
+    assert _is_a_single_match_refit(t, src, dst, 2.0)
+
+
+def test_ransac_two_disagreeing_matches_keep_one_displacement():
     src = np.array([[0.0, 0.0], [10.0, 0.0]])
     dst = np.array([[1.0, 0.0], [20.0, 0.0]])  # displacement (1,0) vs (10,0)
     matches = [Match(0, 0, 1.0), Match(1, 1, 1.0)]
     cfg = RansacConfig(model=TransformKind.TRANSLATION, samples_per_iter=50,
                        rng_seed=2)
     t, support = ransac_once(matches, src, dst, cfg, consensus_dist=2.0)
-    # each hypothesis supports only itself; tie goes to the earliest sampled,
-    # and the refit keeps the winning displacement
+    # each hypothesis supports only itself; the tie goes to the earlier
+    # sample, and the fit of its one inlier keeps its displacement
     assert support == 1
     assert np.allclose(t.m[:, 2], dst[0] - src[0]) or \
         np.allclose(t.m[:, 2], dst[1] - src[1])
