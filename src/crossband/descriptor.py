@@ -32,8 +32,10 @@ _SOURCE_EDGES = _BLOCK_BYTES // 64
 
 
 def _check_window(window: int) -> None:
-    if window < 5 or window % 2 == 0:
-        raise ValueError(f"window must be odd and >= 5, got {window}")
+    # at most 4095: a score counts at most window**2 < 2**24 pixels, which
+    # float32 sums hold exactly
+    if window < 5 or window % 2 == 0 or window > 4095:
+        raise ValueError(f"window must be odd and in [5, 4095], got {window}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,8 @@ def score_matrix(src: list[EdgeDescriptor], dst: list[EdgeDescriptor],
     bin of its edge pixels' bins. Blocks of about _BLOCK_BYTES of candidates,
     and of at most _SOURCE_EDGES edge pixels of sources, keep memory flat in
     n_dst and in the sources' edge count. Each entry is an integer no larger
-    than window**2, so the float32 sums are exact below 2**24, in any order.
+    than window**2, below 2**24 for the windows build_descriptor allows, so
+    the float32 sums are exact in any order.
     """
     if polarity not in POLARITIES:
         raise ValueError(f"unknown polarity mode {polarity!r}")
@@ -145,15 +148,14 @@ def score_matrix(src: list[EdgeDescriptor], dst: list[EdgeDescriptor],
     for d in (*src, *dst):
         _check_compatible(src[0], d)
     n_bins = src[0].n_bins
-    dtype = np.float32 if src[0].window ** 2 < 2 ** 24 else np.float64
     shifts = {"direct": (0,), "flipped": (n_bins // 2,),
               "both": (0, n_bins // 2)}[polarity]
-    num = np.empty((len(shifts), len(src), len(dst)), dtype)
+    num = np.empty((len(shifts), len(src), len(dst)), np.float32)
     step = max(1, _BLOCK_BYTES // (src[0].window ** 2 * n_bins * num.itemsize))
     for i0, i1 in _source_blocks(src):
-        sources = _source_rows(src[i0:i1], shifts, dtype)
+        sources = _source_rows(src[i0:i1], shifts)
         for j in range(0, len(dst), step):
-            block = sources @ _candidate_columns(dst[j:j + step], dtype)
+            block = sources @ _candidate_columns(dst[j:j + step])
             num[:, i0:i1, j:j + step] = block.reshape(len(shifts), i1 - i0, -1)
     num = num.max(axis=0).astype(np.float64)
     counts = np.array([d.edge_count for d in dst], dtype=np.float64)
@@ -174,13 +176,13 @@ def _source_blocks(src: list[EdgeDescriptor]):
     yield start, len(src)
 
 
-def _source_rows(src: list[EdgeDescriptor], shifts, dtype) -> sparse.csr_array:
+def _source_rows(src: list[EdgeDescriptor], shifts) -> sparse.csr_array:
     """Sparse 0/1 matrix whose row k * n_src + i is src[i] under shifts[k]."""
     n_bins = src[0].n_bins
     rows, px, bins = _edge_pixels(src)
     per_row = np.tile(np.bincount(rows, minlength=len(src)), len(shifts))
     return sparse.csr_array(
-        (np.ones(len(shifts) * len(px), dtype),
+        (np.ones(len(shifts) * len(px), np.float32),
          np.concatenate([px * n_bins + (bins - s) % n_bins for s in shifts]),
          np.concatenate(([0], np.cumsum(per_row)))),
         shape=(len(per_row), src[0].window ** 2 * n_bins))
@@ -196,12 +198,12 @@ def _edge_pixels(descriptors: list[EdgeDescriptor]):
     return index, px, bins.astype(np.intp)
 
 
-def _candidate_columns(dst: list[EdgeDescriptor], dtype) -> np.ndarray:
+def _candidate_columns(dst: list[EdgeDescriptor]) -> np.ndarray:
     """(window**2 * n_bins, n_dst) 0/1 matrix of each candidate's edge
     pixels dilated by one bin, filled (pixel, bin, candidate) in C order."""
     n_bins = dst[0].n_bins
     cand, px, bins = _edge_pixels(dst)
-    near = np.zeros((dst[0].window ** 2, n_bins, len(dst)), dtype)
+    near = np.zeros((dst[0].window ** 2, n_bins, len(dst)), np.float32)
     for off in (-1, 0, 1):
         near[px, (bins + off) % n_bins, cand] = 1
     return near.reshape(-1, len(dst))

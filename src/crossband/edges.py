@@ -12,25 +12,19 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .image import (MAX_SIGMA, _banded, _blur_rows, _gradient_rows,
-                    _magnitudes, as_gray, gaussian_kernel, require_finite)
+from .image import _banded, _field_rows, _magnitudes, as_gray, require_finite
 
 DEFAULT_DIRECTION_BINS = 16
 
 
 @dataclass(frozen=True)
 class CannyConfig:
-    blur_sigma: float = field(default=1.0, metadata={
-        "key": "canny.blur_sigma", "help": "pre-smoothing sigma for edge detection",
-        "max": MAX_SIGMA})
     low_ratio: float = field(default=0.1, metadata={
         "key": "canny.low_ratio", "help": "low hysteresis threshold / max magnitude"})
     high_ratio: float = field(default=0.2, metadata={
         "key": "canny.high_ratio", "help": "high hysteresis threshold / max magnitude"})
 
     def __post_init__(self):
-        if not self.blur_sigma > 0:
-            raise ValueError(f"blur_sigma must be > 0, got {self.blur_sigma}")
         if not 0.0 < self.low_ratio < self.high_ratio <= 1.0:
             raise ValueError(
                 f"need 0 < low_ratio < high_ratio <= 1, got "
@@ -104,26 +98,22 @@ def canny(img, cfg: CannyConfig | None = None,
     """
     if cfg is None:
         cfg = CannyConfig()
-    return _canny(require_finite(as_gray(img), "input"), cfg, n_bins)
+    arr = require_finite(as_gray(img), "input")
+    return _canny(lambda rows: _field_rows(arr, rows), arr.shape, cfg, n_bins)
 
 
-def _canny(arr: np.ndarray, cfg: CannyConfig,
+def _canny(field, shape: tuple[int, int], cfg: CannyConfig,
            n_bins: int = DEFAULT_DIRECTION_BINS) -> EdgeMap:
-    """canny of a gray image known to be finite."""
-    h, w = arr.shape
+    """canny of a finite image, read through its gradient field."""
+    h, w = shape
     if h < 5 or w < 5:
-        raise ValueError(f"image must be at least 5x5 for edge detection, got {arr.shape}")
+        raise ValueError(f"image must be at least 5x5 for edge detection, got {shape}")
     directions = np.empty((h, w), dtype=np.uint8)
-    blur = gaussian_kernel(cfg.blur_sigma)
 
     def band(y0, y1):
-        # rows [a, b) of gradients(gaussian_blur(arr)), one beyond the kept
-        # rows for the suppression: the same bits for any rows, since
-        # _correlate_rows replicates only beyond the image
+        # the field one row beyond the kept rows, for the suppression
         a, b = max(y0 - 1, 0), min(y1 + 1, h)
-        g0, g1 = max(a - 1, 0), min(b + 1, h)
-        ix, iy = _gradient_rows(_blur_rows(arr, blur, slice(g0, g1)),
-                                slice(a - g0, b - g0))
+        ix, iy = field(slice(a, b))
         rows = slice(y0 - a, y1 - a)
         angle = np.arctan2(iy[rows], ix[rows])
         # the zero padding stands for rows beyond the image only: at a band's

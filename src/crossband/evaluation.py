@@ -51,6 +51,8 @@ class SimulationSpec:
             raise ValueError(f"gamma must be in (0, inf), got {self.gamma}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError(f"noise_sigma must be in [0, inf), got {self.noise_sigma}")
         scales = tuple(float(s) for s in self.scales)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .image import (MAX_SIGMA, _banded, _blur_rows, _gradient_rows, as_gray,
+from .image import (MAX_SIGMA, _banded, _blur_rows, _field_rows, as_gray,
                     gaussian_kernel, require_finite)
 
 
@@ -47,45 +47,39 @@ class Corner:
 def harris_score_map(img, cfg: HarrisConfig | None = None) -> np.ndarray:
     """Per-pixel corner score det(A) - k * trace(A)^2.
 
-    A is the Gaussian-weighted structure tensor of the Sobel gradients. The
-    returned map is signed and unclamped. Raises ValueError when the input's
-    values are so large that a score overflows.
+    A is the Gaussian-weighted structure tensor of the Sobel gradients of
+    the GRADIENT_SIGMA blur (scale-adapted Harris). The returned map is
+    signed and unclamped. Raises ValueError when a score overflows.
     """
     if cfg is None:
         cfg = HarrisConfig()
-    return _harris_score_map(require_finite(as_gray(img), "input"), cfg)
+    arr = require_finite(as_gray(img), "input")
+    return _harris_score_map(lambda rows: _field_rows(arr, rows), arr.shape, cfg)
 
 
-def _harris_score_map(arr: np.ndarray, cfg: HarrisConfig) -> np.ndarray:
-    """harris_score_map of a gray image known to be finite."""
-    h = arr.shape[0]
-    if h < 3 or arr.shape[1] < 3:
-        raise ValueError(f"image must be at least 3x3, got {arr.shape}")
-    out = np.empty(arr.shape)
+def _harris_score_map(field, shape: tuple[int, int], cfg: HarrisConfig) -> np.ndarray:
+    """harris_score_map of a finite image, read through its gradient field."""
+    h = shape[0]
+    if h < 3 or shape[1] < 3:
+        raise ValueError(f"image must be at least 3x3, got {shape}")
+    out = np.empty(shape)
     k = gaussian_kernel(cfg.window_sigma)
     radius = k.size // 2
 
     def band(y0, y1):
         # the kept rows' blurs read gradients `radius` rows beyond them
         g0, g1 = max(0, y0 - radius), min(h, y1 + radius)
-        ix, iy = _gradient_rows(arr, slice(g0, g1))
-        # products and blurs replace their inputs, so few band arrays live
-        sxy = ix * iy
-        ix *= ix
-        iy *= iy
+        ix, iy = field(slice(g0, g1))
         rows = slice(y0 - g0, y1 - g0)
-        sxx = _blur_rows(ix, k, rows)
-        del ix
-        syy = _blur_rows(iy, k, rows)
-        del iy
-        sxy = _blur_rows(sxy, k, rows)
+        sxx = _blur_rows(ix * ix, k, rows)
+        syy = _blur_rows(iy * iy, k, rows)
+        sxy = _blur_rows(ix * iy, k, rows)
         trace = sxx + syy
         out[y0:y1] = sxx * syy - sxy * sxy - cfg.k * trace * trace
         # an overflow anywhere in the band leaves an inf or NaN score
         if not np.isfinite(out[y0:y1]).all():
-            raise ValueError(
-                "input image values overflow the Harris score (largest "
-                f"magnitude {np.abs(arr).max():g}); scale the image down")
+            raise ValueError("input image values overflow the Harris score; "
+                             "scale the image down")
 
     with np.errstate(over="ignore", invalid="ignore"):
         _banded(band, h)

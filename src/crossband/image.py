@@ -18,6 +18,8 @@ from .transform import AffineTransform
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 # largest Gaussian sigma: a 601-tap kernel, reading 300 rows beyond a band
 MAX_SIGMA = 100.0
+# the blur under each image's gradient field, which Harris and Canny read
+GRADIENT_SIGMA = 1.0
 
 # outside [NORM_SQ_MIN, NORM_SQ_MAX], x*x + y*y may overflow or underflow
 NORM_SQ_MIN = 2.0 ** -960
@@ -198,6 +200,16 @@ def _gradient_rows(arr: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray
     iy = ndimage.correlate1d(_correlate_rows(arr, _SOBEL_DIFF, rows),
                              _SOBEL_SMOOTH, axis=1, mode="nearest")
     return ix, iy
+
+
+def _field_rows(arr: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """(ix[rows], iy[rows]) of gradients(gaussian_blur(arr, GRADIENT_SIGMA)),
+    computed on those rows alone: the same bits for any rows, since
+    _correlate_rows replicates only beyond the image."""
+    a, b, _ = rows.indices(arr.shape[0])
+    g0, g1 = max(a - 1, 0), min(b + 1, arr.shape[0])
+    blurred = _blur_rows(arr, gaussian_kernel(GRADIENT_SIGMA), slice(g0, g1))
+    return _gradient_rows(blurred, slice(a - g0, b - g0))
 
 
 def warp_affine(img, t: AffineTransform, out_w: int | None = None,

@@ -21,7 +21,8 @@ from .descriptor import EdgeDescriptor, MatchingConfig, score_matrix
 from .edges import CannyConfig, _canny
 from .errors import DegenerateFitError, RegistrationError
 from .features import HarrisConfig, _detect_corners, _harris_score_map
-from .image import _magnitudes, as_gray, require_finite
+from .image import (GRADIENT_SIGMA, _magnitudes, as_gray, gaussian_blur, gradients,
+                    require_finite)
 from .transform import AffineTransform, TransformKind, project
 from . import descriptor as _descriptor
 
@@ -73,6 +74,8 @@ class RansacConfig:
             raise ValueError(
                 "gate_dist_fine must be positive and below gate_dist_coarse, "
                 f"got {self.gate_dist_fine} vs {self.gate_dist_coarse}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -369,14 +372,21 @@ def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
             raise ValueError(
                 f"{name} image must be at least {MIN_REGISTER_SIDE}x"
                 f"{MIN_REGISTER_SIDE}, got {img.shape}")
+        if window > min(img.shape):
+            raise ValueError(f"descriptor window {window} exceeds the {name} "
+                             f"image's smaller side, {min(img.shape)}")
         require_finite(img, name)
 
     descs = {}
     for name, img in (("visible", vis), ("infrared", ir)):
         # the input was checked finite above, and a Harris score that
         # overflows raises, so the stages skip their own checks
-        corners = _detect_corners(_harris_score_map(img, harris_cfg), harris_cfg)
-        edge_map = _canny(img, canny_cfg)
+        ix, iy = gradients(gaussian_blur(img, GRADIENT_SIGMA))
+        field = lambda rows: (ix[rows], iy[rows])  # noqa: E731
+        corners = _detect_corners(
+            _harris_score_map(field, img.shape, harris_cfg), harris_cfg)
+        edge_map = _canny(field, img.shape, canny_cfg)
+        del ix, iy  # release this image's field before the next is built
         descs[name] = _descriptor.build_descriptors(corners, edge_map, window)
         if len(descs[name]) < 4:
             raise RegistrationError(

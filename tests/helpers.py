@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from crossband.image import gaussian_kernel
+from crossband.image import GRADIENT_SIGMA, gaussian_kernel
 
 
 @contextmanager
@@ -292,9 +292,13 @@ def canny_oracle(img, cfg=None, n_bins=16):
     from crossband.edges import CannyConfig
     if cfg is None:
         cfg = CannyConfig()
-    arr = np.asarray(img, dtype=np.float64)
-    h, w = arr.shape
-    ix, iy = gradients_oracle(gaussian_blur_oracle(arr, cfg.blur_sigma))
+    ix, iy = gradients_oracle(gaussian_blur_oracle(img, GRADIENT_SIGMA))
+    return canny_field_oracle(ix, iy, cfg, n_bins)
+
+
+def canny_field_oracle(ix, iy, cfg, n_bins=16):
+    """canny_oracle from the whole gradient field (ix, iy)."""
+    h, w = ix.shape
     mag = norm_oracle(ix, iy)
     full = np.mod(np.arctan2(iy, ix) + 2.0 * np.pi, 2.0 * np.pi)
     directions = (np.floor(full / (2.0 * np.pi / n_bins)).astype(np.int64)
@@ -327,11 +331,17 @@ def canny_oracle(img, cfg=None, n_bins=16):
 
 
 def harris_oracle(img, cfg=None):
-    """harris_score_map computed on the whole image at once."""
+    """harris_score_map computed on the whole image at once: the structure
+    tensor of the Sobel gradients of the GRADIENT_SIGMA blur."""
     from crossband.features import HarrisConfig
     if cfg is None:
         cfg = HarrisConfig()
-    ix, iy = gradients_oracle(img)
+    ix, iy = gradients_oracle(gaussian_blur_oracle(img, GRADIENT_SIGMA))
+    return harris_field_oracle(ix, iy, cfg)
+
+
+def harris_field_oracle(ix, iy, cfg):
+    """harris_oracle from the whole gradient field (ix, iy)."""
     sxx = gaussian_blur_oracle(ix * ix, cfg.window_sigma)
     syy = gaussian_blur_oracle(iy * iy, cfg.window_sigma)
     sxy = gaussian_blur_oracle(ix * iy, cfg.window_sigma)

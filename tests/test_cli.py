@@ -233,6 +233,39 @@ def test_eval_end_to_end_and_determinism(tmp_path, capsys):
     assert c1.read_text().count("\r") == 0  # LF line endings
 
 
+def test_negative_seed_exits_1_before_registering(tmp_path, texture_png, capsys,
+                                                  monkeypatch):
+    from crossband import cli
+    monkeypatch.setattr(cli, "register", None)  # any call would raise TypeError
+    monkeypatch.setattr(cli, "run_benchmark", None)
+    data = tmp_path / "data"
+    data.mkdir()
+    write_image(data / "base.png", synthetic_texture(96, seed=56))
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("")
+    out = tmp_path / "out"
+    for argv, label in (
+            (["register", str(texture_png), str(texture_png), str(out),
+              "-o", "ransac.seed=-1"], "ransac.*"),
+            (["eval", str(data), str(spec), str(out), "-o", "eval.seed=-1"],
+             "eval.*")):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert label in err and "rng_seed must be >= 0, got -1" in err
+        assert not out.exists()
+
+
+def test_register_window_wider_than_the_images_exits_1(tmp_path, texture_png,
+                                                        capsys):
+    out = tmp_path / "t.json"
+    code = main(["register", str(texture_png), str(texture_png), str(out),
+                 "-o", "descriptor.window=201"])
+    assert code == 1
+    assert ("descriptor window 201 exceeds the visible image's smaller side, 128"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_eval_empty_dataset(tmp_path, capsys):
     data = tmp_path / "empty"
     data.mkdir()
@@ -295,7 +328,6 @@ _JUST_OVER = repr(float(np.nextafter(100.0, np.inf)))
 
 @pytest.mark.parametrize("command, outputs, key, value", [
     ("register", ["t.json"], "harris.window_sigma", _JUST_OVER),
-    ("register", ["t.json"], "canny.blur_sigma", _JUST_OVER),
     ("fuse", ["gray.png", "color.png"], "fusion.sigmas", f"1,2,{_JUST_OVER}"),
 ])
 def test_oversize_sigma_exits_1(tmp_path, texture_png, capsys, command, outputs,

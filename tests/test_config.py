@@ -59,7 +59,7 @@ def test_enum_default_shown_by_value_in_help():
     assert line.endswith("[default: translation]")
 
 
-_SIGMA_KEYS = ["harris.window_sigma", "canny.blur_sigma", "fusion.sigmas"]
+_SIGMA_KEYS = ["harris.window_sigma", "fusion.sigmas"]
 
 
 def test_sigma_keys_state_their_limit_in_help():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossband import descriptor
-from crossband.descriptor import (EdgeDescriptor, build_descriptor,
+from crossband.descriptor import (EdgeDescriptor, MatchingConfig, build_descriptor,
                                   build_descriptors, score_matrix, similarity)
 from crossband.edges import CannyConfig, EdgeMap, canny
 from crossband.features import Corner
@@ -52,6 +52,13 @@ def test_build_rejects_bad_window():
         build_descriptor(Corner(25, 25, 1.0), em, window=6)
     with pytest.raises(ValueError):
         build_descriptor(Corner(25, 25, 1.0), em, window=3)
+
+
+def test_window_above_4095_is_rejected():
+    # a 4095 window's counts stay below 2**24, exact in float32 sums
+    assert MatchingConfig(window=4095).window == 4095
+    with pytest.raises(ValueError, match=r"in \[5, 4095\], got 4097"):
+        MatchingConfig(window=4097)
 
 
 def test_build_windows_match_full_map():

@@ -8,7 +8,7 @@ from scipy import ndimage
 from crossband.edges import (CannyConfig, EdgeMap, _angle_bins, canny,
                              quantize_direction)
 from crossband.evaluation import synthetic_texture
-from crossband.image import _magnitudes, gaussian_blur, gradients
+from crossband.image import GRADIENT_SIGMA, _magnitudes, gaussian_blur, gradients
 
 from helpers import canny_oracle, row_bands
 
@@ -70,8 +70,6 @@ def test_quantize_rejects_bad_bins():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        CannyConfig(blur_sigma=0.0)
-    with pytest.raises(ValueError):
         CannyConfig(low_ratio=0.3, high_ratio=0.2)
     with pytest.raises(ValueError):
         CannyConfig(low_ratio=0.0)
@@ -103,13 +101,13 @@ def test_canny_rejects_non_finite_pixels():
 def test_canny_vertical_step_single_pixel_chain():
     img = np.full((32, 32), 0.1)
     img[:, 16:] = 0.9  # contrast 0.8 at x = 16
-    out = canny(img, CannyConfig(blur_sigma=1.0))
+    out = canny(img, CannyConfig())
 
     # 1D hand-trace of the same row profile: blur, central difference with
     # the smoothing weight 4 of the cross direction, then 1D suppression
     from crossband.image import gaussian_kernel
     profile = img[0]
-    k = gaussian_kernel(1.0)
+    k = gaussian_kernel(GRADIENT_SIGMA)
     blurred = np.correlate(np.pad(profile, len(k) // 2, mode="edge"), k, "valid")
     deriv = np.zeros_like(blurred)
     deriv[1:-1] = 4.0 * (blurred[2:] - blurred[:-2])
@@ -131,7 +129,7 @@ def test_canny_weak_step_suppressed_by_threshold():
     img = np.full((24, 48), 0.1)
     img[:, 16:] += 0.8    # strong step at 16
     img[:, 36:] += 0.05   # weak step at 36
-    out = canny(img, CannyConfig(blur_sigma=1.0, low_ratio=0.1, high_ratio=0.2))
+    out = canny(img, CannyConfig(low_ratio=0.1, high_ratio=0.2))
     # weak step magnitude is 0.05/0.8 = 6.25% of max, below the low threshold
     assert np.any(out.edges[:, 14:19] == 1)
     assert np.all(out.edges[:, 33:40] == 0)
@@ -144,7 +142,7 @@ def test_canny_polarity_invariance():
     b = canny(1.0 - img)
     assert np.array_equal(a.edges, b.edges)
     # directions flip by half a circle wherever the gradient is nonzero
-    ix, iy = gradients(gaussian_blur(img, 1.0))
+    ix, iy = gradients(gaussian_blur(img, GRADIENT_SIGMA))
     nonzero = np.hypot(ix, iy) > 1e-12
     diff = (b.directions.astype(int) - a.directions.astype(int)) % 16
     assert np.all(diff[nonzero] == 8)
@@ -155,7 +153,7 @@ def test_canny_hysteresis_invariant():
     img = gaussian_blur(rng.random((64, 64)), 1.2)
     cfg = CannyConfig()
     out = canny(img, cfg)
-    ix, iy = gradients(gaussian_blur(img, cfg.blur_sigma))
+    ix, iy = gradients(gaussian_blur(img, GRADIENT_SIGMA))
     mag = _magnitudes(ix, iy)
     edges = out.edges.astype(bool)
     assert np.all(mag[edges] >= cfg.low_ratio * mag.max() - 1e-12)
@@ -215,10 +213,9 @@ def _canny_cases(draw):
         img = np.round(rng.random((h, w)) * draw(st.integers(1, 4))) / 4
     # scaled by 1e-300 or 1e300, ix*ix + iy*iy underflows or overflows
     img = img * draw(st.sampled_from([1.0, 1e-300, 1e300]))
-    sigma = draw(st.sampled_from([0.5, 1.0, 2.0]))
     # high_ratio 1.0 puts the high threshold on the maximum
     high = draw(st.sampled_from([0.2, 1.0]))
-    return (img, CannyConfig(blur_sigma=sigma, high_ratio=high),
+    return (img, CannyConfig(high_ratio=high),
             draw(st.integers(2, 17)), draw(st.integers(1, 9)))
 
 

@@ -21,6 +21,8 @@ def test_spec_validation():
         SimulationSpec(scales=())
     with pytest.raises(ValueError):
         SimulationSpec(noise_sigma=-0.1)
+    with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
+        SimulationSpec(rng_seed=-1)
 
 
 def test_simulate_identity_noiseless_returns_base():

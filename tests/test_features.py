@@ -5,7 +5,7 @@ from scipy import ndimage
 
 from crossband.features import (Corner, HarrisConfig, _window_max, detect_corners,
                                 harris_score_map)
-from crossband.image import gradients
+from crossband.image import GRADIENT_SIGMA, gradients
 
 from helpers import correlate2d_replicate, gaussian_kernel_2d, harris_oracle, row_bands
 
@@ -45,7 +45,7 @@ def test_score_matches_dense_eigenvalue_oracle():
     cfg = HarrisConfig()
     got = harris_score_map(img, cfg)
 
-    ix, iy = gradients(img)
+    ix, iy = gradients(correlate2d_replicate(img, gaussian_kernel_2d(GRADIENT_SIGMA)))
     w2d = gaussian_kernel_2d(cfg.window_sigma)
     sxx = correlate2d_replicate(ix * ix, w2d)
     syy = correlate2d_replicate(iy * iy, w2d)

@@ -19,8 +19,9 @@ from crossband.registration import (Match, RansacConfig, _best_matches,
                                     ransac_once, register)
 from crossband.transform import AffineTransform, TransformKind
 
-from helpers import (best_matches_oracle, canny_oracle, design_matrix_oracle,
-                     detect_corners_oracle, fit_sample_oracle, inliers_oracle,
+from helpers import (best_matches_oracle, canny_field_oracle, design_matrix_oracle,
+                     detect_corners_oracle, fit_sample_oracle, gaussian_blur_oracle,
+                     gradients_oracle, harris_field_oracle, inliers_oracle,
                      norm_oracle, normalize_oracle, random_descriptor, residual,
                      residuals_oracle, row_bands, score_matrix_oracle)
 
@@ -743,6 +744,8 @@ def test_ransac_config_validation():
         RansacConfig(inlier_dist_fine=5.0, inlier_dist_coarse=2.0)
     with pytest.raises(ValueError):
         RansacConfig(gate_dist_fine=20.0, gate_dist_coarse=15.0)
+    with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
+        RansacConfig(rng_seed=-1)
 
 
 # --- register -------------------------------------------------------------------
@@ -827,8 +830,16 @@ def test_register_equals_oracle_front_end(model, monkeypatch):
     cfg = RansacConfig(model=model)
     fast = register(v, ir, cfg=cfg)
 
-    monkeypatch.setattr(registration, "_canny",
-                        lambda img, c: EdgeMap(*canny_oracle(img, c), 16))
+    # the whole-image field through the oracles, then both stages from it
+    monkeypatch.setattr(registration, "gaussian_blur", gaussian_blur_oracle)
+    monkeypatch.setattr(registration, "gradients", gradients_oracle)
+    monkeypatch.setattr(
+        registration, "_harris_score_map",
+        lambda field, shape, c: harris_field_oracle(*field(slice(None)), c))
+    monkeypatch.setattr(
+        registration, "_canny",
+        lambda field, shape, c: EdgeMap(
+            *canny_field_oracle(*field(slice(None)), c), 16))
     monkeypatch.setattr(registration, "_detect_corners", detect_corners_oracle)
     monkeypatch.setattr(registration, "score_matrix", score_matrix_oracle)
     monkeypatch.setattr(registration, "_best_matches", best_matches_oracle)
@@ -839,6 +850,54 @@ def test_register_equals_oracle_front_end(model, monkeypatch):
     assert ([(t.m.tobytes(), n) for t, n in fast.per_iteration]
             == [(t.m.tobytes(), n) for t, n in slow.per_iteration])
     assert len(fast.inliers) >= model.min_matches
+
+
+def test_register_differentiates_each_row_once(monkeypatch):
+    from crossband import edges, features, image
+    rows = []
+    gradient_rows = image._gradient_rows
+
+    def counted(arr, r):
+        rows.append(len(range(*r.indices(arr.shape[0]))))
+        return gradient_rows(arr, r)
+
+    # in every front-end module, so a stage that differentiates on its own
+    # is counted too
+    for module in (image, features, edges):
+        monkeypatch.setattr(module, "_gradient_rows", counted, raising=False)
+    v = synthetic_texture(157, 126, seed=30)
+    ir = synthetic_texture(157, 126, seed=31)
+    register(v, ir)
+    assert sum(rows) == v.shape[0] + ir.shape[0]
+
+
+def test_register_front_end_equals_the_public_stages(monkeypatch):
+    v, ir = _planted_pair()
+    harris_cfg = HarrisConfig()
+    seen = []
+    build = registration._descriptor.build_descriptors
+
+    def recording(corners, edge_map, window):
+        seen.append((corners, edge_map))
+        return build(corners, edge_map, window)
+
+    monkeypatch.setattr(registration._descriptor, "build_descriptors", recording)
+    register(v, ir, harris_cfg)
+    assert len(seen) == 2
+    for img, (corners, edge_map) in zip((v, ir), seen):
+        assert corners == detect_corners(harris_score_map(img, harris_cfg), harris_cfg)
+        public = canny(img)
+        assert edge_map.edges.tobytes() == public.edges.tobytes()
+        assert edge_map.directions.tobytes() == public.directions.tobytes()
+
+
+def test_register_rejects_a_window_wider_than_an_image():
+    big, small = synthetic_texture(128, seed=32), synthetic_texture(128, 96, seed=33)
+    with pytest.raises(ValueError, match="window 201 exceeds the visible image's"):
+        register(big, big, window=201)
+    with pytest.raises(ValueError, match="window 97 exceeds the infrared image's "
+                                         "smaller side, 96"):
+        register(big, small, window=97)
 
 
 @pytest.mark.parametrize("model", list(TransformKind))
