@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .edges import EdgeMap
+from .edges import DIRECTION_BINS, EdgeMap
 from .features import Corner
 
 DEFAULT_WINDOW = 31
@@ -59,7 +59,6 @@ class EdgeDescriptor:
     y: int
     edges: np.ndarray       # (window, window) uint8, 1 = edge pixel
     directions: np.ndarray  # (window, window) uint8 direction bins
-    n_bins: int
     edge_count: int
 
     @property
@@ -87,7 +86,6 @@ def build_descriptor(corner: Corner, edge_map: EdgeMap,
     e = edge_map.edges[y - r:y + r + 1, x - r:x + r + 1]
     g = edge_map.directions[y - r:y + r + 1, x - r:x + r + 1]
     return EdgeDescriptor(x=x, y=y, edges=e, directions=g,
-                          n_bins=edge_map.n_bins,
                           edge_count=int(np.count_nonzero(e)))
 
 
@@ -106,9 +104,6 @@ def _check_compatible(dp: EdgeDescriptor, dq: EdgeDescriptor) -> None:
     if dp.window != dq.window:
         raise ValueError(
             f"descriptor windows differ: {dp.window} vs {dq.window}")
-    if dp.n_bins != dq.n_bins:
-        raise ValueError(
-            f"descriptor direction bins differ: {dp.n_bins} vs {dq.n_bins}")
 
 
 def similarity(dp: EdgeDescriptor, dq: EdgeDescriptor) -> float:
@@ -129,17 +124,18 @@ def score_matrix(src: list[EdgeDescriptor], dst: list[EdgeDescriptor],
     is 0 when dst[j] carries no edge pixels.
 
     polarity "flipped" scores src[i] with its directions shifted by
-    -(n_bins // 2) bins, half a circle; "both" keeps the larger of the
-    direct and flipped scores.
+    -(DIRECTION_BINS // 2) bins, half a circle; "both" keeps the larger of
+    the direct and flipped scores. Direction bins outside
+    [0, DIRECTION_BINS) raise ValueError.
 
     The numerators are one sparse @ dense product per block of candidates:
-    a source row holds a 1 per edge pixel, at column pixel * n_bins + (bin -
-    shift) mod n_bins, and a candidate column a 1 at each bin within one
-    bin of its edge pixels' bins. Blocks of about _BLOCK_BYTES of candidates,
-    and of at most _SOURCE_EDGES edge pixels of sources, keep memory flat in
-    n_dst and in the sources' edge count. Each entry is an integer no larger
-    than window**2, below 2**24 for the windows build_descriptor allows, so
-    the float32 sums are exact in any order.
+    with n = DIRECTION_BINS, a source row holds a 1 per edge pixel, at column
+    pixel * n + (bin - shift) mod n, and a candidate column a 1 at each bin
+    within one bin of its edge pixels' bins. Blocks of about _BLOCK_BYTES of
+    candidates, and of at most _SOURCE_EDGES edge pixels of sources, keep
+    memory flat in n_dst and in the sources' edge count. Each entry is an
+    integer no larger than window**2, below 2**24 for the windows
+    build_descriptor allows, so the float32 sums are exact in any order.
     """
     if polarity not in POLARITIES:
         raise ValueError(f"unknown polarity mode {polarity!r}")
@@ -147,11 +143,11 @@ def score_matrix(src: list[EdgeDescriptor], dst: list[EdgeDescriptor],
         raise ValueError("descriptor lists must be nonempty")
     for d in (*src, *dst):
         _check_compatible(src[0], d)
-    n_bins = src[0].n_bins
-    shifts = {"direct": (0,), "flipped": (n_bins // 2,),
-              "both": (0, n_bins // 2)}[polarity]
+    half = DIRECTION_BINS // 2
+    shifts = {"direct": (0,), "flipped": (half,), "both": (0, half)}[polarity]
     num = np.empty((len(shifts), len(src), len(dst)), np.float32)
-    step = max(1, _BLOCK_BYTES // (src[0].window ** 2 * n_bins * num.itemsize))
+    column_bytes = src[0].window ** 2 * DIRECTION_BINS * num.itemsize
+    step = max(1, _BLOCK_BYTES // column_bytes)
     for i0, i1 in _source_blocks(src):
         sources = _source_rows(src[i0:i1], shifts)
         for j in range(0, len(dst), step):
@@ -178,32 +174,36 @@ def _source_blocks(src: list[EdgeDescriptor]):
 
 def _source_rows(src: list[EdgeDescriptor], shifts) -> sparse.csr_array:
     """Sparse 0/1 matrix whose row k * n_src + i is src[i] under shifts[k]."""
-    n_bins = src[0].n_bins
     rows, px, bins = _edge_pixels(src)
     per_row = np.tile(np.bincount(rows, minlength=len(src)), len(shifts))
     return sparse.csr_array(
         (np.ones(len(shifts) * len(px), np.float32),
-         np.concatenate([px * n_bins + (bins - s) % n_bins for s in shifts]),
+         np.concatenate([px * DIRECTION_BINS + (bins - s) % DIRECTION_BINS
+                         for s in shifts]),
          np.concatenate(([0], np.cumsum(per_row)))),
-        shape=(len(per_row), src[0].window ** 2 * n_bins))
+        shape=(len(per_row), src[0].window ** 2 * DIRECTION_BINS))
 
 
 def _edge_pixels(descriptors: list[EdgeDescriptor]):
     """Descriptor index, pixel index and direction bin of every edge pixel,
-    in descriptor then pixel order."""
+    in descriptor then pixel order. Bins outside [0, DIRECTION_BINS) raise
+    ValueError."""
     edges = np.stack([d.edges for d in descriptors])
     flat = np.flatnonzero(edges)
     index, px = np.divmod(flat, edges[0].size)
-    bins = np.stack([d.directions for d in descriptors]).take(flat)
-    return index, px, bins.astype(np.intp)
+    bins = np.stack([d.directions for d in descriptors]).take(flat).astype(np.intp)
+    bad = bins[(bins < 0) | (bins >= DIRECTION_BINS)]
+    if bad.size:
+        raise ValueError(
+            f"direction bin {bad[0]} is outside [0, {DIRECTION_BINS})")
+    return index, px, bins
 
 
 def _candidate_columns(dst: list[EdgeDescriptor]) -> np.ndarray:
-    """(window**2 * n_bins, n_dst) 0/1 matrix of each candidate's edge
+    """(window**2 * DIRECTION_BINS, n_dst) 0/1 matrix of each candidate's edge
     pixels dilated by one bin, filled (pixel, bin, candidate) in C order."""
-    n_bins = dst[0].n_bins
     cand, px, bins = _edge_pixels(dst)
-    near = np.zeros((dst[0].window ** 2, n_bins, len(dst)), np.float32)
+    near = np.zeros((dst[0].window ** 2, DIRECTION_BINS, len(dst)), np.float32)
     for off in (-1, 0, 1):
-        near[px, (bins + off) % n_bins, cand] = 1
+        near[px, (bins + off) % DIRECTION_BINS, cand] = 1
     return near.reshape(-1, len(dst))

@@ -14,7 +14,7 @@ from scipy import ndimage
 
 from .image import _banded, _field_rows, _magnitudes, as_gray, require_finite
 
-DEFAULT_DIRECTION_BINS = 16
+DIRECTION_BINS = 16
 
 
 @dataclass(frozen=True)
@@ -35,45 +35,42 @@ class CannyConfig:
 class EdgeMap:
     edges: np.ndarray       # uint8 raster, 1 = edge pixel
     directions: np.ndarray  # uint8 raster of direction bin indices
-    n_bins: int
 
     def __post_init__(self):
         if self.edges.shape != self.directions.shape:
             raise ValueError("edge and direction rasters must share dimensions")
 
 
-def quantize_direction(ix, iy, n_bins: int = DEFAULT_DIRECTION_BINS):
-    """Quantize gradient angles over the full circle into n_bins indices.
+def quantize_direction(ix, iy):
+    """Quantize gradient angles over the full circle into DIRECTION_BINS bins.
 
-    bin = floor(((atan2(iy, ix) + 2*pi) mod 2*pi) / (2*pi / n_bins)); a zero
-    gradient lands in bin 0. Accepts scalars or arrays.
+    bin = floor(((atan2(iy, ix) + 2*pi) mod 2*pi) / (2*pi / DIRECTION_BINS));
+    a zero gradient lands in bin 0. Accepts scalars or arrays.
     """
-    if n_bins < 2:
-        raise ValueError(f"n_bins must be >= 2, got {n_bins}")
-    bins = _angle_bins(np.arctan2(iy, ix), n_bins)
+    bins = _angle_bins(np.arctan2(iy, ix))
     if np.isscalar(ix) and np.isscalar(iy):
         return int(bins)
     return bins.astype(np.int64)
 
 
-def _angle_bins(angle, n_bins: int):
+def _angle_bins(angle):
     """quantize_direction's bins of atan2 angles, as float64 integers.
 
-    Equal, bit for bit, to np.floor(np.mod(angle + 2*pi, 2*pi) / (2*pi /
-    n_bins)) % n_bins, without a branch per value: angle + 2*pi lies in
-    [pi, 3*pi], where taking 2*pi off is exact, and below 2*pi the rounded
-    quotient can reach n_bins but no more, so that one value wraps to 0.
+    Equal, bit for bit, to np.floor(np.mod(angle + 2*pi, 2*pi) / (2*pi / n))
+    % n with n = DIRECTION_BINS, without a branch per value: angle + 2*pi
+    lies in [pi, 3*pi], where taking 2*pi off is exact, and below 2*pi the
+    rounded quotient can reach n but no more, so that one value wraps to 0.
     """
     full = angle + 2.0 * np.pi
     full -= 2.0 * np.pi * (full >= 2.0 * np.pi)
-    bins = np.floor(full / (2.0 * np.pi / n_bins))
-    bins -= n_bins * (bins >= n_bins)
+    bins = np.floor(full / (2.0 * np.pi / DIRECTION_BINS))
+    bins -= DIRECTION_BINS * (bins >= DIRECTION_BINS)
     return bins
 
 
 # Gradient-axis sectors for the interpolation-free suppression step: a pixel
-# is compared with its neighbours at +(dy, dx) and -(dy, dx), which lie
-# along the quantized gradient direction.
+# is compared with its neighbours at +(dy, dx) and -(dy, dx), along the
+# 45-degree sector ((b + 1) // 2) % 4 that holds its direction bin b.
 _SECTOR_STEPS = (
     (0, 1),     # near-horizontal gradient
     (1, 1),     # 45 degrees
@@ -82,15 +79,14 @@ _SECTOR_STEPS = (
 )
 
 
-def canny(img, cfg: CannyConfig | None = None,
-          n_bins: int = DEFAULT_DIRECTION_BINS) -> EdgeMap:
+def canny(img, cfg: CannyConfig | None = None) -> EdgeMap:
     """Classic Canny pipeline producing a binary edge raster plus the
     quantized direction raster of the blurred gradients.
 
-    Stages: Gaussian blur, Sobel gradients, gradient-magnitude non-maximum
-    suppression against the two 8-neighbors along the gradient axis (ties
-    keep the pixel against the positive-offset neighbor and suppress it
-    against the negative one, so plateau ridges thin to one pixel), then
+    Stages: Gaussian blur, Sobel gradients, non-maximum suppression of the
+    magnitudes against the two 8-neighbors along each direction bin's axis
+    (ties keep the pixel against the positive-offset neighbor and suppress
+    it against the negative one, so plateau ridges thin to one pixel), then
     double-threshold hysteresis over 8-connected components.
 
     The magnitudes are image._magnitudes(ix, iy), sqrt(ix*ix + iy*iy)
@@ -99,11 +95,10 @@ def canny(img, cfg: CannyConfig | None = None,
     if cfg is None:
         cfg = CannyConfig()
     arr = require_finite(as_gray(img), "input")
-    return _canny(lambda rows: _field_rows(arr, rows), arr.shape, cfg, n_bins)
+    return _canny(lambda rows: _field_rows(arr, rows), arr.shape, cfg)
 
 
-def _canny(field, shape: tuple[int, int], cfg: CannyConfig,
-           n_bins: int = DEFAULT_DIRECTION_BINS) -> EdgeMap:
+def _canny(field, shape: tuple[int, int], cfg: CannyConfig) -> EdgeMap:
     """canny of a finite image, read through its gradient field."""
     h, w = shape
     if h < 5 or w < 5:
@@ -115,17 +110,13 @@ def _canny(field, shape: tuple[int, int], cfg: CannyConfig,
         a, b = max(y0 - 1, 0), min(y1 + 1, h)
         ix, iy = field(slice(a, b))
         rows = slice(y0 - a, y1 - a)
-        angle = np.arctan2(iy[rows], ix[rows])
+        directions[y0:y1] = _angle_bins(np.arctan2(iy[rows], ix[rows]))
         # the zero padding stands for rows beyond the image only: at a band's
         # cut, the row beyond is in ix and iy
         padded = np.pad(_magnitudes(ix, iy), 1, mode="constant")
         m = padded[1:-1, 1:-1][rows]
         maxima.append(m.max())
-        directions[y0:y1] = _angle_bins(angle, n_bins)
-        # angle mod pi as np.mod gives it, except that pi stays pi: sector 0 too
-        axis = angle + np.pi * (angle < 0.0)
-        sector = np.floor((axis + np.pi / 8) / (np.pi / 4)).astype(np.uint8) & 3
-        at = np.flatnonzero(_suppress(padded, y0 - a + 1, sector))
+        at = np.flatnonzero(_suppress(padded, y0 - a + 1, directions[y0:y1]))
         found.append((at + y0 * w, m.ravel().take(at)))
 
     maxima, found = [], []
@@ -144,17 +135,18 @@ def _canny(field, shape: tuple[int, int], cfg: CannyConfig,
     # strong pixels are weak too, so the background label 0 stays unmarked
     reaches_strong = np.zeros(n_labels + 1, dtype=np.uint8)
     reaches_strong[labels.ravel().take(np.concatenate(strong))] = 1
-    return EdgeMap(reaches_strong.take(labels), directions, n_bins)
+    return EdgeMap(reaches_strong.take(labels), directions)
 
 
-def _suppress(padded, top, sector):
+def _suppress(padded, top, bins):
     """Suppression mask of the rows of `padded` from `top` on, one per row of
-    `sector`: >= the neighbour at +step, > the one at -step. `padded` holds
-    the magnitudes in a ring of zeros."""
-    n, w = sector.shape
+    direction `bins`: >= the neighbour at +step, > the one at -step, steps
+    from each bin's sector. `padded` holds the magnitudes in a ring of zeros."""
+    n, w = bins.shape
     stride = w + 2
     at = np.arange(top, top + n)[:, None] * stride + np.arange(1, w + 1)
-    step = np.array([dy * stride + dx for dy, dx in _SECTOR_STEPS]).take(sector)
+    steps = np.array([dy * stride + dx for dy, dx in _SECTOR_STEPS])
+    step = steps[(np.arange(DIRECTION_BINS) + 1) // 2 % 4].take(bins)
     flat = padded.ravel()
     m = padded[top:top + n, 1:-1]
     return (m >= flat.take(at + step)) & (m > flat.take(at - step))

@@ -149,7 +149,7 @@ def from_json_dict(obj: dict) -> AffineTransform:
         m = np.asarray(obj["matrix"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed transform JSON: {exc}") from exc
-    return AffineTransform(m, kind)
+    return AffineTransform(_finite(m), kind)
 
 
 def format_matrix_text(t: AffineTransform) -> str:
@@ -163,14 +163,26 @@ def parse_matrix_text(text: str) -> AffineTransform:
     if len(rows) != 2 or any(len(r) != 3 for r in rows):
         raise ValueError("matrix text must contain two rows of three numbers")
     m = np.array([[float(v) for v in row] for row in rows])
-    return AffineTransform(m, TransformKind.AFFINE)
+    return AffineTransform(_finite(m), TransformKind.AFFINE)
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
+    if not np.isfinite(m).all():
+        raise ValueError("transform matrix holds a non-finite entry")
+    return m
 
 
 def load_transform(path) -> AffineTransform:
-    """Read a transform from a JSON file or a plain-text 2x3 matrix file."""
+    """Read a transform from a JSON file or a plain-text 2x3 matrix file.
+
+    A malformed file, or one with a non-finite entry, raises ValueError
+    naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return from_json_dict(json.loads(text))
-    return parse_matrix_text(text)
+    try:
+        if text.lstrip().startswith("{"):
+            return from_json_dict(json.loads(text))
+        return parse_matrix_text(text)
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise ValueError(f"transform file {path}: {exc}") from exc

@@ -73,12 +73,12 @@ def dyadic_image(shape, rng, lsb_bits=10):
     return rng.integers(0, q + 1, size=shape).astype(np.float64) / q
 
 
-def circular_bin_distance(a, b, n_bins):
-    d = abs(int(a) - int(b)) % n_bins
-    return min(d, n_bins - d)
+def circular_bin_distance(a, b):
+    d = abs(int(a) - int(b)) % 16
+    return min(d, 16 - d)
 
 
-def similarity_oracle(ep, gp, eq, gq, n_bins=16):
+def similarity_oracle(ep, gp, eq, gq):
     """Direct per-pixel evaluation of the edge correlation score."""
     ep = np.asarray(ep).ravel()
     gp = np.asarray(gp).ravel()
@@ -89,18 +89,19 @@ def similarity_oracle(ep, gp, eq, gq, n_bins=16):
         return 0.0
     num = 0
     for e1, g1, e2, g2 in zip(ep, gp, eq, gq):
-        if e1 and e2 and circular_bin_distance(g1, g2, n_bins) <= 1:
+        if e1 and e2 and circular_bin_distance(g1, g2) <= 1:
             num += 1
     return num / np.sqrt(denom)
 
 
-def same_grad(gp, gq, n_bins=16):
-    """True when two direction bins differ by at most one bin, circularly
-    (the first and last bins are adjacent). Accepts scalars or arrays.
+def same_grad(gp, gq):
+    """True when two of the 16 direction bins differ by at most one bin,
+    circularly (the first and last bins are adjacent). Accepts scalars or
+    arrays.
     """
     d = np.mod(np.asarray(gp, dtype=np.int64) - np.asarray(gq, dtype=np.int64),
-               n_bins)
-    hit = np.minimum(d, n_bins - d) <= 1
+               16)
+    hit = np.minimum(d, 16 - d) <= 1
     if np.isscalar(gp) and np.isscalar(gq):
         return bool(hit)
     return hit
@@ -114,16 +115,16 @@ def scalar_similarity(dp, dq):
     """
     if dq.edge_count == 0:
         return 0.0
-    hits = same_grad(dp.directions, dq.directions, dp.n_bins)
+    hits = same_grad(dp.directions, dq.directions)
     num = int(np.count_nonzero((dp.edges != 0) & (dq.edges != 0) & hits))
     return math.sqrt(num * num / dq.edge_count)
 
 
-def random_descriptor(rng, window=15, n_bins=16, density=0.3, x=100, y=100):
+def random_descriptor(rng, window=15, density=0.3, x=100, y=100):
     from crossband.descriptor import EdgeDescriptor
     e = (rng.random((window, window)) < density).astype(np.uint8)
-    g = rng.integers(0, n_bins, size=(window, window)).astype(np.uint8)
-    return EdgeDescriptor(x=x, y=y, edges=e, directions=g, n_bins=n_bins,
+    g = rng.integers(0, 16, size=(window, window)).astype(np.uint8)
+    return EdgeDescriptor(x=x, y=y, edges=e, directions=g,
                           edge_count=int(e.sum()))
 
 
@@ -281,35 +282,35 @@ def unfilter_oracle(scanlines, bpp):
     return out
 
 
-def canny_oracle(img, cfg=None, n_bins=16):
+def canny_oracle(img, cfg=None):
     """Canny with `np.mgrid` neighbour gathers and `np.isin` hysteresis.
 
     Returns (edges, directions) as uint8 rasters: blur, Sobel gradients,
-    norm_oracle magnitudes, full-circle direction bins, suppression against
-    the two 8-neighbours along the gradient axis (>= the positive-offset
-    one, > the negative one), then 8-connected hysteresis.
+    norm_oracle magnitudes, 16 full-circle direction bins, suppression
+    against the two 8-neighbours along the axis of the 45-degree sector that
+    holds each pixel's bin (>= the positive-offset one, > the negative one),
+    then 8-connected hysteresis.
     """
     from crossband.edges import CannyConfig
     if cfg is None:
         cfg = CannyConfig()
     ix, iy = gradients_oracle(gaussian_blur_oracle(img, GRADIENT_SIGMA))
-    return canny_field_oracle(ix, iy, cfg, n_bins)
+    return canny_field_oracle(ix, iy, cfg)
 
 
-def canny_field_oracle(ix, iy, cfg, n_bins=16):
+def canny_field_oracle(ix, iy, cfg):
     """canny_oracle from the whole gradient field (ix, iy)."""
     h, w = ix.shape
     mag = norm_oracle(ix, iy)
     full = np.mod(np.arctan2(iy, ix) + 2.0 * np.pi, 2.0 * np.pi)
-    directions = (np.floor(full / (2.0 * np.pi / n_bins)).astype(np.int64)
-                  % n_bins).astype(np.uint8)
+    directions = (np.floor(full / (2.0 * np.pi / 16)).astype(np.int64)
+                  % 16).astype(np.uint8)
     mag_max = float(mag.max())
     if mag_max <= 0.0:
         return np.zeros((h, w), np.uint8), directions
 
-    angle = np.arctan2(iy, ix)
-    sector = np.floor((np.mod(angle, np.pi) + np.pi / 8)
-                      / (np.pi / 4)).astype(int) % 4
+    # bins 2s - 1 and 2s (mod 16) make up sector s
+    sector = (directions.astype(int) + 1) // 2 % 4
     offsets = (((0, 1), (0, -1)), ((1, 1), (-1, -1)),
                ((1, 0), (-1, 0)), ((1, -1), (-1, 1)))
     padded = np.pad(mag, 1, mode="constant")
@@ -419,13 +420,12 @@ def inliers_oracle(m, src, dst, r):
 def score_matrix_oracle(src, dst, polarity="direct"):
     """score_matrix from `scalar_similarity`, one pair at a time."""
     from crossband.descriptor import EdgeDescriptor
-    half = src[0].n_bins // 2
 
     def flipped(d):
-        dirs = (d.directions.astype(int) - half) % d.n_bins
+        dirs = (d.directions.astype(int) - 8) % 16
         return EdgeDescriptor(x=d.x, y=d.y, edges=d.edges,
                               directions=dirs.astype(np.uint8),
-                              n_bins=d.n_bins, edge_count=d.edge_count)
+                              edge_count=d.edge_count)
     direct = np.array([[scalar_similarity(p, q) for q in dst] for p in src])
     if polarity == "direct":
         return direct

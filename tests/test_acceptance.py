@@ -99,11 +99,11 @@ def test_criterion_4_similarity_unit_fidelity():
     e1 = np.zeros((9, 9), np.uint8); e1[2, :] = 1
     e2 = np.zeros((9, 9), np.uint8); e2[6, :] = 1
     g = np.zeros((9, 9), np.uint8)
-    d1 = EdgeDescriptor(0, 0, e1, g, 16, 9)
-    d2 = EdgeDescriptor(0, 0, e2, g, 16, 9)
+    d1 = EdgeDescriptor(0, 0, e1, g, 9)
+    d2 = EdgeDescriptor(0, 0, e2, g, 9)
     disjoint_zero = similarity(d1, d2) == 0.0
     e3 = np.zeros((9, 9), np.uint8); e3[2, 3:6] = 1
-    d3 = EdgeDescriptor(0, 0, e3, g, 16, 3)
+    d3 = EdgeDescriptor(0, 0, e3, g, 3)
     asym = (similarity(d1, d3) != similarity(d3, d1)
             and similarity(d1, d3) == pytest.approx(3 / math.sqrt(3), abs=1e-12)
             and similarity(d3, d1) == pytest.approx(3 / math.sqrt(9), abs=1e-12))

@@ -139,6 +139,23 @@ def test_warp_non_finite_transform_exits_1(tmp_path, texture_png, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, text", [
+    ("nan.json", '{"model": "affine", "matrix": [[NaN, 0, 0], [0, 1, 0]]}'),
+    ("inf.txt", "1 0 inf\n0 1 0\n"),
+], ids=["nan-json", "inf-text"])
+def test_warp_invert_non_finite_transform_exits_1(tmp_path, texture_png, capsys,
+                                                  name, text):
+    # rejected on reading, before the inverse: no singular-transform exit 2,
+    # no floating-point warning
+    t = tmp_path / name
+    t.write_text(text)
+    out = tmp_path / "w.png"
+    assert main(["warp", str(texture_png), str(t), str(out), "--invert"]) == 1
+    err = capsys.readouterr().err
+    assert f"{name}: transform matrix holds a non-finite entry" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fill", ["nan", "inf", "-inf"])
 def test_warp_non_finite_fill_exits_1(tmp_path, texture_png, capsys, fill):
     t = tmp_path / "t34.json"

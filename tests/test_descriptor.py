@@ -18,14 +18,14 @@ from helpers import (random_descriptor, same_grad, scalar_similarity,
                      score_matrix_oracle, similarity_oracle)
 
 
-def _map_from(e, g, n_bins=16):
-    return EdgeMap(e.astype(np.uint8), g.astype(np.uint8), n_bins)
+def _map_from(e, g):
+    return EdgeMap(e.astype(np.uint8), g.astype(np.uint8))
 
 
-def _descriptor(e, g, n_bins=16, x=50, y=50):
+def _descriptor(e, g, x=50, y=50):
     e = np.asarray(e, dtype=np.uint8)
     return EdgeDescriptor(x=x, y=y, edges=e, directions=np.asarray(g, np.uint8),
-                          n_bins=n_bins, edge_count=int(e.sum()))
+                          edge_count=int(e.sum()))
 
 
 # --- build -----------------------------------------------------------------
@@ -104,16 +104,16 @@ def test_window_matches_canny_rerun_on_padded_subimage():
 # --- same_grad ---------------------------------------------------------------
 
 def test_same_grad_examples():
-    assert same_grad(3, 3, 16) is True
-    assert same_grad(0, 15, 16) is True      # circular distance 1
-    assert same_grad(2, 7, 16) is False      # distance 5
-    assert same_grad(0, 8, 16) is False      # opposite directions
+    assert same_grad(3, 3) is True
+    assert same_grad(0, 15) is True      # circular distance 1
+    assert same_grad(2, 7) is False      # distance 5
+    assert same_grad(0, 8) is False      # opposite directions
 
 
 def test_same_grad_arrays():
     gp = np.array([0, 1, 2, 15])
     gq = np.array([15, 1, 7, 0])
-    assert np.array_equal(same_grad(gp, gq, 16), [True, True, False, True])
+    assert np.array_equal(same_grad(gp, gq), [True, True, False, True])
 
 
 # --- similarity --------------------------------------------------------------
@@ -205,20 +205,18 @@ def test_similarity_is_asymmetric_with_symmetric_numerator():
 def _shifted(d, shift):
     return EdgeDescriptor(
         x=d.x, y=d.y, edges=d.edges,
-        directions=((d.directions.astype(int) + shift) % d.n_bins).astype(np.uint8),
-        n_bins=d.n_bins, edge_count=d.edge_count)
+        directions=((d.directions.astype(int) + shift) % 16).astype(np.uint8),
+        edge_count=d.edge_count)
 
 
 @st.composite
 def _descriptor_sets(draw):
     window = draw(st.sampled_from([5, 7, 9, 15, 51]))
-    n_bins = draw(st.integers(2, 17))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
     def one():
         density = draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]))
-        return random_descriptor(rng, window=window, n_bins=n_bins,
-                                 density=density)
+        return random_descriptor(rng, window=window, density=density)
     src = [one() for _ in range(draw(st.integers(1, 4)))]
     dst = [one() for _ in range(draw(st.integers(1, 4)))]
     return src, dst
@@ -228,9 +226,8 @@ def _descriptor_sets(draw):
 @given(_descriptor_sets())
 def test_score_matrix_equals_scalar_similarity(sets):
     src, dst = sets
-    half = src[0].n_bins // 2
     direct = np.array([[scalar_similarity(p, q) for q in dst] for p in src])
-    flipped = np.array([[scalar_similarity(_shifted(p, -half), q) for q in dst]
+    flipped = np.array([[scalar_similarity(_shifted(p, -8), q) for q in dst]
                         for p in src])
     for polarity, expected in (("direct", direct), ("flipped", flipped),
                                ("both", np.maximum(direct, flipped))):
@@ -279,6 +276,18 @@ def test_score_matrix_memory_stays_within_a_few_blocks():
         finally:
             tracemalloc.stop()
         assert peak <= 3 * descriptor._BLOCK_BYTES < unblocked, density
+
+
+def test_score_matrix_rejects_out_of_range_bins():
+    # bin 17 would wrap to bin 1 and score as it
+    e = np.ones((5, 5))
+    good = _descriptor(e, np.ones((5, 5)))
+    bad = _descriptor(e, np.full((5, 5), 17))
+    for src, dst in (([bad], [good]), ([good], [bad])):
+        for polarity in ("direct", "both"):
+            with pytest.raises(ValueError,
+                               match=r"direction bin 17 is outside \[0, 16\)"):
+                score_matrix(src, dst, polarity)
 
 
 def test_score_matrix_rejects_mixed_windows():
@@ -345,8 +354,7 @@ def test_best_match_no_gate_equals_infinite_gate():
 def test_best_match_tie_breaks_to_smallest_index():
     d = random_descriptor(np.random.default_rng(11), density=0.4)
     twin = EdgeDescriptor(x=d.x + 5, y=d.y, edges=d.edges.copy(),
-                          directions=d.directions.copy(), n_bins=d.n_bins,
-                          edge_count=d.edge_count)
+                          directions=d.directions.copy(), edge_count=d.edge_count)
     [hit] = match_all([d], [twin, d])
     assert hit.dst_index == 0
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
-from crossband.edges import (CannyConfig, EdgeMap, _angle_bins, canny,
+from crossband.edges import (DIRECTION_BINS, CannyConfig, EdgeMap, _SECTOR_STEPS,
+                             _angle_bins, _canny, _suppress, canny,
                              quantize_direction)
 from crossband.evaluation import synthetic_texture
 from crossband.image import GRADIENT_SIGMA, _magnitudes, gaussian_blur, gradients
@@ -14,58 +15,108 @@ from helpers import canny_oracle, row_bands
 
 
 def test_quantize_examples():
-    assert quantize_direction(1.0, 0.0, 16) == 0
-    assert quantize_direction(0.0, 1.0, 16) == 4
+    assert quantize_direction(1.0, 0.0) == 0
+    assert quantize_direction(0.0, 1.0) == 4
     # atan2(-1, -1) = -3pi/4 -> 5pi/4 -> bin 10
-    assert quantize_direction(-1.0, -1.0, 16) == 10
+    assert quantize_direction(-1.0, -1.0) == 10
 
 
 def test_quantize_zero_gradient_is_bin_zero():
-    assert quantize_direction(0.0, 0.0, 16) == 0
+    assert quantize_direction(0.0, 0.0) == 0
 
 
 def test_quantize_array_form():
     ix = np.array([1.0, 0.0, -1.0])
     iy = np.array([0.0, 1.0, 0.0])
-    assert np.array_equal(quantize_direction(ix, iy, 16), [0, 4, 8])
+    assert np.array_equal(quantize_direction(ix, iy), [0, 4, 8])
 
 
 def test_quantize_rot90_property():
     rng = np.random.default_rng(0)
     ix = rng.normal(size=200)
     iy = rng.normal(size=200)
-    q = quantize_direction(ix, iy, 16)
+    q = quantize_direction(ix, iy)
     # rotating the gradient by 90 degrees maps (ix, iy) -> (-iy, ix)
-    q_rot = quantize_direction(-iy, ix, 16)
+    q_rot = quantize_direction(-iy, ix)
     assert np.array_equal(q_rot, (q + 4) % 16)
 
 
 def test_quantize_bins_in_range():
     rng = np.random.default_rng(1)
-    for n_bins in (2, 3, 8, 16, 32):
-        q = quantize_direction(rng.normal(size=500), rng.normal(size=500), n_bins)
-        assert q.min() >= 0 and q.max() < n_bins
+    q = quantize_direction(rng.normal(size=500), rng.normal(size=500))
+    assert DIRECTION_BINS == 16
+    assert q.min() >= 0 and q.max() < 16
 
 
 def test_angle_bins_equal_the_mod_form():
-    for n_bins in range(2, 18):
-        step = 2.0 * np.pi / n_bins
-        edge = np.arange(n_bins + 1) * step
-        # every bin edge and one ulp either side, as atan2 angles and as
-        # angle + 2*pi, the value that is divided (at n_bins 3, 6 and 12 one
-        # ulp below 2*pi divides to n_bins)
-        near = [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
-        angle = np.concatenate([*near, *(v - 2.0 * np.pi for v in near),
-                                [np.pi, -np.pi, 0.0, -0.0]])
-        angle = angle[np.abs(angle) <= np.pi]
-        expected = (np.floor(np.mod(angle + 2.0 * np.pi, 2.0 * np.pi) / step)
-                    .astype(np.int64) % n_bins)
-        assert np.array_equal(_angle_bins(angle, n_bins), expected)
+    step = 2.0 * np.pi / 16
+    edge = np.arange(16 + 1) * step
+    # every bin edge and one ulp either side, as atan2 angles and as
+    # angle + 2*pi, the value that is divided
+    near = [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+    angle = np.concatenate([*near, *(v - 2.0 * np.pi for v in near),
+                            [np.pi, -np.pi, 0.0, -0.0]])
+    angle = angle[np.abs(angle) <= np.pi]
+    expected = (np.floor(np.mod(angle + 2.0 * np.pi, 2.0 * np.pi) / step)
+                .astype(np.int64) % 16)
+    assert np.array_equal(_angle_bins(angle), expected)
 
 
-def test_quantize_rejects_bad_bins():
-    with pytest.raises(ValueError):
-        quantize_direction(1.0, 0.0, 1)
+def _bin_sector(b):
+    return (b + 1) // 2 % 4
+
+
+def _neighbours_except(step, centre, plus, minus):
+    """3x3 magnitudes in a ring of zeros: `centre` in the middle, `plus` at
+    +step and `minus` at -step from it, 3 at the other neighbours."""
+    dy, dx = step
+    mag = np.full((3, 3), 3.0)
+    mag[1, 1], mag[1 + dy, 1 + dx], mag[1 - dy, 1 - dx] = centre, plus, minus
+    return np.pad(mag, 1)
+
+
+def test_suppress_steps_along_each_bins_sector():
+    for b in range(16):
+        step = _SECTOR_STEPS[_bin_sector(b)]
+        bins = np.full((3, 3), b, np.uint8)
+        # kept only against its own sector's neighbours: >= at +step ...
+        kept = _suppress(_neighbours_except(step, 2.0, 2.0, 1.0), 1, bins)
+        assert kept[1, 1], b
+        # ... and > at -step
+        tied = _suppress(_neighbours_except(step, 2.0, 1.0, 2.0), 1, bins)
+        assert not tied[1, 1], b
+
+
+def _sector_edge_gradients():
+    """At most one gradient (ix, iy) per odd multiple k*pi/8, with iy within
+    200 ulps of 2*sin(k*pi/8), whose bin's sector differs from the sector
+    that rounding the angle mod pi to a multiple of pi/4 gives."""
+    found = []
+    for k in range(-7, 8, 2):
+        ix, iy = 2.0 * np.cos(k * np.pi / 8), 2.0 * np.sin(k * np.pi / 8)
+        ys = iy + np.arange(-200, 201) * np.spacing(iy)
+        angle = np.arctan2(ys, ix)
+        axis = angle + np.pi * (angle < 0.0)
+        rounded = np.floor((axis + np.pi / 8) / (np.pi / 4)).astype(int) % 4
+        differ = np.flatnonzero(rounded != _bin_sector(quantize_direction(ix, ys)))
+        found += [(ix, ys[j]) for j in differ[:1]]
+    return found
+
+
+def test_canny_suppresses_along_the_sector_of_the_bin():
+    cases = _sector_edge_gradients()
+    assert cases  # the two rules disagree somewhere near the sector edges
+    for gx, gy in cases:
+        b = quantize_direction(gx, gy)
+        dy, dx = _SECTOR_STEPS[_bin_sector(b)]
+        # magnitude 3 all round, 1 at the two neighbours along the bin's
+        # sector, and about 2 in the middle
+        ix, iy = np.full((5, 5), 3.0), np.zeros((5, 5))
+        ix[2 + dy, 2 + dx] = ix[2 - dy, 2 - dx] = 1.0
+        ix[2, 2], iy[2, 2] = gx, gy
+        out = _canny(lambda rows: (ix[rows], iy[rows]), (5, 5), CannyConfig())
+        assert out.directions[2, 2] == b
+        assert out.edges[2, 2] == 1, (gx, gy)
 
 
 def test_config_validation():
@@ -77,7 +128,7 @@ def test_config_validation():
 
 def test_edge_map_shape_mismatch():
     with pytest.raises(ValueError):
-        EdgeMap(np.zeros((4, 4), np.uint8), np.zeros((4, 5), np.uint8), 16)
+        EdgeMap(np.zeros((4, 4), np.uint8), np.zeros((4, 5), np.uint8))
 
 
 def test_canny_constant_no_edges():
@@ -215,17 +266,16 @@ def _canny_cases(draw):
     img = img * draw(st.sampled_from([1.0, 1e-300, 1e300]))
     # high_ratio 1.0 puts the high threshold on the maximum
     high = draw(st.sampled_from([0.2, 1.0]))
-    return (img, CannyConfig(high_ratio=high),
-            draw(st.integers(2, 17)), draw(st.integers(1, 9)))
+    return img, CannyConfig(high_ratio=high), draw(st.integers(1, 9))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_canny_cases())
 def test_canny_equals_oracle(case):
-    img, cfg, n_bins, band_rows = case
+    img, cfg, band_rows = case
     with row_bands(band_rows):
-        out = canny(img, cfg, n_bins)
-    edges, directions = canny_oracle(img, cfg, n_bins)
+        out = canny(img, cfg)
+    edges, directions = canny_oracle(img, cfg)
     assert out.edges.dtype == np.uint8 and out.directions.dtype == np.uint8
     assert np.array_equal(out.edges, edges)
     assert np.array_equal(out.directions, directions)

@@ -200,7 +200,7 @@ def test_brute_force_translation_exact_shift():
     dy, dx = -2, 3
     shifted[max(0, dy):64 + min(0, dy), max(0, dx):64 + min(0, dx)] = \
         e[max(0, -dy):64 - max(0, dy), max(0, -dx):64 - max(0, dx)]
-    t = brute_force_translation(EdgeMap(e, g, 16), EdgeMap(shifted, g, 16), 8)
+    t = brute_force_translation(EdgeMap(e, g), EdgeMap(shifted, g), 8)
     assert (t.m[0, 2], t.m[1, 2]) == (dx, dy)
 
 
@@ -208,7 +208,7 @@ def test_brute_force_translation_identity():
     rng = np.random.default_rng(13)
     e = (rng.random((48, 48)) < 0.15).astype(np.uint8)
     g = np.zeros_like(e)
-    t = brute_force_translation(EdgeMap(e, g, 16), EdgeMap(e, g, 16), 6)
+    t = brute_force_translation(EdgeMap(e, g), EdgeMap(e, g), 6)
     assert (t.m[0, 2], t.m[1, 2]) == (0, 0)
 
 
@@ -222,7 +222,7 @@ def test_brute_force_translation_with_bit_flips():
         e[max(0, -dy):96 - max(0, dy), max(0, -dx):96 - max(0, dx)]
     flips = rng.random(shifted.shape) < 0.10
     noisy = np.where(flips, 1 - shifted, shifted).astype(np.uint8)
-    t = brute_force_translation(EdgeMap(e, g, 16), EdgeMap(noisy, g, 16), 8)
+    t = brute_force_translation(EdgeMap(e, g), EdgeMap(noisy, g), 8)
     assert np.hypot(t.m[0, 2] - dx, t.m[1, 2] - dy) <= 1.0
 
 

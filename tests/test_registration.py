@@ -37,8 +37,8 @@ def _descriptor_grid(rng, n=12, window=15, spacing=40, origin=(30, 30)):
 
 def _shift_descriptors(descs, dx, dy):
     return [EdgeDescriptor(x=d.x + dx, y=d.y + dy, edges=d.edges,
-                           directions=d.directions, n_bins=d.n_bins,
-                           edge_count=d.edge_count) for d in descs]
+                           directions=d.directions, edge_count=d.edge_count)
+            for d in descs]
 
 
 # --- match_all ---------------------------------------------------------------
@@ -838,8 +838,7 @@ def test_register_equals_oracle_front_end(model, monkeypatch):
         lambda field, shape, c: harris_field_oracle(*field(slice(None)), c))
     monkeypatch.setattr(
         registration, "_canny",
-        lambda field, shape, c: EdgeMap(
-            *canny_field_oracle(*field(slice(None)), c), 16))
+        lambda field, shape, c: EdgeMap(*canny_field_oracle(*field(slice(None)), c)))
     monkeypatch.setattr(registration, "_detect_corners", detect_corners_oracle)
     monkeypatch.setattr(registration, "score_matrix", score_matrix_oracle)
     monkeypatch.setattr(registration, "_best_matches", best_matches_oracle)

@@ -124,6 +124,28 @@ def test_load_transform_sniffs_format(tmp_path):
     assert np.array_equal(load_transform(tpath).m, t.m)
 
 
+@pytest.mark.parametrize("name, text", [
+    ("nan.json", '{"model": "affine", "matrix": [[NaN, 0, 0], [0, 1, 0]]}'),
+    # the finite check comes before the similarity form's, which NaN fails
+    ("sim.json", '{"model": "similarity", "matrix": [[NaN, 0, 0], [0, NaN, 0]]}'),
+    ("inf.txt", "1 0 inf\n0 1 0\n"),
+    ("neg.txt", "1 0 0\n0 -inf 0\n"),
+], ids=["nan-json", "nan-similarity-json", "inf-text", "neg-inf-text"])
+def test_load_transform_rejects_non_finite_entries(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError,
+                       match=f"{name}: transform matrix holds a non-finite entry"):
+        load_transform(path)
+
+
+def test_load_transform_names_a_malformed_file(tmp_path):
+    path = tmp_path / "cut.json"
+    path.write_text('{"model": "affine", "matrix": [[1, 0, 0]')
+    with pytest.raises(ValueError, match="cut.json: "):
+        load_transform(path)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4),
        st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
