@@ -1,9 +1,10 @@
 """Command-line surface: register, warp, fuse, and eval subcommands.
 
 Exit codes: 0 success, 1 usage/I-O/configuration problems, 2 algorithmic
-failures (registration could not converge, singular transform). Output
-files are written to a temporary sibling and renamed into place, so a
-failing command never leaves partial output behind.
+failures (registration could not converge, singular transform). Each output
+file is written to a temporary sibling, and the siblings are renamed into
+place only once every output of the command is written, so a failing
+command never leaves partial output behind.
 """
 
 from __future__ import annotations
@@ -117,20 +118,26 @@ def _register_args(settings) -> tuple:
             cfgmod.build(RansacConfig, settings), matching.polarity)
 
 
-def _atomic_write(path: str, write) -> None:
-    """Call write(tmp) on a temporary sibling of path, then rename it onto
-    path. The temporary name ends in path's name, so it keeps the extension
-    that write_image reads the format from."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
-                               suffix=os.path.basename(path))
-    os.close(fd)
+def _atomic_write(*outputs) -> None:
+    """For each (path, write) pair call write(tmp) on a temporary sibling of
+    path; once every write has succeeded, rename each sibling onto its path.
+    A temporary name ends in its path's name, so it keeps the extension that
+    write_image reads the format from."""
+    temps = []
     try:
-        write(tmp)
-        os.replace(tmp, path)
+        for path, write in outputs:
+            directory = os.path.dirname(os.path.abspath(path))
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
+                                       suffix=os.path.basename(path))
+            os.close(fd)
+            temps.append(tmp)
+            write(tmp)
+        for (path, _), tmp in zip(outputs, temps):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -152,8 +159,8 @@ def _cmd_register(args) -> int:
           f"support={result.support} inliers={len(result.inliers)}")
     payload = json.dumps(to_json_dict(result.transform, result.support,
                                       len(result.inliers)), indent=2) + "\n"
-    _atomic_write(args.out_transform,
-                  lambda tmp: Path(tmp).write_bytes(payload.encode("utf-8")))
+    _atomic_write((args.out_transform,
+                   lambda tmp: Path(tmp).write_bytes(payload.encode("utf-8"))))
     print(f"transform written to {args.out_transform}")
     return _EXIT_OK
 
@@ -171,8 +178,8 @@ def _cmd_warp(args) -> int:
         arr = as_color(img)
         planes = [warp_affine(arr[:, :, c], t, fill=args.fill) for c in range(3)]
         out = np.stack(planes, axis=2)
-    _atomic_write(args.output,
-                  lambda tmp: write_image(tmp, out, bitdepth=args.bits))
+    _atomic_write((args.output,
+                   lambda tmp: write_image(tmp, out, bitdepth=args.bits)))
     print(f"warped image written to {args.output}")
     return _EXIT_OK
 
@@ -190,15 +197,17 @@ def _cmd_fuse(args) -> int:
             f"{infrared.shape[1]}x{infrared.shape[0]}")
     fusion_cfg = cfgmod.build(FusionConfig, settings)
     fused, fused_color = fuse_pair(visible, infrared, fusion_cfg)
-    _atomic_write(args.out_gray, lambda tmp: write_image(tmp, fused))
-    _atomic_write(args.out_color, lambda tmp: write_image(tmp, fused_color))
-    print(f"fused images written to {args.out_gray} and {args.out_color}")
+    outputs = [(args.out_gray, lambda tmp: write_image(tmp, fused)),
+               (args.out_color, lambda tmp: write_image(tmp, fused_color))]
     if args.dump_scales:
         scales = fuse_scales(to_luminance(visible), infrared, fusion_cfg)
-        for sigma, img in zip(fusion_cfg.sigmas, scales):
-            path = f"{args.dump_scales}-{sigma:g}.png"
-            _atomic_write(path, lambda tmp: write_image(tmp, clamp01(img)))
-            print(f"per-scale fusion written to {path}")
+        outputs += [(f"{args.dump_scales}-{sigma:g}.png",
+                     lambda tmp, img=img: write_image(tmp, clamp01(img)))
+                    for sigma, img in zip(fusion_cfg.sigmas, scales)]
+    _atomic_write(*outputs)
+    print(f"fused images written to {args.out_gray} and {args.out_color}")
+    for path, _ in outputs[2:]:
+        print(f"per-scale fusion written to {path}")
     return _EXIT_OK
 
 
@@ -216,7 +225,7 @@ def _cmd_eval(args) -> int:
     report = run_benchmark(bases, cfgmod.build(SimulationSpec, settings),
                            *_register_args(settings))
     csv = report.to_csv().encode("utf-8")
-    _atomic_write(args.out_csv, lambda tmp: Path(tmp).write_bytes(csv))
+    _atomic_write((args.out_csv, lambda tmp: Path(tmp).write_bytes(csv)))
     print(f"trials={len(report.rows)} failures={report.failures} "
           f"mean_error={report.mean_error:.4f}px "
           f"median_error={report.median_error:.4f}px")

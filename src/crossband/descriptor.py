@@ -16,8 +16,10 @@ the better of the two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 
 from .edges import DIRECTION_BINS, EdgeMap
@@ -70,6 +72,21 @@ class EdgeDescriptor:
         return (self.x, self.y)
 
 
+class _Windows(NamedTuple):
+    """Descriptors as arrays, one row per descriptor. The score reads
+    these; build_descriptors' EdgeDescriptors are views of their rows."""
+    xs: np.ndarray          # (n,) corner columns
+    ys: np.ndarray          # (n,) corner rows
+    edges: np.ndarray       # (n, window, window), nonzero = edge pixel
+    directions: np.ndarray  # (n, window, window) direction bins
+    counts: np.ndarray      # (n,) edge pixels per window
+
+    @property
+    def positions(self) -> np.ndarray:
+        """(n, 2) float64 corner positions, as `positions_of`."""
+        return np.column_stack((self.xs, self.ys)).astype(np.float64)
+
+
 def build_descriptor(corner: Corner, edge_map: EdgeMap,
                      window: int = DEFAULT_WINDOW) -> EdgeDescriptor | None:
     """Window the precomputed edge map around a corner.
@@ -77,33 +94,40 @@ def build_descriptor(corner: Corner, edge_map: EdgeMap,
     Returns None when the corner sits closer than window // 2 to the image
     border (the window would not fit).
     """
-    _check_window(window)
-    r = window // 2
-    h, w = edge_map.edges.shape
-    x, y = corner.x, corner.y
-    if x < r or y < r or x >= w - r or y >= h - r:
-        return None
-    e = edge_map.edges[y - r:y + r + 1, x - r:x + r + 1]
-    g = edge_map.directions[y - r:y + r + 1, x - r:x + r + 1]
-    return EdgeDescriptor(x=x, y=y, edges=e, directions=g,
-                          edge_count=int(np.count_nonzero(e)))
+    found = build_descriptors([corner], edge_map, window)
+    return found[0] if found else None
 
 
 def build_descriptors(corners, edge_map: EdgeMap,
                       window: int = DEFAULT_WINDOW) -> list[EdgeDescriptor]:
     """Descriptors for every corner far enough from the border."""
-    out = []
-    for c in corners:
-        d = build_descriptor(c, edge_map, window)
-        if d is not None:
-            out.append(d)
-    return out
+    xs = np.array([c.x for c in corners], dtype=np.intp)
+    ys = np.array([c.y for c in corners], dtype=np.intp)
+    w = _cut_windows(xs, ys, edge_map, window)
+    return [EdgeDescriptor(x=x, y=y, edges=e, directions=g, edge_count=n)
+            for x, y, e, g, n in zip(w.xs.tolist(), w.ys.tolist(), w.edges,
+                                     w.directions, w.counts.tolist())]
 
 
-def _check_compatible(dp: EdgeDescriptor, dq: EdgeDescriptor) -> None:
-    if dp.window != dq.window:
-        raise ValueError(
-            f"descriptor windows differ: {dp.window} vs {dq.window}")
+def _cut_windows(xs: np.ndarray, ys: np.ndarray, edge_map: EdgeMap,
+                 window: int) -> _Windows:
+    """The windows of the corners (xs, ys) that lie at least window // 2
+    from every border, in corner order, each raster cut in one gather."""
+    _check_window(window)
+    r = window // 2
+    h, w = edge_map.edges.shape
+    fits = (xs >= r) & (ys >= r) & (xs < w - r) & (ys < h - r)
+    xs, ys = xs[fits], ys[fits]
+    rasters = (edge_map.edges, edge_map.directions)
+    if len(xs):  # so the map is at least window wide and high
+        edges, directions = (
+            sliding_window_view(a, (window, window))[ys - r, xs - r]
+            for a in rasters)
+    else:
+        edges, directions = (np.zeros((0, window, window), a.dtype)
+                             for a in rasters)
+    return _Windows(xs, ys, edges, directions,
+                    np.count_nonzero(edges, axis=(1, 2)))
 
 
 def similarity(dp: EdgeDescriptor, dq: EdgeDescriptor) -> float:
@@ -127,6 +151,27 @@ def score_matrix(src: list[EdgeDescriptor], dst: list[EdgeDescriptor],
     -(DIRECTION_BINS // 2) bins, half a circle; "both" keeps the larger of
     the direct and flipped scores. Direction bins outside
     [0, DIRECTION_BINS) raise ValueError.
+    """
+    if not src or not dst:
+        raise ValueError("descriptor lists must be nonempty")
+    windows = sorted({d.window for d in (*src, *dst)})
+    if len(windows) > 1:
+        raise ValueError(f"descriptor windows differ: {windows}")
+    return _scores(_stack(src), _stack(dst), polarity)
+
+
+def _stack(descriptors: list[EdgeDescriptor]) -> _Windows:
+    """A descriptor list as _Windows, edge counts as the descriptors give them."""
+    return _Windows(
+        np.array([d.x for d in descriptors], dtype=np.intp),
+        np.array([d.y for d in descriptors], dtype=np.intp),
+        np.stack([d.edges for d in descriptors]),
+        np.stack([d.directions for d in descriptors]),
+        np.array([d.edge_count for d in descriptors]))
+
+
+def _scores(src: _Windows, dst: _Windows, polarity: str) -> np.ndarray:
+    """score_matrix of two nonempty stacks of one window size.
 
     The numerators are one sparse @ dense product per block of candidates:
     with n = DIRECTION_BINS, a source row holds a 1 per edge pixel, at column
@@ -135,63 +180,62 @@ def score_matrix(src: list[EdgeDescriptor], dst: list[EdgeDescriptor],
     candidates, and of at most _SOURCE_EDGES edge pixels of sources, keep
     memory flat in n_dst and in the sources' edge count. Each entry is an
     integer no larger than window**2, below 2**24 for the windows
-    build_descriptor allows, so the float32 sums are exact in any order.
+    _check_window allows, so the float32 sums are exact in any order.
     """
     if polarity not in POLARITIES:
         raise ValueError(f"unknown polarity mode {polarity!r}")
-    if not src or not dst:
-        raise ValueError("descriptor lists must be nonempty")
-    for d in (*src, *dst):
-        _check_compatible(src[0], d)
     half = DIRECTION_BINS // 2
     shifts = {"direct": (0,), "flipped": (half,), "both": (0, half)}[polarity]
-    num = np.empty((len(shifts), len(src), len(dst)), np.float32)
-    column_bytes = src[0].window ** 2 * DIRECTION_BINS * num.itemsize
+    n_src, n_dst = len(src.counts), len(dst.counts)
+    num = np.empty((len(shifts), n_src, n_dst), np.float32)
+    column_bytes = src.edges[0].size * DIRECTION_BINS * num.itemsize
     step = max(1, _BLOCK_BYTES // column_bytes)
-    for i0, i1 in _source_blocks(src):
-        sources = _source_rows(src[i0:i1], shifts)
-        for j in range(0, len(dst), step):
-            block = sources @ _candidate_columns(dst[j:j + step])
+    for i0, i1 in _source_blocks(src.counts):
+        sources = _source_rows(src.edges[i0:i1], src.directions[i0:i1], shifts)
+        for j in range(0, n_dst, step):
+            block = sources @ _candidate_columns(dst.edges[j:j + step],
+                                                 dst.directions[j:j + step])
             num[:, i0:i1, j:j + step] = block.reshape(len(shifts), i1 - i0, -1)
     num = num.max(axis=0).astype(np.float64)
-    counts = np.array([d.edge_count for d in dst], dtype=np.float64)
+    counts = dst.counts.astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.sqrt(num * num / counts)
     return np.where(counts > 0, scores, 0.0)
 
 
-def _source_blocks(src: list[EdgeDescriptor]):
-    """(start, stop) runs of sources holding at most _SOURCE_EDGES edge
-    pixels each, or a single source."""
+def _source_blocks(counts: np.ndarray):
+    """(start, stop) runs of sources, by their edge counts, holding at most
+    _SOURCE_EDGES edge pixels each, or a single source."""
     start = edges = 0
-    for i, d in enumerate(src):
-        if i > start and edges + d.edge_count > _SOURCE_EDGES:
+    for i, n in enumerate(counts.tolist()):
+        if i > start and edges + n > _SOURCE_EDGES:
             yield start, i
             start, edges = i, 0
-        edges += d.edge_count
-    yield start, len(src)
+        edges += n
+    yield start, len(counts)
 
 
-def _source_rows(src: list[EdgeDescriptor], shifts) -> sparse.csr_array:
-    """Sparse 0/1 matrix whose row k * n_src + i is src[i] under shifts[k]."""
-    rows, px, bins = _edge_pixels(src)
-    per_row = np.tile(np.bincount(rows, minlength=len(src)), len(shifts))
+def _source_rows(edges: np.ndarray, directions: np.ndarray,
+                 shifts) -> sparse.csr_array:
+    """Sparse 0/1 matrix whose row k * n + i is window i of the n stacked
+    windows under shifts[k]."""
+    rows, px, bins = _edge_pixels(edges, directions)
+    per_row = np.tile(np.bincount(rows, minlength=len(edges)), len(shifts))
     return sparse.csr_array(
         (np.ones(len(shifts) * len(px), np.float32),
          np.concatenate([px * DIRECTION_BINS + (bins - s) % DIRECTION_BINS
                          for s in shifts]),
          np.concatenate(([0], np.cumsum(per_row)))),
-        shape=(len(per_row), src[0].window ** 2 * DIRECTION_BINS))
+        shape=(len(per_row), edges[0].size * DIRECTION_BINS))
 
 
-def _edge_pixels(descriptors: list[EdgeDescriptor]):
-    """Descriptor index, pixel index and direction bin of every edge pixel,
-    in descriptor then pixel order. Bins outside [0, DIRECTION_BINS) raise
-    ValueError."""
-    edges = np.stack([d.edges for d in descriptors])
+def _edge_pixels(edges: np.ndarray, directions: np.ndarray):
+    """Window index, pixel index and direction bin of every edge pixel of
+    the stacked windows, in window then pixel order. Bins outside
+    [0, DIRECTION_BINS) raise ValueError."""
     flat = np.flatnonzero(edges)
     index, px = np.divmod(flat, edges[0].size)
-    bins = np.stack([d.directions for d in descriptors]).take(flat).astype(np.intp)
+    bins = directions.take(flat).astype(np.intp)
     bad = bins[(bins < 0) | (bins >= DIRECTION_BINS)]
     if bad.size:
         raise ValueError(
@@ -199,11 +243,11 @@ def _edge_pixels(descriptors: list[EdgeDescriptor]):
     return index, px, bins
 
 
-def _candidate_columns(dst: list[EdgeDescriptor]) -> np.ndarray:
-    """(window**2 * DIRECTION_BINS, n_dst) 0/1 matrix of each candidate's edge
-    pixels dilated by one bin, filled (pixel, bin, candidate) in C order."""
-    cand, px, bins = _edge_pixels(dst)
-    near = np.zeros((dst[0].window ** 2, DIRECTION_BINS, len(dst)), np.float32)
+def _candidate_columns(edges: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """(window**2 * DIRECTION_BINS, n) 0/1 matrix of the n stacked windows'
+    edge pixels dilated by one bin, filled (pixel, bin, window) in C order."""
+    cand, px, bins = _edge_pixels(edges, directions)
+    near = np.zeros((edges[0].size, DIRECTION_BINS, len(edges)), np.float32)
     for off in (-1, 0, 1):
         near[px, (bins + off) % DIRECTION_BINS, cand] = 1
-    return near.reshape(-1, len(dst))
+    return near.reshape(-1, len(edges))

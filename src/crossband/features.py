@@ -94,57 +94,62 @@ def detect_corners(score, cfg: HarrisConfig | None = None) -> list[Corner]:
     resolved in favor of the smallest row-major index. Output is sorted by
     descending score and truncated to max_corners.
 
-    The window maxima are `_window_max` over 64-row bands, equal to
-    ndimage.maximum_filter with a -inf border.
+    The window maxima are `_window_max` over 64-row bands of one -inf padded
+    copy, equal to ndimage.maximum_filter with a -inf border.
     """
     if cfg is None:
         cfg = HarrisConfig()
-    return _detect_corners(require_finite(as_gray(score), "score"), cfg)
+    xs, ys, vals = _detect_corners(require_finite(as_gray(score), "score"), cfg)
+    return [Corner(x, y, v) for x, y, v in
+            zip(xs.tolist(), ys.tolist(), vals.tolist())]
 
 
-def _detect_corners(s: np.ndarray, cfg: HarrisConfig) -> list[Corner]:
-    """detect_corners of a score map known to be finite."""
+def _detect_corners(s: np.ndarray, cfg: HarrisConfig):
+    """detect_corners of a score map known to be finite, as the arrays
+    (xs, ys, scores) in detect_corners' order."""
     smax = float(s.max())
     radius = cfg.nms_window // 2
-    h = s.shape[0]
+    h, w = s.shape
+    # one -inf border serves the window maxima and the first-in-window
+    # check: -inf never equals a positive candidate
+    padded = np.pad(s, radius, constant_values=-np.inf)
     cand = np.empty(s.shape, dtype=bool)
 
     def band(y0, y1):
-        lo, hi = max(0, y0 - radius), min(h, y1 + radius)
-        window_max = _window_max(s[lo:hi], cfg.nms_window)
+        window_max = _window_max(padded[y0:y1 + 2 * radius], cfg.nms_window)
         kept = s[y0:y1]
-        cand[y0:y1] = ((kept == window_max[y0 - lo:y1 - lo]) & (kept > 0.0)
+        cand[y0:y1] = ((kept == window_max) & (kept > 0.0)
                        & (kept >= cfg.min_score * smax))
 
     _banded(band, h)
-    ys, xs = np.divmod(np.flatnonzero(cand), s.shape[1])
+    ys, xs = np.divmod(np.flatnonzero(cand), w)
     vals = s[ys, xs]
 
     # a candidate survives unless an earlier pixel (row-major) in its window
-    # holds its value; the zero padding never equals a positive candidate
-    pw = s.shape[1] + 2 * radius
-    padded = np.pad(s, radius).ravel()
+    # holds its value
+    pw = w + 2 * radius
+    flat = padded.ravel()
     at = (ys + radius) * pw + (xs + radius)
     first = np.ones(len(vals), dtype=bool)
     for dy in range(-radius, 1):
         for dx in range(-radius, radius + 1 if dy < 0 else 0):
-            first &= padded[at + dy * pw + dx] != vals
+            first &= flat[at + dy * pw + dx] != vals
     kx, ky, ks = xs[first], ys[first], vals[first]
     order = np.lexsort((kx, ky, -ks))[:cfg.max_corners]
-    return [Corner(x, y, v) for x, y, v in
-            zip(kx[order].tolist(), ky[order].tolist(), ks[order].tolist())]
+    return kx[order], ky[order], ks[order]
 
 
-def _window_max(a: np.ndarray, size: int) -> np.ndarray:
-    """ndimage.maximum_filter(a, size, mode="constant", cval=-inf) for an
-    odd size, as separable runs of np.maximum.
+def _window_max(m: np.ndarray, size: int) -> np.ndarray:
+    """The size x size window maxima of the interior of m, an array padded
+    by size // 2 on every side, for an odd size: with m = np.pad(a, size //
+    2, constant_values=-inf) it equals ndimage.maximum_filter(a, size,
+    mode="constant", cval=-inf). Computed as separable runs of np.maximum.
 
-    Along each axis of the -inf padded array, maxima over runs of 1, 2, 4,
-    ... elements double the run until the next doubling would exceed size;
-    one more maximum of two overlapping runs then covers size elements.
-    Max is exact, so the result equals ndimage's whatever the order.
+    Along each axis, maxima over runs of 1, 2, 4, ... elements double the
+    run until the next doubling would exceed size; one more maximum of two
+    overlapping runs then covers size elements. Max is exact, so the result
+    equals ndimage's whatever the order.
     """
-    m = np.pad(a, size // 2, constant_values=-np.inf)
     for axis in (0, 1):
         m = np.moveaxis(m, axis, 0)  # a view: run along the leading axis
         n = len(m) - size + 1

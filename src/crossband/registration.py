@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptor import EdgeDescriptor, MatchingConfig, score_matrix
+from .descriptor import (EdgeDescriptor, MatchingConfig, _cut_windows, _scores,
+                         score_matrix)
 from .edges import CannyConfig, _canny
 from .errors import DegenerateFitError, RegistrationError
 from .features import HarrisConfig, _detect_corners, _harris_score_map
 from .image import (GRADIENT_SIGMA, _magnitudes, as_gray, gaussian_blur, gradients,
                     require_finite)
 from .transform import AffineTransform, TransformKind, project
-from . import descriptor as _descriptor
 
 MIN_REGISTER_SIDE = 64   # below this, corner statistics collapse
 _MIN_DET = 1e-6          # fits with smaller |det| are discarded
@@ -106,26 +106,36 @@ def match_all(src_descriptors: list[EdgeDescriptor],
     descending score (ties by source index).
     """
     scores = score_matrix(src_descriptors, dst_descriptors, polarity)
-    return _best_matches(scores, positions_of(src_descriptors),
-                         positions_of(dst_descriptors), gate)
+    return _matches(scores, *_mutual_best(
+        scores, positions_of(src_descriptors), positions_of(dst_descriptors),
+        gate))
 
 
-def _best_matches(scores: np.ndarray, src_positions: np.ndarray,
-                  dst_positions: np.ndarray,
-                  gate: tuple[AffineTransform, float] | None) -> list[Match]:
-    """match_all on a precomputed (n_src, n_dst) score matrix; a gate
-    zeroes the scores that `_gate` rules out. A pair is kept when it is
-    the first maximum of its row and of its column, and above zero."""
+def _mutual_best(scores: np.ndarray, src_positions: np.ndarray,
+                 dst_positions: np.ndarray,
+                 gate: tuple[AffineTransform, float] | None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """match_all on a precomputed (n_src, n_dst) score matrix, as source
+    and destination index arrays in match_all's order; a gate zeroes the
+    scores that `_gate` rules out. A pair is kept when it is the first
+    maximum of its row and of its column, and above zero."""
     if gate is not None:
         scores = _gate(scores, src_positions, dst_positions, *gate)
     rows = np.arange(len(scores))
     best = np.argmax(scores, axis=1)
     top = scores[rows, best]
-    mutual = np.argmax(scores, axis=0)[best] == rows
-    matches = [Match(int(p), int(best[p]), float(top[p]))
-               for p in np.flatnonzero(mutual & (top > 0.0))]
-    matches.sort(key=lambda m: (-m.score, m.src_index, m.dst_index))
-    return matches
+    src = np.flatnonzero((np.argmax(scores, axis=0)[best] == rows) & (top > 0.0))
+    # sources ascend, so a stable sort breaks score ties by source
+    src = src[np.argsort(-top[src], kind="stable")]
+    return src, best[src]
+
+
+def _matches(scores: np.ndarray, src: np.ndarray, dst: np.ndarray) -> list[Match]:
+    """Match objects of index pairs, with their scores. A gate keeps a
+    score or zeroes it, so a kept pair's score is read from the ungated
+    matrix."""
+    return [Match(p, q, v) for p, q, v in
+            zip(src.tolist(), dst.tolist(), scores[src, dst].tolist())]
 
 
 def _gate(scores: np.ndarray, src_positions: np.ndarray,
@@ -306,15 +316,22 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
     which may differ from the winner's; or the winner and its support when
     the fit is unusable or the winner has fewer inliers than a sample holds.
     """
-    sample_size = cfg.model.min_matches
-    if len(matches) < sample_size:
-        raise ValueError(
-            f"need at least {sample_size} matches for a {cfg.model.value} "
-            f"sample, got {len(matches)}")
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     src, dst = _match_arrays(matches, src_positions, dst_positions)
-    n = len(matches)
+    return _consensus(src, dst, cfg, consensus_dist, rng)
+
+
+def _consensus(src: np.ndarray, dst: np.ndarray, cfg: RansacConfig,
+               consensus_dist: float, rng: np.random.Generator
+               ) -> tuple[AffineTransform, int]:
+    """ransac_once on the matched points: src[i] is matched to dst[i]."""
+    sample_size = cfg.model.min_matches
+    n = len(src)
+    if n < sample_size:
+        raise ValueError(
+            f"need at least {sample_size} matches for a {cfg.model.value} "
+            f"sample, got {n}")
     cap = cfg.samples_per_iter
 
     best_support, best_t, tried, limit = -1, None, 0, cap
@@ -377,25 +394,25 @@ def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
                              f"image's smaller side, {min(img.shape)}")
         require_finite(img, name)
 
-    descs = {}
+    windows = {}
     for name, img in (("visible", vis), ("infrared", ir)):
         # the input was checked finite above, and a Harris score that
         # overflows raises, so the stages skip their own checks
         ix, iy = gradients(gaussian_blur(img, GRADIENT_SIGMA))
         field = lambda rows: (ix[rows], iy[rows])  # noqa: E731
-        corners = _detect_corners(
+        xs, ys, _ = _detect_corners(
             _harris_score_map(field, img.shape, harris_cfg), harris_cfg)
         edge_map = _canny(field, img.shape, canny_cfg)
         del ix, iy  # release this image's field before the next is built
-        descs[name] = _descriptor.build_descriptors(corners, edge_map, window)
-        if len(descs[name]) < 4:
+        windows[name] = _cut_windows(xs, ys, edge_map, window)
+        n = len(windows[name].counts)
+        if n < 4:
             raise RegistrationError(
-                f"corner detection: only {len(descs[name])} descriptorized "
-                f"corners in the {name} image (need 4)")
-    desc_v, desc_ir = descs["visible"], descs["infrared"]
-    pos_v = positions_of(desc_v)
-    pos_ir = positions_of(desc_ir)
-    scores = score_matrix(desc_v, desc_ir, polarity)
+                f"corner detection: only {n} descriptorized corners in the "
+                f"{name} image (need 4)")
+    win_v, win_ir = windows["visible"], windows["infrared"]
+    pos_v, pos_ir = win_v.positions, win_ir.positions
+    scores = _scores(win_v, win_ir, polarity)
 
     rng = np.random.default_rng(cfg.rng_seed)
     per_iteration = []
@@ -406,21 +423,20 @@ def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
               (cfg.gate_dist_fine, cfg.inlier_dist_fine))
     for it, (gate_dist, consensus) in enumerate(rounds, 1):
         gate = None if gate_dist is None else (estimate, gate_dist)
-        matches = _best_matches(scores, pos_v, pos_ir, gate)
-        if len(matches) < cfg.model.min_matches:
+        src, dst = _mutual_best(scores, pos_v, pos_ir, gate)
+        if len(src) < cfg.model.min_matches:
             raise RegistrationError(
-                f"iteration {it} matching: {len(matches)} matches, need "
+                f"iteration {it} matching: {len(src)} matches, need "
                 f"at least {cfg.model.min_matches} for a {cfg.model.value} fit")
         try:
-            estimate, support = ransac_once(matches, pos_v, pos_ir, cfg,
-                                            consensus, rng)
+            estimate, support = _consensus(pos_v[src], pos_ir[dst], cfg,
+                                           consensus, rng)
         except RegistrationError as exc:
             raise RegistrationError(f"iteration {it} consensus: {exc}") from exc
         per_iteration.append((estimate, support))
 
-    src, dst = _match_arrays(matches, pos_v, pos_ir)
-    inlier_mask = _inliers(estimate.m, src, dst, cfg.inlier_dist_fine)
-    inliers = [m for m, ok in zip(matches, inlier_mask) if ok]
+    fine = _inliers(estimate.m, pos_v[src], pos_ir[dst], cfg.inlier_dist_fine)
+    inliers = _matches(scores, src[fine], dst[fine])
     return RegistrationResult(transform=estimate, inliers=inliers,
                               support=len(inliers),
                               per_iteration=tuple(per_iteration))

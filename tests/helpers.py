@@ -377,6 +377,52 @@ def detect_corners_oracle(score, cfg=None):
             for x, y, v in keep[:cfg.max_corners]]
 
 
+def corner_arrays_oracle(score, cfg):
+    """features._detect_corners from detect_corners_oracle: the corners'
+    (xs, ys, scores) arrays."""
+    corners = detect_corners_oracle(score, cfg)
+    return (np.array([c.x for c in corners], dtype=np.intp),
+            np.array([c.y for c in corners], dtype=np.intp),
+            np.array([c.score for c in corners], dtype=np.float64))
+
+
+def cut_windows_oracle(xs, ys, edge_map, window):
+    """descriptor._cut_windows with one slice of each raster per corner."""
+    from crossband.descriptor import _Windows
+    r = window // 2
+    h, w = edge_map.edges.shape
+    kept = [(x, y) for x, y in zip(xs.tolist(), ys.tolist())
+            if r <= x < w - r and r <= y < h - r]
+    edges = [edge_map.edges[y - r:y + r + 1, x - r:x + r + 1] for x, y in kept]
+    directions = [edge_map.directions[y - r:y + r + 1, x - r:x + r + 1]
+                  for x, y in kept]
+    return _Windows(np.array([x for x, _ in kept], dtype=np.intp),
+                    np.array([y for _, y in kept], dtype=np.intp),
+                    np.stack(edges), np.stack(directions),
+                    np.array([np.count_nonzero(e) for e in edges]))
+
+
+def scores_oracle(src, dst, polarity):
+    """descriptor._scores from score_matrix_oracle, over the descriptors of
+    two window stacks."""
+    from crossband.descriptor import EdgeDescriptor
+
+    def descriptors(w):
+        return [EdgeDescriptor(x=int(x), y=int(y), edges=e, directions=g,
+                               edge_count=int(n))
+                for x, y, e, g, n in zip(w.xs, w.ys, w.edges, w.directions,
+                                         w.counts)]
+    return score_matrix_oracle(descriptors(src), descriptors(dst), polarity)
+
+
+def mutual_best_oracle(scores, src_positions, dst_positions, gate):
+    """registration._mutual_best from best_matches_oracle: the matches'
+    source and destination index arrays."""
+    matches = best_matches_oracle(scores, src_positions, dst_positions, gate)
+    return (np.array([m.src_index for m in matches], dtype=np.intp),
+            np.array([m.dst_index for m in matches], dtype=np.intp))
+
+
 def gate_oracle(scores, src_positions, dst_positions, t, max_dist):
     """registration._gate with a norm_oracle for every (source, candidate)
     pair."""
@@ -387,7 +433,8 @@ def gate_oracle(scores, src_positions, dst_positions, t, max_dist):
 
 
 def best_matches_oracle(scores, src_positions, dst_positions, gate):
-    """registration._best_matches as plain loops: after gate_oracle, keep a
+    """match_all's matching step (registration._mutual_best, as Match
+    objects) as plain loops: after gate_oracle, keep a
     (source, destination) pair when the destination is the source's first
     maximum, the source is the destination's first maximum, and their score
     is above zero; sort by (-score, source, destination)."""

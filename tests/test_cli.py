@@ -205,6 +205,23 @@ def test_fuse_dimension_mismatch(tmp_path, capsys):
     assert not (tmp_path / "f.png").exists()
 
 
+@pytest.mark.parametrize("outputs", [("f.png", "fc.tiff"), ("f.png", "fc.pgm"),
+                                     ("f.tiff", "fc.ppm")])
+def test_fuse_failing_output_leaves_no_output(tmp_path, capsys, outputs):
+    # an unknown container, or color into PGM, fails one write: neither
+    # output nor a temporary sibling is left behind
+    g = synthetic_texture(64, seed=58)
+    vp, ip = tmp_path / "v.ppm", tmp_path / "ir.pgm"
+    write_image(vp, replicate3(g))
+    write_image(ip, g)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["fuse", str(vp), str(ip), *(str(out / n) for n in outputs),
+                 "--dump-scales", str(out / "scale")]) == 1
+    assert capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_fuse_dump_scales(tmp_path):
     g = synthetic_texture(64, seed=57)
     vp, ip = tmp_path / "v.pgm", tmp_path / "ir.pgm"

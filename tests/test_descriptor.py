@@ -14,8 +14,8 @@ from crossband.features import Corner
 from crossband.registration import Match, match_all
 from crossband.transform import AffineTransform
 
-from helpers import (random_descriptor, same_grad, scalar_similarity,
-                     score_matrix_oracle, similarity_oracle)
+from helpers import (cut_windows_oracle, random_descriptor, same_grad,
+                     scalar_similarity, score_matrix_oracle, similarity_oracle)
 
 
 def _map_from(e, g):
@@ -77,6 +77,30 @@ def test_build_descriptors_skips_rejections():
     descs = build_descriptors(corners, em, window=31)
     assert len(descs) == 1
     assert descs[0].position == (50, 50)
+
+
+def _corners_around(rng, shape, n=80):
+    """n corners inside, on and beyond the border band of a map, unsorted."""
+    return (rng.integers(-3, shape[1] + 3, size=n),
+            rng.integers(-3, shape[0] + 3, size=n))
+
+
+@pytest.mark.parametrize("shape", [(60, 70), (9, 40), (40, 9)])
+def test_cut_windows_equal_one_slice_per_corner(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    em = _map_from(rng.random(shape) < 0.3, rng.integers(0, 16, size=shape))
+    xs, ys = _corners_around(rng, shape)
+    got = descriptor._cut_windows(xs, ys, em, 9)
+    for a, b in zip(got, cut_windows_oracle(xs, ys, em, 9)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_cut_windows_of_a_map_narrower_than_the_window_are_empty():
+    rng = np.random.default_rng(18)
+    em = _map_from(np.ones((8, 40)), np.zeros((8, 40)))
+    got = descriptor._cut_windows(*_corners_around(rng, (8, 40)), em, 9)
+    assert got.edges.shape == got.directions.shape == (0, 9, 9)
+    assert len(got.xs) == len(got.ys) == len(got.counts) == 0
 
 
 def test_window_matches_canny_rerun_on_padded_subimage():
@@ -256,7 +280,8 @@ def test_score_matrix_across_source_blocks(monkeypatch):
     src = [random_descriptor(rng, window=15, density=d)
            for d in (0.0, 0.1, 0.2, 0.6, 0.1, 0.3, 0.05)]
     dst = [random_descriptor(rng, window=15, density=d) for d in (0.0, 0.2, 0.5)]
-    assert len(list(descriptor._source_blocks(src))) >= 4
+    counts = np.array([d.edge_count for d in src])
+    assert len(list(descriptor._source_blocks(counts))) >= 4
     for polarity in ("direct", "flipped", "both"):
         assert np.array_equal(score_matrix(src, dst, polarity),
                               score_matrix_oracle(src, dst, polarity)), polarity

@@ -13,17 +13,18 @@ from crossband.evaluation import (SimulationSpec, simulate_pair, synthetic_textu
                                   translation_error)
 from crossband.features import HarrisConfig, detect_corners, harris_score_map
 from crossband.image import _magnitudes
-from crossband.registration import (Match, RansacConfig, _best_matches,
-                                    _fit_points, _inliers, _minimal_samples,
+from crossband.registration import (Match, RansacConfig, _fit_points, _inliers,
+                                    _matches, _minimal_samples, _mutual_best,
                                     fit_least_squares, match_all, positions_of,
                                     ransac_once, register)
 from crossband.transform import AffineTransform, TransformKind
 
-from helpers import (best_matches_oracle, canny_field_oracle, design_matrix_oracle,
-                     detect_corners_oracle, fit_sample_oracle, gaussian_blur_oracle,
-                     gradients_oracle, harris_field_oracle, inliers_oracle,
-                     norm_oracle, normalize_oracle, random_descriptor, residual,
-                     residuals_oracle, row_bands, score_matrix_oracle)
+from helpers import (best_matches_oracle, canny_field_oracle, corner_arrays_oracle,
+                     cut_windows_oracle, design_matrix_oracle, fit_sample_oracle,
+                     gaussian_blur_oracle, gradients_oracle, harris_field_oracle,
+                     inliers_oracle, mutual_best_oracle, norm_oracle,
+                     normalize_oracle, random_descriptor, residual,
+                     residuals_oracle, row_bands, scores_oracle)
 
 
 def _descriptor_grid(rng, n=12, window=15, spacing=40, origin=(30, 30)):
@@ -33,6 +34,11 @@ def _descriptor_grid(rng, n=12, window=15, spacing=40, origin=(30, 30)):
         y = origin[1] + spacing * (i // 4)
         descs.append(random_descriptor(rng, window=window, density=0.35, x=x, y=y))
     return descs
+
+
+def _best_matches(scores, src, dst, gate):
+    """The Match list of `_mutual_best`'s index pairs, as match_all builds it."""
+    return _matches(scores, *_mutual_best(scores, src, dst, gate))
 
 
 def _shift_descriptors(descs, dx, dy):
@@ -839,9 +845,10 @@ def test_register_equals_oracle_front_end(model, monkeypatch):
     monkeypatch.setattr(
         registration, "_canny",
         lambda field, shape, c: EdgeMap(*canny_field_oracle(*field(slice(None)), c)))
-    monkeypatch.setattr(registration, "_detect_corners", detect_corners_oracle)
-    monkeypatch.setattr(registration, "score_matrix", score_matrix_oracle)
-    monkeypatch.setattr(registration, "_best_matches", best_matches_oracle)
+    monkeypatch.setattr(registration, "_detect_corners", corner_arrays_oracle)
+    monkeypatch.setattr(registration, "_cut_windows", cut_windows_oracle)
+    monkeypatch.setattr(registration, "_scores", scores_oracle)
+    monkeypatch.setattr(registration, "_mutual_best", mutual_best_oracle)
     monkeypatch.setattr(registration, "_inliers", inliers_oracle)
     slow = register(v, ir, cfg=cfg)
     assert fast.transform.m.tobytes() == slow.transform.m.tobytes()
@@ -870,21 +877,42 @@ def test_register_differentiates_each_row_once(monkeypatch):
     assert sum(rows) == v.shape[0] + ir.shape[0]
 
 
+def test_register_makes_no_descriptors_and_one_match_per_inlier(monkeypatch):
+    made = {EdgeDescriptor: 0, Match: 0}
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            made[cls] += 1
+            init(self, *args, **kwargs)
+        return counted
+
+    for cls in made:
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    v, ir = _planted_pair()
+    result = register(v, ir)
+    assert made[EdgeDescriptor] == 0
+    assert made[Match] == len(result.inliers) >= 4
+
+
 def test_register_front_end_equals_the_public_stages(monkeypatch):
     v, ir = _planted_pair()
     harris_cfg = HarrisConfig()
     seen = []
-    build = registration._descriptor.build_descriptors
+    cut = registration._cut_windows
 
-    def recording(corners, edge_map, window):
-        seen.append((corners, edge_map))
-        return build(corners, edge_map, window)
+    def recording(xs, ys, edge_map, window):
+        seen.append((xs, ys, edge_map))
+        return cut(xs, ys, edge_map, window)
 
-    monkeypatch.setattr(registration._descriptor, "build_descriptors", recording)
+    monkeypatch.setattr(registration, "_cut_windows", recording)
     register(v, ir, harris_cfg)
     assert len(seen) == 2
-    for img, (corners, edge_map) in zip((v, ir), seen):
-        assert corners == detect_corners(harris_score_map(img, harris_cfg), harris_cfg)
+    for img, (xs, ys, edge_map) in zip((v, ir), seen):
+        corners = detect_corners(harris_score_map(img, harris_cfg), harris_cfg)
+        assert (xs.tolist(), ys.tolist()) == ([c.x for c in corners],
+                                              [c.y for c in corners])
         public = canny(img)
         assert edge_map.edges.tobytes() == public.edges.tobytes()
         assert edge_map.directions.tobytes() == public.directions.tobytes()
