@@ -121,13 +121,13 @@ def _register_args(settings) -> tuple:
 def _atomic_write(*outputs) -> None:
     """For each (path, write) pair call write(tmp) on a temporary sibling of
     path; once every write has succeeded, rename each sibling onto its path.
-    A temporary name ends in its path's name, so it keeps the extension that
-    write_image reads the format from."""
+    A temporary name is its path's name behind a dotless prefix, so it has
+    the extension that write_image reads the format from, or none."""
     temps = []
     try:
         for path, write in outputs:
             directory = os.path.dirname(os.path.abspath(path))
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix="tmp-",
                                        suffix=os.path.basename(path))
             os.close(fd)
             temps.append(tmp)

@@ -8,6 +8,7 @@ round-half-up. 16-bit samples are big-endian in both formats.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 
@@ -18,7 +19,9 @@ from .image import require_finite
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 MAX_PNG_PIXELS = 1 << 25  # larger IHDR dimensions are rejected before inflating
-MAX_PNG_SIDES = 1 << 16  # so is a larger w + h: _unfilter takes w + h - 1 steps
+# so is a larger w + h: _unfilter takes w + L - 1 steps, and L, the longest
+# chain of rows that read the row above, is h when every row does
+MAX_PNG_SIDES = 1 << 16
 _MAX_PNM_DIGITS = 10  # a longer PNM header field is rejected before int()
 
 
@@ -40,7 +43,8 @@ def read_image(path) -> np.ndarray:
 
 
 def write_image(path, img, bitdepth: int = 8) -> None:
-    """Write [0, 1] intensities as PNG, PGM, or PPM, chosen by extension.
+    """Write [0, 1] intensities as PNG, PGM, or PPM, chosen by the extension
+    of the file name: the text after its last dot.
 
     Values outside [0, 1] are clipped; NaN or inf pixels raise ValueError.
     """
@@ -59,7 +63,11 @@ def write_image(path, img, bitdepth: int = 8) -> None:
     codes = np.floor(np.clip(arr, 0.0, 1.0) * maxcode + 0.5)
     codes = codes.astype(np.uint8 if bitdepth == 8 else ">u2")
 
-    suffix = str(path).lower().rsplit(".", 1)[-1]
+    name = os.path.basename(os.fspath(path))
+    if "." not in name:
+        raise ValueError("output file name has no extension "
+                         "(use .png, .pgm, or .ppm)")
+    suffix = name.rsplit(".", 1)[1].lower()
     if suffix == "png":
         payload = _encode_png(codes, color, bitdepth)
     elif suffix == "pgm":
@@ -172,18 +180,43 @@ _PREDICTOR_WEIGHTS = np.array([
 ], dtype=np.int16)
 
 
+def _lanes(ftypes: np.ndarray):
+    """Split the scanlines into the lanes that `_unfilter` decodes side by side.
+
+    A None or Sub row does not read the row above, so it starts a chain of
+    rows that do. Returns the first row of each lane, in order, and L, the
+    longest chain. Each lane is a run of whole consecutive chains, as many
+    as fit in L rows, so two consecutive lanes always hold more than L rows
+    and padding every lane to L rows at most about doubles the image.
+    """
+    h = len(ftypes)
+    bounds = np.concatenate(([0], np.flatnonzero(ftypes[1:] < 2) + 1, [h]))
+    longest = int(np.diff(bounds).max())
+    # index of the last chain boundary within L rows of each boundary
+    reach = (np.searchsorted(bounds, bounds + longest, side="right") - 1).tolist()
+    starts, i = [], 0
+    while i < len(bounds) - 1:
+        starts.append(i)
+        i = reach[i]
+    return bounds[starts], longest
+
+
 def _unfilter(path, scanlines: np.ndarray, bpp: int) -> np.ndarray:
     """Reverse the PNG per-scanline filters (types 0-4).
 
     A byte of pixel (r, c) is predicted from the same byte of its left (a),
     upper (b) and upper-left (c) neighbours only, so all pixels on an
-    anti-diagonal r + c = d decode at once (Lamport's wavefront method):
-    w + h - 1 vector steps, each computing every predictor for its pixels
-    and keeping the one its row's filter byte selects. Decoded pixels go
-    to a diagonal-major buffer in which each diagonal is contiguous and has
-    one zero pixel at either end, so a step's neighbours are contiguous
-    slices of the two diagonals before it and neighbours outside the image
-    read zero. Memory stays linear in the image.
+    anti-diagonal r + c = d decode at once (Lamport's wavefront method).
+    The chains of rows that read the row above are independent, so they
+    are packed into K lanes of at most L rows (`_lanes`, L the longest
+    chain) and one wavefront runs over all lanes side by side: w + L - 1
+    vector steps, each computing every predictor for its pixels and keeping
+    the one its row's filter byte selects. Only the last three diagonals
+    are kept, each as (lane row, lane, byte) after a zero row, so a step's
+    neighbours are contiguous slices of the two diagonals before it and
+    neighbours outside the image read zero. A step reads its raw pixels
+    from one int16 copy of the lanes and writes the decoded ones back in
+    their place. Memory stays linear in the image.
     """
     h, stride1 = scanlines.shape
     w = (stride1 - 1) // bpp
@@ -191,41 +224,48 @@ def _unfilter(path, scanlines: np.ndarray, bpp: int) -> np.ndarray:
     bad = np.flatnonzero(ftypes > 4)
     if bad.size:
         raise ImageIOError(path, f"unknown PNG filter type {ftypes[bad[0]]}")
-    wa, wb, shift, wp = (np.repeat(col, bpp) for col in _PREDICTOR_WEIGHTS[ftypes].T)
-    raw = scanlines[:, 1:].reshape(h * w, bpp)
-    out = np.empty_like(raw)
-
-    # diagonal d holds rows lo - 1 .. hi of its pixels (lo .. hi - 1) and
-    # row r of it is buffer pixel base + r; two padding-only diagonals, of
-    # one and two pixels, come first
-    buf = np.zeros((h * w + 2 * (w + h) + 1) * bpp, dtype=np.int16)
-    base2, base1, start = 1, 2, 3  # bases of diagonals d - 2, d - 1; start of d
-    # pixel (r, d - r) is raw[r * (w - 1) + d]; at w = 1 a diagonal is one pixel
-    step = max(w - 1, 1)
-    for d in range(w + h - 1):
-        lo, hi = max(0, d - w + 1), min(h, d + 1)
-        at, left, upleft = (start + 1) * bpp, (base1 + lo) * bpp, (base2 + lo - 1) * bpp
-        base2, base1 = base1, start - lo + 1
-        start += hi - lo + 2
-        n = (hi - lo) * bpp
-        a = buf[left:left + n]
-        b = buf[left - bpp:left - bpp + n]
-        c = buf[upleft:upleft + n]
+    starts, L = _lanes(ftypes)
+    K = len(starts)
+    # row r of lane k is image row starts[k] + r and row k * L + r of
+    # `lanes`; rows past a lane's end are None-filtered padding. The lanes
+    # are int16 like the diagonals, so a pixel copies between them as one
+    # item, and little-endian, so the final gather finds each low byte first.
+    filled = (np.arange(L) < np.diff(starts, append=h)[:, None]).ravel()
+    lanes = np.zeros((K * L, w * bpp), dtype="<i2")
+    lanes[filled] = scanlines[:, 1:]
+    lane_ftypes = np.zeros(K * L, dtype=np.uint8)
+    lane_ftypes[filled] = ftypes
+    # predictor weights by (lane row, lane, byte), the diagonals' order
+    wa, wb, shift, wp = (np.repeat(col[lane_ftypes.reshape(K, L).T], bpp, axis=1)
+                         for col in _PREDICTOR_WEIGHTS.T)
+    # a pixel's bytes as one item: pixel (r, c) of lane k is pixels[r * w + c, k]
+    pixel = np.dtype((np.void, 2 * bpp))
+    pixels = lanes.view(pixel).reshape(K, L * w).T
+    # ring[d % 3] holds diagonal d, lane row r at its row r + 1; row 0, and
+    # rows the diagonals have not reached yet, stay zero
+    ring = [np.zeros((L + 1, K * bpp), dtype="<i2") for _ in range(3)]
+    ring_pixels = [diagonal.view(pixel) for diagonal in ring]
+    step = max(w - 1, 1)  # at w = 1 a diagonal is one pixel per lane
+    for d in range(w + L - 1):
+        lo, hi = max(0, d - w + 1), min(L, d + 1)
+        i = d % 3
+        rows, here = slice(lo, hi), slice(lo + 1, hi + 1)
+        a, b, c = ring[i - 1][here], ring[i - 1][rows], ring[i - 2][rows]
         ac, bc = a - c, b - c
         pa, pb, pc = np.abs(bc), np.abs(ac), np.abs(ac + bc)
         # Paeth, as an offset from c: a if pa <= pb, pc; else b if pb <= pc
         paeth = (pb <= pc) * bc
         paeth += (pa <= np.minimum(pb, pc)) * (ac - paeth)
         paeth += c
-        rows = slice(lo * bpp, hi * bpp)
         pred = (a * wa[rows] + b * wb[rows]) >> shift[rows]
         pred += paeth * wp[rows]
-        pixels = slice(lo * (w - 1) + d, (hi - 1) * (w - 1) + d + 1, step)
-        cur = buf[at:at + n].reshape(-1, bpp)
-        np.add(raw[pixels], pred.reshape(-1, bpp), out=cur)
-        cur &= 0xFF
-        out[pixels] = cur
-    return out.reshape(h, w * bpp)
+        at = slice(lo * (w - 1) + d, (hi - 1) * (w - 1) + d + 1, step)
+        ring_pixels[i][here] = pixels[at]
+        decoded = ring[i][here]
+        decoded += pred
+        decoded &= 0xFF
+        pixels[at] = ring_pixels[i][here]
+    return lanes.view(np.uint8)[filled, ::2]
 
 
 def _png_chunk(ctype: bytes, payload: bytes) -> bytes:

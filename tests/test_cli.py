@@ -384,6 +384,17 @@ def test_no_partial_output_on_unwritable_path(tmp_path, texture_png):
     assert not missing_dir.exists()
 
 
+def test_warp_to_a_name_without_extension_says_so(tmp_path, texture_png, capsys):
+    t = tmp_path / "id.json"
+    t.write_text(json.dumps(to_json_dict(AffineTransform.identity())))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["warp", str(texture_png), str(t), str(out / "out25")]) == 1
+    err = capsys.readouterr().err
+    assert "file name has no extension" in err and "tmp-" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_config_file_plus_override_precedence(tmp_path, texture_png):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("# comment line\nransac.model = similarity\n"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossband.errors import ImageIOError
-from crossband.image_io import _unfilter, read_image, write_image
+from crossband.image_io import _lanes, _unfilter, read_image, write_image
 from helpers import unfilter_oracle
 
 
@@ -321,9 +321,25 @@ def _filtered_scanlines(draw):
     shape = draw(st.sampled_from([(h, w), (1, w), (h, 1)]))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    scanlines = rng.integers(0, 256, size=(shape[0], 1 + shape[1] * bpp),
+    rows = shape[0]
+    scanlines = rng.integers(0, 256, size=(rows, 1 + shape[1] * bpp),
                              dtype=np.uint8)
-    scanlines[:, 0] = rng.integers(0, 5, size=shape[0])
+    column = draw(st.sampled_from(["mixed", "chains", "one chain", "no chains"]))
+    if column == "mixed":
+        ftypes = rng.integers(0, 5, size=rows)
+    elif column == "no chains":  # None and Sub rows only
+        ftypes = rng.integers(0, 2, size=rows)
+    else:
+        # runs of Up/Average/Paeth rows, each run after a None or Sub row
+        # that starts its chain; row 0 starts the first chain, whatever it is
+        ftypes = rng.integers(2, 5, size=rows)
+        if column == "chains":
+            lengths = draw(st.lists(st.integers(1, rows), min_size=1))
+            starts = np.cumsum(lengths)
+            starts = starts[starts < rows]
+            ftypes[starts] = rng.integers(0, 2, size=starts.size)
+        ftypes[0] = rng.integers(0, 5)
+    scanlines[:, 0] = ftypes
     return scanlines, bpp
 
 
@@ -348,12 +364,53 @@ def test_png_unknown_filter_type(tmp_path):
         read_image(p)
 
 
-@pytest.mark.parametrize("h, w, bpp", [(4000, 64, 3), (64, 4000, 3),
-                                        (1, 1 << 14, 1), (1 << 14, 1, 1)])
-def test_unfilter_memory_is_linear_in_the_image(h, w, bpp):
+def _cycling_filters(h):
+    return np.arange(h) % 5
+
+
+def _chains_of_1_and_40_rows(h):
+    # a Sub row alone, then a Sub row and 39 Paeth rows, and again
+    return np.where(np.arange(h) % 41 < 2, 1, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_filtered_scanlines())
+def test_lanes_are_runs_of_whole_chains_at_most_the_longest_chain(case):
+    ftypes = case[0][:, 0]
+    h = len(ftypes)
+    starts, longest = _lanes(ftypes)
+    lanes = list(zip(starts.tolist(), np.diff(starts, append=h).tolist()))
+    chain_starts = [0] + [r for r in range(1, h) if ftypes[r] < 2]
+    chains = np.diff(chain_starts + [h])
+    assert longest == chains.max()
+    # every row exactly once, in order, in lanes no longer than L
+    rows = [r for first, n in lanes for r in range(first, first + n)]
+    assert rows == list(range(h))
+    assert all(1 <= n <= longest for _, n in lanes)
+    # each lane starts a chain and ends where the next chain would not fit
+    assert all(first in chain_starts for first, _ in lanes)
+    for (_, n), (second, _) in zip(lanes, lanes[1:]):
+        assert n + chains[chain_starts.index(second)] > longest
+
+
+def test_a_16384x1_strip_of_cycling_filters_takes_at_most_4_steps():
+    # `_unfilter` takes w + L - 1 steps; here the chains are 1 and 4 rows
+    _, longest = _lanes(_cycling_filters(1 << 14))
+    assert 1 + longest - 1 <= 4
+
+
+@pytest.mark.parametrize("h, w, bpp, filters", [
+    pytest.param(4000, 64, 3, _cycling_filters, id="4000-64-3"),
+    pytest.param(64, 4000, 3, _cycling_filters, id="64-4000-3"),
+    pytest.param(1, 1 << 14, 1, _cycling_filters, id="1-16384-1"),
+    pytest.param(1 << 14, 1, 1, _cycling_filters, id="16384-1-1"),
+    pytest.param(480, 640, 3, lambda h: np.full(h, 4), id="480-640-3-paeth"),
+    pytest.param(480, 640, 3, _chains_of_1_and_40_rows, id="480-640-3-chains-1-40"),
+])
+def test_unfilter_memory_is_linear_in_the_image(h, w, bpp, filters):
     rng = np.random.default_rng(4)
     scanlines = rng.integers(0, 256, size=(h, 1 + w * bpp), dtype=np.uint8)
-    scanlines[:, 0] = np.arange(h) % 5
+    scanlines[:, 0] = filters(h)
     tracemalloc.start()
     try:
         _unfilter("x.png", scanlines, bpp)
@@ -381,6 +438,18 @@ def test_write_rejects_bad_inputs(tmp_path):
         write_image(tmp_path / "x.ppm", np.zeros((2, 2)))
     with pytest.raises(ValueError, match="extension"):
         write_image(tmp_path / "x.tiff", np.zeros((2, 2)))
+
+
+def test_write_reads_the_extension_from_the_file_name_alone(tmp_path):
+    (tmp_path / "d.png").mkdir()
+    for path in (tmp_path / "d.png" / "out", tmp_path / "noext"):
+        with pytest.raises(ValueError, match="file name has no extension"):
+            write_image(path, np.zeros((2, 2)))
+        assert not path.exists()
+    with pytest.raises(ValueError, match=r"unsupported output extension '\.tiff'"):
+        write_image(tmp_path / "d.png" / "x.tiff", np.zeros((2, 2)))
+    write_image(tmp_path / "d.png" / ".png", np.full((2, 2), 1.0))
+    assert np.array_equal(read_image(tmp_path / "d.png" / ".png"), np.ones((2, 2)))
 
 
 def test_write_clamps_out_of_range(tmp_path):
