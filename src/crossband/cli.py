@@ -190,11 +190,6 @@ def _cmd_fuse(args) -> int:
     if visible.ndim == 2:
         visible = replicate3(visible)
     infrared = _load_gray(args.infrared)
-    if visible.shape[:2] != infrared.shape:
-        raise ValueError(
-            f"image dimensions differ: visible is "
-            f"{visible.shape[1]}x{visible.shape[0]}, infrared is "
-            f"{infrared.shape[1]}x{infrared.shape[0]}")
     fusion_cfg = cfgmod.build(FusionConfig, settings)
     fused, fused_color = fuse_pair(visible, infrared, fusion_cfg)
     outputs = [(args.out_gray, lambda tmp: write_image(tmp, fused)),

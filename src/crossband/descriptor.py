@@ -23,7 +23,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 
 from .edges import DIRECTION_BINS, EdgeMap
-from .features import Corner
 
 DEFAULT_WINDOW = 31
 POLARITIES = ("direct", "flipped", "both")
@@ -85,17 +84,6 @@ class _Windows(NamedTuple):
     def positions(self) -> np.ndarray:
         """(n, 2) float64 corner positions, as `positions_of`."""
         return np.column_stack((self.xs, self.ys)).astype(np.float64)
-
-
-def build_descriptor(corner: Corner, edge_map: EdgeMap,
-                     window: int = DEFAULT_WINDOW) -> EdgeDescriptor | None:
-    """Window the precomputed edge map around a corner.
-
-    Returns None when the corner sits closer than window // 2 to the image
-    border (the window would not fit).
-    """
-    found = build_descriptors([corner], edge_map, window)
-    return found[0] if found else None
 
 
 def build_descriptors(corners, edge_map: EdgeMap,

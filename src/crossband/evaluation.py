@@ -17,12 +17,11 @@ from .descriptor import MatchingConfig
 from .edges import CannyConfig, EdgeMap
 from .errors import RegistrationError
 from .features import HarrisConfig
-from .image import as_gray, clamp01, gaussian_blur, warp_affine
-from .registration import RansacConfig, register
+from .image import as_gray, clamp01, gaussian_blur, require_finite, warp_affine
+from .registration import MIN_REGISTER_SIDE, RansacConfig, register
 from .transform import AffineTransform
 
 MODALITY_MODELS = ("identity", "invert", "gamma", "invert+gamma")
-_MIN_VALID_SIDE = 64
 
 
 @dataclass(frozen=True)
@@ -135,12 +134,14 @@ def apply_modality(img, spec: SimulationSpec) -> np.ndarray:
     return np.power(np.clip(1.0 - arr, 0.0, 1.0), spec.gamma)
 
 
-def _common_valid_box(t: AffineTransform, width: int, height: int):
+def _common_valid_box(t: AffineTransform, supported: np.ndarray):
     """Axis-aligned pixel box whose warped samples all kept full support.
 
     Starts from the transformed corners of the source domain and shrinks
-    until an explicit coverage mask validates every pixel inside.
+    until `supported`, the warp's mask of samples with full bilinear
+    support, holds at every pixel inside.
     """
+    height, width = supported.shape
     corners = t.apply(np.array([[0.0, 0.0], [width - 1.0, 0.0],
                                 [0.0, height - 1.0],
                                 [width - 1.0, height - 1.0]]))
@@ -151,11 +152,10 @@ def _common_valid_box(t: AffineTransform, width: int, height: int):
     x0, x1 = int(np.ceil(x_lo)), int(np.floor(x_hi)) + 1
     y0, y1 = int(np.ceil(y_lo)), int(np.floor(y_hi)) + 1
 
-    mask = warp_affine(np.ones((height, width)), t, fill=0.0) >= 0.999
     for _ in range(8):
         if x1 <= x0 or y1 <= y0:
             break
-        box = mask[y0:y1, x0:x1]
+        box = supported[y0:y1, x0:x1]
         if box.all():
             break
         if not box[0, :].all():
@@ -176,25 +176,26 @@ def simulate_pair(base, t_true: AffineTransform, spec: SimulationSpec,
     The first image is the noisy base; the second is the warped base pushed
     through the modality model plus independent noise. Both are cropped to
     the common region where the warp kept full bilinear support, so fill
-    values never enter the pipeline. Because cropping re-origins the pixel
+    values never enter the pipeline: the warp fills unsupported samples with
+    NaN, so the base must be finite. Because cropping re-origins the pixel
     grid, the transform that actually relates the returned pair differs from
     t_true in its translation; it is returned alongside the images.
 
     Returns (img_v, img_ir, t_effective).
     """
-    arr = as_gray(base)
+    arr = require_finite(as_gray(base), "base")
     if rng is None:
         rng = np.random.default_rng(spec.rng_seed)
-    h, w = arr.shape
-    warped = warp_affine(arr, t_true, fill=0.0)
-    x0, x1, y0, y1 = _common_valid_box(t_true, w, h)
-    if x1 - x0 < _MIN_VALID_SIDE or y1 - y0 < _MIN_VALID_SIDE:
+    warped = warp_affine(arr, t_true, fill=np.nan)
+    x0, x1, y0, y1 = _common_valid_box(t_true, ~np.isnan(warped))
+    if x1 - x0 < MIN_REGISTER_SIDE or y1 - y0 < MIN_REGISTER_SIDE:
+        size = f"{x1 - x0}x{y1 - y0}" if x1 > x0 and y1 > y0 else "empty"
         raise ValueError(
-            f"common valid region {x1 - x0}x{y1 - y0} is smaller than "
-            f"{_MIN_VALID_SIDE}x{_MIN_VALID_SIDE}")
+            f"common valid region ({size}) is smaller than "
+            f"{MIN_REGISTER_SIDE}x{MIN_REGISTER_SIDE}")
 
     img_v = arr[y0:y1, x0:x1]
-    img_ir = apply_modality(warped, spec)[y0:y1, x0:x1]
+    img_ir = apply_modality(warped[y0:y1, x0:x1], spec)
     if spec.noise_sigma > 0:
         img_v = img_v + rng.normal(0.0, spec.noise_sigma, img_v.shape)
         img_ir = img_ir + rng.normal(0.0, spec.noise_sigma, img_ir.shape)

@@ -94,7 +94,9 @@ def _same_shape(visible_luma, infrared) -> tuple[np.ndarray, np.ndarray]:
     yv = as_gray(visible_luma)
     ir = as_gray(infrared)
     if yv.shape != ir.shape:
-        raise ValueError(f"image dimensions differ: {yv.shape} vs {ir.shape}")
+        raise ValueError(
+            f"image dimensions differ: visible is {yv.shape[1]}x{yv.shape[0]}, "
+            f"infrared is {ir.shape[1]}x{ir.shape[0]}")
     return yv, ir
 
 
@@ -182,7 +184,8 @@ def _fuse(yv: np.ndarray, ir: np.ndarray, cfg: FusionConfig, visible=None
     return fused, color
 
 
-def restore_color(fused, visible, color_eps: float = 1.0 / 255.0) -> np.ndarray:
+def restore_color(fused, visible,
+                  color_eps: float = FusionConfig.color_eps) -> np.ndarray:
     """Scale the visible RGB so its luminance is replaced by the fused gray.
 
     Each channel is multiplied by fused / max(Y, eps) and clamped to [0, 1];

@@ -212,32 +212,25 @@ def _field_rows(arr: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
     return _gradient_rows(blurred, slice(a - g0, b - g0))
 
 
-def warp_affine(img, t: AffineTransform, out_w: int | None = None,
-                out_h: int | None = None, fill: float = 0.0) -> np.ndarray:
-    """Warp an image by an affine transform.
+def warp_affine(img, t: AffineTransform, fill: float = 0.0) -> np.ndarray:
+    """Warp an image by an affine transform, onto an output of its shape.
 
     The transform maps input coordinates to output coordinates; resampling
     is done by inverse mapping with bilinear interpolation. Samples whose
-    source coordinate falls outside [0, w-1] x [0, h-1] take `fill`.
-    Output rows are resampled one band at a time.
+    source coordinate falls outside [0, w-1] x [0, h-1] take `fill`, and
+    every other sample has full bilinear support. Output rows are resampled
+    one band at a time.
     """
     arr = as_gray(img)
     h, w = arr.shape
-    if out_w is None:
-        out_w = w
-    if out_h is None:
-        out_h = h
-    if out_w < 1 or out_h < 1:
-        raise ValueError(
-            f"output must be at least 1x1, got out_w={out_w}, out_h={out_h}")
     if not np.isfinite(t.m).all():
         raise ValueError(f"transform has non-finite entries: {t.m.tolist()}")
     m = t.inverse().m
     flat = arr.ravel()
-    xx = np.arange(out_w, dtype=np.float64)
+    xx = np.arange(w, dtype=np.float64)
     # the x terms of the source coordinates are the same on every row
     mx0, mx1 = m[0, 0] * xx, m[1, 0] * xx
-    out = np.empty((out_h, out_w))
+    out = np.empty((h, w))
 
     def band(y0, y1):
         # the bilinear formula's order of operations: sx = (m00 x + m01 y)
@@ -274,7 +267,7 @@ def warp_affine(img, t: AffineTransform, out_w: int | None = None,
             res += tap
         np.copyto(res, float(fill), where=~valid)
 
-    _banded(band, out_h)
+    _banded(band, h)
     return out
 
 

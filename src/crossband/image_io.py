@@ -46,7 +46,8 @@ def write_image(path, img, bitdepth: int = 8) -> None:
     """Write [0, 1] intensities as PNG, PGM, or PPM, chosen by the extension
     of the file name: the text after its last dot.
 
-    Values outside [0, 1] are clipped; NaN or inf pixels raise ValueError.
+    Values outside [0, 1] are clipped; NaN or inf pixels, and an image
+    with no rows or no columns, raise ValueError.
     """
     if bitdepth not in (8, 16):
         raise ValueError(f"bitdepth must be 8 or 16, got {bitdepth}")
@@ -57,6 +58,8 @@ def write_image(path, img, bitdepth: int = 8) -> None:
         color = True
     else:
         raise ValueError(f"expected (H, W) or (H, W, 3) image, got shape {arr.shape}")
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"image must be at least 1x1, got shape {arr.shape}")
     require_finite(arr, "output")
 
     maxcode = (1 << bitdepth) - 1

@@ -319,13 +319,16 @@ def ransac_once(matches: list[Match], src_positions, dst_positions,
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     src, dst = _match_arrays(matches, src_positions, dst_positions)
-    return _consensus(src, dst, cfg, consensus_dist, rng)
+    t, inliers = _consensus(src, dst, cfg, consensus_dist, rng)
+    return t, int(np.count_nonzero(inliers))
 
 
 def _consensus(src: np.ndarray, dst: np.ndarray, cfg: RansacConfig,
                consensus_dist: float, rng: np.random.Generator
-               ) -> tuple[AffineTransform, int]:
-    """ransac_once on the matched points: src[i] is matched to dst[i]."""
+               ) -> tuple[AffineTransform, np.ndarray]:
+    """ransac_once on the matched points, src[i] matched to dst[i]: the
+    transform and its inlier mask over the matches, whose count is the
+    support."""
     sample_size = cfg.model.min_matches
     n = len(src)
     if n < sample_size:
@@ -357,7 +360,7 @@ def _consensus(src: np.ndarray, dst: np.ndarray, cfg: RansacConfig,
         if ok[0]:
             best_t = refit[0]
             inliers = _inliers(best_t, src, dst, consensus_dist)
-    return AffineTransform(best_t, cfg.model), int(np.count_nonzero(inliers))
+    return AffineTransform(best_t, cfg.model), inliers
 
 
 def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
@@ -429,14 +432,14 @@ def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
                 f"iteration {it} matching: {len(src)} matches, need "
                 f"at least {cfg.model.min_matches} for a {cfg.model.value} fit")
         try:
-            estimate, support = _consensus(pos_v[src], pos_ir[dst], cfg,
-                                           consensus, rng)
+            estimate, agree = _consensus(pos_v[src], pos_ir[dst], cfg,
+                                         consensus, rng)
         except RegistrationError as exc:
             raise RegistrationError(f"iteration {it} consensus: {exc}") from exc
-        per_iteration.append((estimate, support))
+        per_iteration.append((estimate, int(np.count_nonzero(agree))))
 
-    fine = _inliers(estimate.m, pos_v[src], pos_ir[dst], cfg.inlier_dist_fine)
-    inliers = _matches(scores, src[fine], dst[fine])
+    # the last round's consensus radius is the fine one
+    inliers = _matches(scores, src[agree], dst[agree])
     return RegistrationResult(transform=estimate, inliers=inliers,
                               support=len(inliers),
                               per_iteration=tuple(per_iteration))

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from crossband.evaluation import apply_modality
 from crossband.image import GRADIENT_SIGMA, gaussian_kernel
+from crossband.registration import MIN_REGISTER_SIDE
+from crossband.transform import AffineTransform
 
 
 @contextmanager
@@ -481,15 +484,11 @@ def score_matrix_oracle(src, dst, polarity="direct"):
     return flip if polarity == "flipped" else np.maximum(direct, flip)
 
 
-def warp_oracle(img, t, out_w=None, out_h=None, fill=0.0):
+def warp_oracle(img, t, fill=0.0):
     """warp_affine over the whole output at once, from `np.mgrid` coordinates."""
     arr = np.asarray(img, dtype=np.float64)
     h, w = arr.shape
-    if out_w is None:
-        out_w = w
-    if out_h is None:
-        out_h = h
-    yy, xx = np.mgrid[0:out_h, 0:out_w].astype(np.float64)
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
     m = t.inverse().m
     sx = m[0, 0] * xx + m[0, 1] * yy + m[0, 2]
     sy = m[1, 0] * xx + m[1, 1] * yy + m[1, 2]
@@ -509,6 +508,51 @@ def warp_oracle(img, t, out_w=None, out_h=None, fill=0.0):
            + arr[y1c, x0c] * (1 - fx) * fy
            + arr[y1c, x1c] * fx * fy)
     return np.where(valid, out, float(fill))
+
+
+def simulate_pair_oracle(base, t_true, spec, rng):
+    """simulate_pair by a second warp: the crop box starts from the warped
+    frame's corners and shrinks until an all-ones image, warped by t_true
+    through `warp_oracle`, reads at least 0.999 at every pixel inside. The
+    modality is applied to the whole warp, then cropped. Returns None where
+    simulate_pair raises: a box side below MIN_REGISTER_SIDE."""
+    arr = np.asarray(base, dtype=np.float64)
+    h, w = arr.shape
+    corners = t_true.apply(np.array([[0.0, 0.0], [w - 1.0, 0.0],
+                                     [0.0, h - 1.0], [w - 1.0, h - 1.0]]))
+    x0 = int(np.ceil(max(corners[0, 0], corners[2, 0], 0.0)))
+    x1 = int(np.floor(min(corners[1, 0], corners[3, 0], w - 1.0))) + 1
+    y0 = int(np.ceil(max(corners[0, 1], corners[1, 1], 0.0)))
+    y1 = int(np.floor(min(corners[2, 1], corners[3, 1], h - 1.0))) + 1
+    mask = warp_oracle(np.ones((h, w)), t_true) >= 0.999
+    for _ in range(8):
+        if x1 <= x0 or y1 <= y0:
+            break
+        box = mask[y0:y1, x0:x1]
+        if box.all():
+            break
+        if not box[0, :].all():
+            y0 += 1
+        if not box[-1, :].all():
+            y1 -= 1
+        if not box[:, 0].all():
+            x0 += 1
+        if not box[:, -1].all():
+            x1 -= 1
+    if x1 - x0 < MIN_REGISTER_SIDE or y1 - y0 < MIN_REGISTER_SIDE:
+        return None
+
+    img_v = arr[y0:y1, x0:x1]
+    img_ir = apply_modality(warp_oracle(arr, t_true), spec)[y0:y1, x0:x1]
+    if spec.noise_sigma > 0:
+        img_v = np.clip(img_v + rng.normal(0.0, spec.noise_sigma, img_v.shape),
+                        0.0, 1.0)
+        img_ir = np.clip(img_ir + rng.normal(0.0, spec.noise_sigma, img_ir.shape),
+                         0.0, 1.0)
+    origin = np.array([x0, y0], dtype=np.float64)
+    lin = t_true.m[:, :2]
+    t_eff = np.column_stack([lin, t_true.m[:, 2] + lin @ origin - origin])
+    return img_v, img_ir, AffineTransform(t_eff, t_true.kind)
 
 
 def fuse_single_scale_oracle(yv, ir, sigma, alpha, gain):

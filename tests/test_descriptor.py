@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossband import descriptor
-from crossband.descriptor import (EdgeDescriptor, MatchingConfig, build_descriptor,
-                                  build_descriptors, score_matrix, similarity)
+from crossband.descriptor import (EdgeDescriptor, MatchingConfig, build_descriptors,
+                                  score_matrix, similarity)
 from crossband.edges import CannyConfig, EdgeMap, canny
 from crossband.features import Corner
 from crossband.registration import Match, match_all
@@ -33,25 +33,24 @@ def _descriptor(e, g, x=50, y=50):
 def test_build_all_edge_window():
     e = np.ones((50, 50))
     g = np.zeros((50, 50))
-    d = build_descriptor(Corner(25, 25, 1.0), _map_from(e, g), window=5)
-    assert d is not None
+    [d] = build_descriptors([Corner(25, 25, 1.0)], _map_from(e, g), window=5)
     assert d.edge_count == 25
     assert d.edges.shape == (5, 5)
 
 
 def test_build_rejects_border_corner():
     em = _map_from(np.ones((100, 100)), np.zeros((100, 100)))
-    assert build_descriptor(Corner(1, 1, 1.0), em, window=31) is None
-    assert build_descriptor(Corner(15, 15, 1.0), em, window=31) is not None
-    assert build_descriptor(Corner(85, 15, 1.0), em, window=31) is None
+    assert build_descriptors([Corner(1, 1, 1.0)], em, window=31) == []
+    assert len(build_descriptors([Corner(15, 15, 1.0)], em, window=31)) == 1
+    assert build_descriptors([Corner(85, 15, 1.0)], em, window=31) == []
 
 
 def test_build_rejects_bad_window():
     em = _map_from(np.ones((50, 50)), np.zeros((50, 50)))
     with pytest.raises(ValueError):
-        build_descriptor(Corner(25, 25, 1.0), em, window=6)
+        build_descriptors([Corner(25, 25, 1.0)], em, window=6)
     with pytest.raises(ValueError):
-        build_descriptor(Corner(25, 25, 1.0), em, window=3)
+        build_descriptors([Corner(25, 25, 1.0)], em, window=3)
 
 
 def test_window_above_4095_is_rejected():
@@ -66,7 +65,7 @@ def test_build_windows_match_full_map():
     e = (rng.random((60, 60)) < 0.3)
     g = rng.integers(0, 16, size=(60, 60))
     em = _map_from(e, g)
-    d = build_descriptor(Corner(30, 20, 1.0), em, window=7)
+    [d] = build_descriptors([Corner(30, 20, 1.0)], em, window=7)
     assert np.array_equal(d.edges, e[17:24, 27:34].astype(np.uint8))
     assert np.array_equal(d.directions, g[17:24, 27:34].astype(np.uint8))
 
@@ -112,7 +111,7 @@ def test_window_matches_canny_rerun_on_padded_subimage():
     full = canny(img, cfg)
     corner = Corner(40, 40, 1.0)
     window = 31
-    d = build_descriptor(corner, full, window)
+    [d] = build_descriptors([corner], full, window)
 
     pad = 8  # covers the blur radius and derivative support
     r = window // 2

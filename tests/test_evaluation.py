@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossband.edges import EdgeMap
-from crossband.evaluation import (AccuracyReport, SimulationSpec, TrialResult,
-                                  apply_modality, brute_force_translation,
-                                  run_benchmark, simulate_pair, synthetic_texture,
+from crossband.evaluation import (MODALITY_MODELS, AccuracyReport, SimulationSpec,
+                                  TrialResult, apply_modality,
+                                  brute_force_translation, run_benchmark,
+                                  simulate_pair, synthetic_texture,
                                   translation_error)
+from crossband.image import warp_affine
 from crossband.transform import AffineTransform, TransformKind
 from crossband import evaluation
+
+from helpers import simulate_pair_oracle
 
 
 def test_spec_validation():
@@ -39,7 +44,6 @@ def test_simulate_invert_noiseless():
     spec = SimulationSpec(modality="invert", noise_sigma=0.0)
     t = AffineTransform.translation(3, 0)
     v, ir, t_eff = simulate_pair(base, t, spec)
-    from crossband.image import warp_affine
     warped = warp_affine(base, t)
     x0, y0 = 3, 0
     assert np.array_equal(ir, 1.0 - warped[y0:, x0:][:ir.shape[0], :ir.shape[1]])
@@ -75,6 +79,90 @@ def test_simulate_pair_rejects_tiny_valid_region():
     spec = SimulationSpec(modality="identity", noise_sigma=0.0)
     with pytest.raises(ValueError, match="valid region"):
         simulate_pair(base, AffineTransform.translation(50, 0), spec)
+
+
+@pytest.mark.parametrize("angle", [np.pi / 2, np.pi / 3])
+def test_simulate_pair_reports_an_empty_region_as_empty(angle):
+    # the box's far side falls below its near side: once read as -510x-510
+    base = synthetic_texture(96, seed=3)
+    spec = SimulationSpec(modality="identity", noise_sigma=0.0)
+    t = AffineTransform.similarity(1.0, angle, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"common valid region \(empty\) is "
+                                         r"smaller than 64x64"):
+        simulate_pair(base, t, spec)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_simulate_pair_rejects_a_non_finite_base(bad):
+    # NaN marks the warp's unsupported samples, so the base must be finite
+    base = synthetic_texture(96, seed=3)
+    base[40, 50] = bad
+    spec = SimulationSpec(modality="identity", noise_sigma=0.0)
+    with pytest.raises(ValueError, match="base image has 1 non-finite"):
+        simulate_pair(base, AffineTransform.translation(2.0, 1.0), spec)
+
+
+@st.composite
+def _planted_pairs(draw):
+    """A base texture, a small planted similarity or translation (one that
+    may leave too small a region), a spec and a seed."""
+    side = draw(st.sampled_from([72, 96, 128]))
+    base = synthetic_texture(side, seed=draw(st.integers(0, 50)))
+    tx, ty = (draw(st.floats(-12.0, 12.0)) for _ in range(2))
+    if draw(st.booleans()):
+        t = AffineTransform.translation(tx, ty)
+    else:
+        t = AffineTransform.similarity(draw(st.floats(0.85, 1.15)),
+                                       draw(st.floats(-0.15, 0.15)), tx, ty)
+    spec = SimulationSpec(modality=draw(st.sampled_from(MODALITY_MODELS)),
+                          noise_sigma=draw(st.sampled_from([0.0, 0.02])))
+    return base, t, spec, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _assert_equals_the_second_warp_box_rule(base, t, spec, seed):
+    want = simulate_pair_oracle(base, t, spec, np.random.default_rng(seed))
+    if want is None:
+        with pytest.raises(ValueError, match="valid region"):
+            simulate_pair(base, t, spec, np.random.default_rng(seed))
+        return
+    got = simulate_pair(base, t, spec, np.random.default_rng(seed))
+    for g, w in zip(got[:2], want[:2]):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert got[2].m.tobytes() == want[2].m.tobytes()
+    assert got[2].kind == want[2].kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planted_pairs())
+def test_simulate_pair_equals_the_second_warp_box_rule(case):
+    _assert_equals_the_second_warp_box_rule(*case)
+
+
+@pytest.mark.parametrize("planted", [(0.9, 7.0, 2.5), (0.9, 2.5, 0.75),
+                                     (1.05, 6.25, -6.75)])
+def test_simulate_pair_shrinks_the_box_like_the_second_warp(planted):
+    # on a 96x96 base these leave a box edge whose inverse-mapped samples
+    # round just outside the source, so the box must shrink past the
+    # warped frame's corners
+    s, tx, ty = planted
+    t = AffineTransform.similarity(s, 0.0, tx, ty)
+    _assert_equals_the_second_warp_box_rule(
+        synthetic_texture(96, seed=12), t,
+        SimulationSpec(modality="gamma", noise_sigma=0.02), 5)
+
+
+def test_simulate_pair_warps_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return warp_affine(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "warp_affine", counted)
+    base = synthetic_texture(128, seed=11)
+    t = AffineTransform.similarity(1.05, 0.05, 3.5, -2.0)
+    simulate_pair(base, t, SimulationSpec(modality="invert+gamma"))
+    assert calls == [t]
 
 
 def test_simulate_noise_respects_unit_range():

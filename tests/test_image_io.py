@@ -468,6 +468,18 @@ def test_write_rejects_non_finite_pixels(tmp_path, bad, name):
     assert not (tmp_path / name).exists()
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+@pytest.mark.parametrize("name", ["x.png", "x.pgm", "x.ppm"])
+def test_write_rejects_empty_images(tmp_path, shape, name):
+    # an empty PNG failed inside numpy's reshape, and an empty PGM was
+    # written as a file that read_image rejects
+    if name.endswith(".ppm"):
+        shape += (3,)
+    with pytest.raises(ValueError, match=r"at least 1x1, got shape \(\d+, \d+"):
+        write_image(tmp_path / name, np.zeros(shape))
+    assert not (tmp_path / name).exists()
+
+
 # --- fuzz: hostile bytes fail with ImageIOError, or decode ---------------------
 
 def _fuzz_seeds():

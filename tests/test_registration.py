@@ -800,6 +800,26 @@ def test_register_deterministic():
                for a, b in zip(r1.per_iteration, r2.per_iteration))
 
 
+@pytest.mark.parametrize("model", list(TransformKind))
+def test_register_is_invariant_to_power_of_two_band_scales(model):
+    # the corner and edge thresholds are relative to each image's largest
+    # value, and a power-of-two scale changes no significand of any
+    # intermediate that stays in float64's normal range, so every stage
+    # decides as on the unscaled bands
+    base = synthetic_texture(256, seed=34)
+    spec = SimulationSpec(modality="invert+gamma", rng_seed=9)
+    t_true = AffineTransform.similarity(1.03, -0.04, 6.5, -4.0)
+    v, ir, _ = simulate_pair(base, t_true, spec)
+    cfg = RansacConfig(model=model)
+    want = register(v, ir, cfg=cfg)
+    for a, b in ((4.0, 0.25), (2.0 ** 100, 2.0 ** -100), (2.0 ** -60, 1.0)):
+        got = register(a * v, b * ir, cfg=cfg)
+        assert got.transform.m.tobytes() == want.transform.m.tobytes()
+        assert got.inliers == want.inliers
+        assert ([(t.m.tobytes(), n) for t, n in got.per_iteration]
+                == [(t.m.tobytes(), n) for t, n in want.per_iteration])
+
+
 def test_register_inliers_recheck():
     base = synthetic_texture(160, seed=25)
     spec = SimulationSpec(modality="invert", noise_sigma=0.01, rng_seed=7)
