@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .image import _banded, _field_rows, _magnitudes, as_gray, require_finite
+from .image import _banded, _unit_field, as_gray, require_finite
 
 DIRECTION_BINS = 16
 
@@ -54,7 +54,8 @@ def quantize_direction(ix, iy):
 
 
 def _angle_bins(angle):
-    """quantize_direction's bins of atan2 angles, as float64 integers.
+    """quantize_direction's bins of atan2 angles, as integers in the
+    angles' float dtype, with 2*pi rounded to that dtype.
 
     Equal, bit for bit, to np.floor(np.mod(angle + 2*pi, 2*pi) / (2*pi / n))
     % n with n = DIRECTION_BINS, without a branch per value: angle + 2*pi
@@ -62,9 +63,11 @@ def _angle_bins(angle):
     rounded quotient can reach n but no more, so that one value wraps to 0.
     """
     full = angle + 2.0 * np.pi
-    full -= 2.0 * np.pi * (full >= 2.0 * np.pi)
-    bins = np.floor(full / (2.0 * np.pi / DIRECTION_BINS))
-    bins -= DIRECTION_BINS * (bins >= DIRECTION_BINS)
+    # numpy scalars of the angles' dtype, so float32 angles stay float32
+    two_pi, n = full.dtype.type(2.0 * np.pi), full.dtype.type(DIRECTION_BINS)
+    full -= two_pi * (full >= two_pi)
+    bins = np.floor(full / (two_pi / n))
+    bins -= n * (bins >= n)
     return bins
 
 
@@ -89,17 +92,21 @@ def canny(img, cfg: CannyConfig | None = None) -> EdgeMap:
     it against the negative one, so plateau ridges thin to one pixel), then
     double-threshold hysteresis over 8-connected components.
 
-    The magnitudes are image._magnitudes(ix, iy), sqrt(ix*ix + iy*iy)
-    wherever that square neither overflows nor underflows.
+    The field, its magnitudes sqrt(ix*ix + iy*iy), its direction bins and
+    the thresholds are float32, on the image scaled by a power of two
+    (image._unit_field). There the square is at most 128, so it cannot
+    overflow. It underflows only for a gradient below 2**-63 (a square
+    below 2**-126), which lies under the low threshold whenever the largest
+    magnitude is above 2**-23 and low_ratio above 2**-40.
     """
     if cfg is None:
         cfg = CannyConfig()
     arr = require_finite(as_gray(img), "input")
-    return _canny(lambda rows: _field_rows(arr, rows), arr.shape, cfg)
+    return _canny(_unit_field(arr), arr.shape, cfg)
 
 
 def _canny(field, shape: tuple[int, int], cfg: CannyConfig) -> EdgeMap:
-    """canny of a finite image, read through its gradient field."""
+    """canny of a finite image, read through its float32 gradient field."""
     h, w = shape
     if h < 5 or w < 5:
         raise ValueError(f"image must be at least 5x5 for edge detection, got {shape}")
@@ -113,7 +120,7 @@ def _canny(field, shape: tuple[int, int], cfg: CannyConfig) -> EdgeMap:
         directions[y0:y1] = _angle_bins(np.arctan2(iy[rows], ix[rows]))
         # the zero padding stands for rows beyond the image only: at a band's
         # cut, the row beyond is in ix and iy
-        padded = np.pad(_magnitudes(ix, iy), 1, mode="constant")
+        padded = np.pad(np.sqrt(ix * ix + iy * iy), 1, mode="constant")
         m = padded[1:-1, 1:-1][rows]
         maxima.append(m.max())
         at = np.flatnonzero(_suppress(padded, y0 - a + 1, directions[y0:y1]))

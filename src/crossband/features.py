@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .image import (MAX_SIGMA, _banded, _blur_rows, _field_rows, as_gray,
+from .image import (MAX_SIGMA, _banded, _blur_rows, _unit_field, as_gray,
                     gaussian_kernel, require_finite)
 
 
@@ -45,24 +45,26 @@ class Corner:
 
 
 def harris_score_map(img, cfg: HarrisConfig | None = None) -> np.ndarray:
-    """Per-pixel corner score det(A) - k * trace(A)^2.
+    """Per-pixel corner score det(A) - k * trace(A)^2, as float32.
 
     A is the Gaussian-weighted structure tensor of the Sobel gradients of
-    the GRADIENT_SIGMA blur (scale-adapted Harris). The returned map is
-    signed and unclamped. Raises ValueError when a score overflows.
+    the GRADIENT_SIGMA blur (scale-adapted Harris), all in float32 on the
+    image scaled by a power of two (image._unit_field). No finite input
+    overflows it. The returned map is signed and unclamped.
     """
     if cfg is None:
         cfg = HarrisConfig()
     arr = require_finite(as_gray(img), "input")
-    return _harris_score_map(lambda rows: _field_rows(arr, rows), arr.shape, cfg)
+    return _harris_score_map(_unit_field(arr), arr.shape, cfg)
 
 
 def _harris_score_map(field, shape: tuple[int, int], cfg: HarrisConfig) -> np.ndarray:
-    """harris_score_map of a finite image, read through its gradient field."""
+    """harris_score_map of a finite image, read through its float32
+    gradient field."""
     h = shape[0]
     if h < 3 or shape[1] < 3:
         raise ValueError(f"image must be at least 3x3, got {shape}")
-    out = np.empty(shape)
+    out = np.empty(shape, np.float32)
     k = gaussian_kernel(cfg.window_sigma)
     radius = k.size // 2
 
@@ -76,13 +78,8 @@ def _harris_score_map(field, shape: tuple[int, int], cfg: HarrisConfig) -> np.nd
         sxy = _blur_rows(ix * iy, k, rows)
         trace = sxx + syy
         out[y0:y1] = sxx * syy - sxy * sxy - cfg.k * trace * trace
-        # an overflow anywhere in the band leaves an inf or NaN score
-        if not np.isfinite(out[y0:y1]).all():
-            raise ValueError("input image values overflow the Harris score; "
-                             "scale the image down")
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        _banded(band, h)
+    _banded(band, h)
     return out
 
 
@@ -107,7 +104,9 @@ def detect_corners(score, cfg: HarrisConfig | None = None) -> list[Corner]:
 def _detect_corners(s: np.ndarray, cfg: HarrisConfig):
     """detect_corners of a score map known to be finite, as the arrays
     (xs, ys, scores) in detect_corners' order."""
-    smax = float(s.max())
+    # the threshold is compared in float64, so a float32 map and its float64
+    # copy give the same candidates
+    threshold = np.float64(cfg.min_score * float(s.max()))
     radius = cfg.nms_window // 2
     h, w = s.shape
     # one -inf border serves the window maxima and the first-in-window
@@ -119,7 +118,7 @@ def _detect_corners(s: np.ndarray, cfg: HarrisConfig):
         window_max = _window_max(padded[y0:y1 + 2 * radius], cfg.nms_window)
         kept = s[y0:y1]
         cand[y0:y1] = ((kept == window_max) & (kept > 0.0)
-                       & (kept >= cfg.min_score * smax))
+                       & (kept >= threshold))
 
     _banded(band, h)
     ys, xs = np.divmod(np.flatnonzero(cand), w)

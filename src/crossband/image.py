@@ -5,6 +5,10 @@ Images are plain numpy arrays: a gray image is a float64 array of shape
 (height, width) with intensities in [0, 1]; a color image is (height, width,
 3) with R, G, B planes. Pixel coordinates are (x, y) = (column, row). All
 functions are pure and never mutate their inputs.
+
+The registration front end (the gradient field, Harris and Canny) works in
+float32, on each image scaled by a power of two (`_unit_field`); the row
+passes follow their input's dtype, so every float64 caller is unchanged.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ MAX_SIGMA = 100.0
 # the blur under each image's gradient field, which Harris and Canny read
 GRADIENT_SIGMA = 1.0
 
-# outside [NORM_SQ_MIN, NORM_SQ_MAX], x*x + y*y may overflow or underflow
+# outside [NORM_SQ_MIN, NORM_SQ_MAX], the float64 x*x + y*y of a point
+# distance may overflow or underflow
 NORM_SQ_MIN = 2.0 ** -960
 NORM_SQ_MAX = 2.0 ** 960
 
@@ -72,8 +77,7 @@ def _banded(stage, height: int) -> None:
 def _magnitudes(x, y):
     """The library's norm of (x, y), for any shapes that broadcast:
     sqrt(x*x + y*y), or np.hypot(x, y) where that square lies outside
-    [NORM_SQ_MIN, NORM_SQ_MAX]. Gradient magnitudes and point distances
-    are both this value."""
+    [NORM_SQ_MIN, NORM_SQ_MAX]. Point distances are this value."""
     with np.errstate(over="ignore"):
         q = x * x + y * y
     mag = np.sqrt(q)
@@ -168,7 +172,12 @@ def _correlate_rows(arr: np.ndarray, k: np.ndarray, rows: slice) -> np.ndarray:
     through _blur_rows and _gradient_rows, a band of 64 rows at a time:
     gaussian_blur, gradients, harris_score_map, canny, and every fusion
     scale (fuse_single_scale, fuse_hplp, fuse_pair).
+
+    It follows arr's dtype: k is cast to it, and a float32 band rounds to
+    float32 at every tap, where ndimage sums a float32 column in float64
+    and rounds once. On float64 input it is ndimage's pass bit for bit.
     """
+    k = k.astype(arr.dtype, copy=False)
     n = arr.shape[0]
     start, stop, _ = rows.indices(n)
     r, m = k.size // 2, stop - start
@@ -188,7 +197,9 @@ def _correlate_rows(arr: np.ndarray, k: np.ndarray, rows: slice) -> np.ndarray:
 
 def _blur_rows(arr: np.ndarray, k: np.ndarray, rows: slice) -> np.ndarray:
     """gaussian_blur(arr, sigma)[rows], computed on those rows alone; k is
-    gaussian_kernel(sigma), made once by the caller rather than per band."""
+    gaussian_kernel(sigma), made once by the caller rather than per band.
+    Both passes use k cast to arr's dtype, and the result has that dtype."""
+    k = k.astype(arr.dtype, copy=False)
     return ndimage.correlate1d(_correlate_rows(arr, k, rows), k, axis=1,
                                mode="nearest")
 
@@ -202,14 +213,57 @@ def _gradient_rows(arr: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray
     return ix, iy
 
 
-def _field_rows(arr: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-    """(ix[rows], iy[rows]) of gradients(gaussian_blur(arr, GRADIENT_SIGMA)),
-    computed on those rows alone: the same bits for any rows, since
-    _correlate_rows replicates only beyond the image."""
-    a, b, _ = rows.indices(arr.shape[0])
-    g0, g1 = max(a - 1, 0), min(b + 1, arr.shape[0])
-    blurred = _blur_rows(arr, gaussian_kernel(GRADIENT_SIGMA), slice(g0, g1))
-    return _gradient_rows(blurred, slice(a - g0, b - g0))
+# rows beyond its own that a row of the field reads: the blur's, then Sobel's
+_FIELD_REACH = gaussian_kernel(GRADIENT_SIGMA).size // 2 + 1
+
+
+def _unit_field(arr: np.ndarray):
+    """The registration front end's gradient field of a finite float64
+    image, as a reader: rows -> (ix[rows], iy[rows]), both float32.
+
+    The field is the Sobel gradients of the GRADIENT_SIGMA blur of arr
+    times 2**-e, cast to float32, with e the integer that puts the largest
+    |pixel| in (0.5, 1]. The scale is exact (np.ldexp in float64; the one
+    rounding is the cast), and the identity on an image whose largest
+    |pixel| already lies there. Harris and Canny threshold relative to
+    each image's largest score and magnitude, so no power-of-two scale of
+    the input changes what they find, and every finite input lands in
+    float32's range: |ix| and |iy| are at most 8, Harris's products stay
+    under 2**12, and ix*ix + iy*iy is at most 128.
+
+    Each call scales and casts only the rows it reads, and gives the same
+    bits for any rows: its passes replicate rows only beyond the image.
+    """
+    h, w = arr.shape
+    frac, e = np.frexp(max(float(arr.max()), -float(arr.min())))
+    # a power of two scales to 1, not to 0.5; a Python int, which np.ldexp
+    # takes without a cast
+    shift = int(frac == 0.5) - int(e)
+    k = gaussian_kernel(GRADIENT_SIGMA)
+
+    def field(rows):
+        a, b, _ = rows.indices(h)
+        lo, hi = max(a - _FIELD_REACH, 0), min(b + _FIELD_REACH, h)
+        unit = np.ldexp(arr[lo:hi], shift, out=np.empty((hi - lo, w), np.float32))
+        # the blur one row beyond the kept rows, for Sobel
+        g0, g1 = max(a - 1, lo), min(b + 1, hi)
+        blurred = _blur_rows(unit, k, slice(g0 - lo, g1 - lo))
+        return _gradient_rows(blurred, slice(a - g0, b - g0))
+
+    return field
+
+
+def _gradient_field(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The whole (ix, iy) of _unit_field(arr), built a band of rows at a
+    time."""
+    field = _unit_field(arr)
+    ix, iy = np.empty(arr.shape, np.float32), np.empty(arr.shape, np.float32)
+
+    def band(y0, y1):
+        ix[y0:y1], iy[y0:y1] = field(slice(y0, y1))
+
+    _banded(band, arr.shape[0])
+    return ix, iy
 
 
 def warp_affine(img, t: AffineTransform, fill: float = 0.0) -> np.ndarray:

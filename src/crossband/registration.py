@@ -22,8 +22,7 @@ from .descriptor import (EdgeDescriptor, MatchingConfig, _cut_windows, _scores,
 from .edges import CannyConfig, _canny
 from .errors import DegenerateFitError, RegistrationError
 from .features import HarrisConfig, _detect_corners, _harris_score_map
-from .image import (GRADIENT_SIGMA, _magnitudes, as_gray, gaussian_blur, gradients,
-                    require_finite)
+from .image import _gradient_field, _magnitudes, as_gray, require_finite
 from .transform import AffineTransform, TransformKind, project
 
 MIN_REGISTER_SIDE = 64   # below this, corner statistics collapse
@@ -399,9 +398,9 @@ def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
 
     windows = {}
     for name, img in (("visible", vis), ("infrared", ir)):
-        # the input was checked finite above, and a Harris score that
-        # overflows raises, so the stages skip their own checks
-        ix, iy = gradients(gaussian_blur(img, GRADIENT_SIGMA))
+        # the input was checked finite above, so the stages skip their own
+        # checks; the field is float32, of the image scaled by a power of two
+        ix, iy = _gradient_field(img)
         field = lambda rows: (ix[rows], iy[rows])  # noqa: E731
         xs, ys, _ = _detect_corners(
             _harris_score_map(field, img.shape, harris_cfg), harris_cfg)

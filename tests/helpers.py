@@ -65,6 +65,62 @@ def gradients_oracle(img):
     return ix, iy
 
 
+def unit_float32_oracle(img):
+    """img times the power of two that puts its largest |pixel| in (0.5, 1]
+    (1 for an all-zero image), as float32."""
+    arr = np.asarray(img, dtype=np.float64)
+    peak = float(np.max(np.abs(arr)))
+    e = 0
+    while peak > 1.0:
+        peak, e = peak / 2.0, e + 1
+    while 0.0 < peak <= 0.5:
+        peak, e = peak * 2.0, e - 1
+    return np.ldexp(arr, -e).astype(np.float32)
+
+
+def vertical_f32_oracle(img, k):
+    """ndimage.correlate1d(img, k, axis=0, mode="nearest") on a float32
+    image, rounded to float32 at every tap: the centre tap, then each pair
+    of taps from the outermost in, (top + bottom) * w or (top - bottom) * w
+    with w the top weight, added to the sum. k is cast to float32."""
+    arr = np.asarray(img, dtype=np.float32)
+    k = np.asarray(k).astype(np.float32)
+    r, h = k.size // 2, arr.shape[0]
+    ext = np.pad(arr, ((r, r), (0, 0)), mode="edge")
+    symmetric = k[r + 1] == k[r - 1]
+    out = ext[r:r + h] * k[r]
+    for j in range(r, 0, -1):
+        top, bottom = ext[r - j:r - j + h], ext[r + j:r + j + h]
+        out = out + (top + bottom if symmetric else top - bottom) * k[r - j]
+    return out
+
+
+def blur_f32_oracle(img, sigma):
+    """The float32 Gaussian blur: vertical_f32_oracle, then ndimage's
+    horizontal pass, both with the kernel cast to float32."""
+    k = gaussian_kernel(sigma).astype(np.float32)
+    return ndimage.correlate1d(vertical_f32_oracle(img, k), k, axis=1,
+                               mode="nearest")
+
+
+def gradients_f32_oracle(img):
+    """The float32 Sobel gradients (ix, iy): vertical_f32_oracle, then
+    ndimage's horizontal pass."""
+    smooth, diff = np.array([1.0, 2.0, 1.0]), np.array([-1.0, 0.0, 1.0])
+    ix = ndimage.correlate1d(vertical_f32_oracle(img, smooth), diff, axis=1,
+                             mode="nearest")
+    iy = ndimage.correlate1d(vertical_f32_oracle(img, diff), smooth, axis=1,
+                             mode="nearest")
+    return ix, iy
+
+
+def field_oracle(img):
+    """The front end's float32 gradient field of an image: the Sobel
+    gradients of the GRADIENT_SIGMA blur of unit_float32_oracle(img)."""
+    return gradients_f32_oracle(blur_f32_oracle(unit_float32_oracle(img),
+                                                GRADIENT_SIGMA))
+
+
 def checkerboard(side, cell, lo=0.2, hi=0.8):
     idx = np.add.outer(np.arange(side) // cell, np.arange(side) // cell)
     return np.where(idx % 2 == 0, lo, hi).astype(np.float64)
@@ -288,27 +344,27 @@ def unfilter_oracle(scanlines, bpp):
 def canny_oracle(img, cfg=None):
     """Canny with `np.mgrid` neighbour gathers and `np.isin` hysteresis.
 
-    Returns (edges, directions) as uint8 rasters: blur, Sobel gradients,
-    norm_oracle magnitudes, 16 full-circle direction bins, suppression
-    against the two 8-neighbours along the axis of the 45-degree sector that
-    holds each pixel's bin (>= the positive-offset one, > the negative one),
-    then 8-connected hysteresis.
+    Returns (edges, directions) as uint8 rasters: the float32 field_oracle,
+    its float32 magnitudes sqrt(ix*ix + iy*iy), 16 full-circle direction
+    bins, suppression against the two 8-neighbours along the axis of the
+    45-degree sector that holds each pixel's bin (>= the positive-offset
+    one, > the negative one), then 8-connected hysteresis at float32
+    thresholds.
     """
     from crossband.edges import CannyConfig
     if cfg is None:
         cfg = CannyConfig()
-    ix, iy = gradients_oracle(gaussian_blur_oracle(img, GRADIENT_SIGMA))
-    return canny_field_oracle(ix, iy, cfg)
+    return canny_field_oracle(*field_oracle(img), cfg)
 
 
 def canny_field_oracle(ix, iy, cfg):
-    """canny_oracle from the whole gradient field (ix, iy)."""
+    """canny_oracle from the whole float32 gradient field (ix, iy)."""
     h, w = ix.shape
-    mag = norm_oracle(ix, iy)
+    mag = np.sqrt(np.square(ix) + np.square(iy))
     full = np.mod(np.arctan2(iy, ix) + 2.0 * np.pi, 2.0 * np.pi)
     directions = (np.floor(full / (2.0 * np.pi / 16)).astype(np.int64)
                   % 16).astype(np.uint8)
-    mag_max = float(mag.max())
+    mag_max = mag.max()
     if mag_max <= 0.0:
         return np.zeros((h, w), np.uint8), directions
 
@@ -335,20 +391,19 @@ def canny_field_oracle(ix, iy, cfg):
 
 
 def harris_oracle(img, cfg=None):
-    """harris_score_map computed on the whole image at once: the structure
-    tensor of the Sobel gradients of the GRADIENT_SIGMA blur."""
+    """harris_score_map computed on the whole image at once, in float32: the
+    structure tensor of field_oracle(img)."""
     from crossband.features import HarrisConfig
     if cfg is None:
         cfg = HarrisConfig()
-    ix, iy = gradients_oracle(gaussian_blur_oracle(img, GRADIENT_SIGMA))
-    return harris_field_oracle(ix, iy, cfg)
+    return harris_field_oracle(*field_oracle(img), cfg)
 
 
 def harris_field_oracle(ix, iy, cfg):
-    """harris_oracle from the whole gradient field (ix, iy)."""
-    sxx = gaussian_blur_oracle(ix * ix, cfg.window_sigma)
-    syy = gaussian_blur_oracle(iy * iy, cfg.window_sigma)
-    sxy = gaussian_blur_oracle(ix * iy, cfg.window_sigma)
+    """harris_oracle from the whole float32 gradient field (ix, iy)."""
+    sxx = blur_f32_oracle(ix * ix, cfg.window_sigma)
+    syy = blur_f32_oracle(iy * iy, cfg.window_sigma)
+    sxy = blur_f32_oracle(ix * iy, cfg.window_sigma)
     trace = sxx + syy
     return sxx * syy - sxy * sxy - cfg.k * trace * trace
 

@@ -11,7 +11,7 @@ from crossband.edges import (DIRECTION_BINS, CannyConfig, EdgeMap, _SECTOR_STEPS
 from crossband.evaluation import synthetic_texture
 from crossband.image import GRADIENT_SIGMA, _magnitudes, gaussian_blur, gradients
 
-from helpers import canny_oracle, row_bands
+from helpers import blur_f32_oracle, canny_oracle, row_bands
 
 
 def test_quantize_examples():
@@ -49,17 +49,20 @@ def test_quantize_bins_in_range():
 
 
 def test_angle_bins_equal_the_mod_form():
-    step = 2.0 * np.pi / 16
-    edge = np.arange(16 + 1) * step
-    # every bin edge and one ulp either side, as atan2 angles and as
-    # angle + 2*pi, the value that is divided
-    near = [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
-    angle = np.concatenate([*near, *(v - 2.0 * np.pi for v in near),
-                            [np.pi, -np.pi, 0.0, -0.0]])
-    angle = angle[np.abs(angle) <= np.pi]
-    expected = (np.floor(np.mod(angle + 2.0 * np.pi, 2.0 * np.pi) / step)
-                .astype(np.int64) % 16)
-    assert np.array_equal(_angle_bins(angle), expected)
+    # in the angles' own dtype: Canny's are float32
+    for dtype in (np.float64, np.float32):
+        step = 2.0 * np.pi / 16
+        edge = np.arange(16 + 1, dtype=dtype) * step
+        # every bin edge and one ulp either side, as atan2 angles and as
+        # angle + 2*pi, the value that is divided
+        near = [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+        angle = np.concatenate([*near, *(v - 2.0 * np.pi for v in near),
+                                np.array([np.pi, -np.pi, 0.0, -0.0], dtype)])
+        angle = angle[np.abs(angle) <= np.pi]
+        expected = (np.floor(np.mod(angle + 2.0 * np.pi, 2.0 * np.pi) / step)
+                    .astype(np.int64) % 16)
+        assert angle.dtype == dtype
+        assert np.array_equal(_angle_bins(angle), expected)
 
 
 def _bin_sector(b):
@@ -154,12 +157,11 @@ def test_canny_vertical_step_single_pixel_chain():
     img[:, 16:] = 0.9  # contrast 0.8 at x = 16
     out = canny(img, CannyConfig())
 
-    # 1D hand-trace of the same row profile: blur, central difference with
-    # the smoothing weight 4 of the cross direction, then 1D suppression
-    from crossband.image import gaussian_kernel
-    profile = img[0]
-    k = gaussian_kernel(GRADIENT_SIGMA)
-    blurred = np.correlate(np.pad(profile, len(k) // 2, mode="edge"), k, "valid")
+    # 1D hand-trace of the same row profile, in float32 as canny computes
+    # it: the blur, central difference with the smoothing weight 4 of the
+    # cross direction, then 1D suppression. The step's two sides tie in
+    # exact arithmetic, so the float32 rounding of the blur decides the side
+    blurred = blur_f32_oracle(img, GRADIENT_SIGMA)[0]
     deriv = np.zeros_like(blurred)
     deriv[1:-1] = 4.0 * (blurred[2:] - blurred[:-2])
     mag = np.abs(deriv)
