@@ -96,7 +96,10 @@ def detect_corners(score, cfg: HarrisConfig | None = None) -> list[Corner]:
     """
     if cfg is None:
         cfg = HarrisConfig()
-    xs, ys, vals = _detect_corners(require_finite(as_gray(score), "score"), cfg)
+    arr = np.asarray(score)
+    # a float32 map, as harris_score_map returns it, is read without a copy
+    arr = as_gray(arr, np.float32 if arr.dtype == np.float32 else np.float64)
+    xs, ys, vals = _detect_corners(require_finite(arr, "score"), cfg)
     return [Corner(x, y, v) for x, y, v in
             zip(xs.tolist(), ys.tolist(), vals.tolist())]
 

@@ -31,9 +31,9 @@ NORM_SQ_MIN = 2.0 ** -960
 NORM_SQ_MAX = 2.0 ** 960
 
 
-def as_gray(img) -> np.ndarray:
-    """Validate and return a 2D float64 gray image."""
-    arr = np.asarray(img, dtype=np.float64)
+def as_gray(img, dtype=np.float64) -> np.ndarray:
+    """Validate and return a 2D gray image, as float64 unless dtype says."""
+    arr = np.asarray(img, dtype=dtype)
     if arr.ndim != 2:
         raise ValueError(f"gray image must be 2D, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:

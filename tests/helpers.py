@@ -292,6 +292,14 @@ def fit_sample_oracle(src, dst, model):
     return np.column_stack([lin, t])
 
 
+def quantize_oracle(img, bitdepth):
+    """The integer codes `write_image` stores for [0, 1] intensities:
+    clip to [0, 1], scale by the largest code and round half up."""
+    maxcode = (1 << bitdepth) - 1
+    codes = np.floor(np.clip(img, 0.0, 1.0) * maxcode + 0.5)
+    return codes.astype(np.uint8 if bitdepth == 8 else np.uint16)
+
+
 def unfilter_oracle(scanlines, bpp):
     """Reverse the PNG per-scanline filters (types 0-4) one byte at a time.
 

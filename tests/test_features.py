@@ -215,6 +215,16 @@ def test_score_is_invariant_to_power_of_two_gains(gain):
             == harris_score_map(img, cfg).tobytes())
 
 
+def test_detect_reads_a_float32_map_as_its_float64_copy():
+    img = np.random.default_rng(15).random((60, 70))
+    cfg = HarrisConfig(nms_window=3, min_score=0.001)
+    m32 = harris_score_map(img, cfg)
+    assert m32.dtype == np.float32
+    corners = detect_corners(m32, cfg)
+    assert len(corners) > 20
+    assert corners == detect_corners(m32.astype(np.float64), cfg)
+
+
 def test_max_corners_cap():
     rng = np.random.default_rng(14)
     cfg = HarrisConfig(nms_window=3, max_corners=5, min_score=0.0001)

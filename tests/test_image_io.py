@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crossband import image_io
 from crossband.errors import ImageIOError
+from crossband.evaluation import synthetic_texture
 from crossband.image_io import _lanes, _unfilter, read_image, write_image
-from helpers import unfilter_oracle
+from helpers import quantize_oracle, unfilter_oracle
 
 
 def _png_bytes(chunks):
@@ -99,13 +101,123 @@ def _codec_cases(draw):
 def test_codec_roundtrip_is_the_rounded_codes(tmp_path_factory, case):
     suffix, bitdepth, img = case
     maxcode = (1 << bitdepth) - 1
-    # round half up onto the codes, after clamping to [0, 1]
-    codes = np.floor(np.clip(img, 0.0, 1.0) * maxcode + 0.5)
+    codes = quantize_oracle(img, bitdepth)
     p = tmp_path_factory.mktemp("codec") / ("img" + suffix)
     write_image(p, img, bitdepth=bitdepth)
     back = read_image(p)
     assert back.dtype == np.float64 and back.shape == img.shape
     assert np.array_equal(back, codes / maxcode)
+
+
+def _written_pnm_codes(path, img, bitdepth):
+    """The codes `write_image` stores for img, read from a PGM's body."""
+    write_image(path, img, bitdepth=bitdepth)
+    body = path.read_bytes()[-img.size * bitdepth // 8:]
+    return np.frombuffer(body, dtype=np.uint8 if bitdepth == 8 else ">u2")
+
+
+_QUANTIZER_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+                       np.finfo(np.float64).max, -np.finfo(np.float64).max]
+
+
+@pytest.mark.parametrize("bitdepth", [8, 16])
+def test_quantizer_equals_the_oracle_on_specials_and_half_codes(tmp_path, bitdepth):
+    maxcode = (1 << bitdepth) - 1
+    half = (np.arange(maxcode) + 0.5) / maxcode
+    values = np.concatenate([_QUANTIZER_SPECIALS, half,
+                             np.nextafter(half, -np.inf)])[None]
+    got = _written_pnm_codes(tmp_path / "q.pgm", values, bitdepth)
+    assert np.array_equal(got, quantize_oracle(values, bitdepth).ravel())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([8, 16]),
+       st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=64))
+def test_quantizer_equals_the_oracle_on_drawn_values(tmp_path_factory, bitdepth,
+                                                     values):
+    values = np.array(values)[None]
+    path = tmp_path_factory.mktemp("quantize") / "q.pgm"
+    got = _written_pnm_codes(path, values, bitdepth)
+    assert np.array_equal(got, quantize_oracle(values, bitdepth).ravel())
+
+
+def _idat_scanlines(blob, h):
+    """The inflated IDAT of a PNG file as (h, 1 + stride) uint8 scanlines."""
+    pos, idat = 8, b""
+    while pos < len(blob):
+        length, ctype = struct.unpack(">I4s", blob[pos:pos + 8])
+        if ctype == b"IDAT":
+            idat += blob[pos + 8:pos + 8 + length]
+        pos += 12 + length
+    return np.frombuffer(zlib.decompress(idat), dtype=np.uint8).reshape(h, -1)
+
+
+def _code_rows(img, bitdepth):
+    """The rounded codes of img as PNG scanline bytes, big-endian, one row
+    of the image per row."""
+    codes = quantize_oracle(img, bitdepth).astype(">u2" if bitdepth == 16 else np.uint8)
+    return codes.reshape(img.shape[0], -1).view(np.uint8)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_codec_cases().filter(lambda case: case[0] == ".png"))
+def test_png_writer_sub_filters_every_scanline(tmp_path_factory, case):
+    _, bitdepth, img = case
+    channels = 3 if img.ndim == 3 else 1
+    p = tmp_path_factory.mktemp("sub") / "img.png"
+    write_image(p, img, bitdepth=bitdepth)
+    scanlines = _idat_scanlines(p.read_bytes(), img.shape[0])
+    assert np.all(scanlines[:, 0] == 1)
+    assert np.array_equal(unfilter_oracle(scanlines, channels * bitdepth // 8),
+                          _code_rows(img, bitdepth))
+
+
+def test_writing_an_image_twice_gives_identical_files(tmp_path):
+    img = np.random.default_rng(5).random((31, 17, 3))
+    for name, bitdepth in (("a.png", 8), ("b.png", 16), ("c.ppm", 16)):
+        write_image(tmp_path / ("1" + name), img, bitdepth=bitdepth)
+        write_image(tmp_path / ("2" + name), img, bitdepth=bitdepth)
+        assert (tmp_path / ("1" + name)).read_bytes() == (tmp_path / ("2" + name)).read_bytes()
+
+
+@pytest.mark.parametrize("bitdepth", [8, 16])
+def test_png_of_a_smooth_texture_is_no_larger_than_none_at_level_6(tmp_path, bitdepth):
+    img = synthetic_texture(160, 120, seed=3)
+    p = tmp_path / "t.png"
+    write_image(p, img, bitdepth=bitdepth)
+    rows = _code_rows(img, bitdepth)
+    none = np.concatenate([np.zeros((len(rows), 1), np.uint8), rows], axis=1)
+    # the same file but for its IDAT, None-filtered at zlib level 6
+    idat = zlib.compress(none.tobytes(), 6)
+    none_size = 8 + 25 + 12 + len(idat) + 12
+    assert p.stat().st_size <= none_size
+
+
+@pytest.mark.parametrize("shape, bitdepth", [((1, 65535), 8), ((7, 9, 3), 16),
+                                             ((480, 640, 3), 8)])
+def test_a_written_png_decodes_without_a_wavefront(tmp_path, monkeypatch,
+                                                   shape, bitdepth):
+    # the wavefront reads the predictor weights; with none, it cannot run
+    monkeypatch.setattr(image_io, "_PREDICTOR_WEIGHTS", None)
+    img = np.random.default_rng(6).random(shape)
+    p = tmp_path / "w.png"
+    write_image(p, img, bitdepth=bitdepth)
+    maxcode = (1 << bitdepth) - 1
+    assert np.array_equal(read_image(p), quantize_oracle(img, bitdepth) / maxcode)
+
+
+@pytest.mark.parametrize("ftype", [0, 1])
+def test_a_1x65535_none_or_sub_strip_decodes_without_a_wavefront(tmp_path, monkeypatch,
+                                                                 ftype):
+    monkeypatch.setattr(image_io, "_PREDICTOR_WEIGHTS", None)
+    rng = np.random.default_rng(7)
+    scanlines = rng.integers(0, 256, size=(1, 1 + 65535), dtype=np.uint8)
+    scanlines[0, 0] = ftype
+    p = tmp_path / "strip.png"
+    _png(p, [(b"IHDR", _ihdr(65535, 1, 8, 0)),
+             (b"IDAT", zlib.compress(scanlines.tobytes())), (b"IEND", b"")])
+    want = unfilter_oracle(scanlines, 1)
+    assert np.array_equal(read_image(p), want / 255.0)
 
 
 def test_pnm_header_comments(tmp_path):
@@ -378,24 +490,27 @@ def _chains_of_1_and_40_rows(h):
 def test_lanes_are_runs_of_whole_chains_at_most_the_longest_chain(case):
     ftypes = case[0][:, 0]
     h = len(ftypes)
-    starts, longest = _lanes(ftypes)
-    lanes = list(zip(starts.tolist(), np.diff(starts, append=h).tolist()))
+    rows, starts, longest = _lanes(ftypes)
     chain_starts = [0] + [r for r in range(1, h) if ftypes[r] < 2]
-    chains = np.diff(chain_starts + [h])
-    assert longest == chains.max()
-    # every row exactly once, in order, in lanes no longer than L
-    rows = [r for first, n in lanes for r in range(first, first + n)]
-    assert rows == list(range(h))
-    assert all(1 <= n <= longest for _, n in lanes)
+    chains = dict(zip(chain_starts, np.diff(chain_starts + [h]).tolist()))
+    # a lone None or Sub row is decoded whole; every other chain is laned
+    laned = {first: n for first, n in chains.items() if n > 1 or ftypes[first] > 1}
+    assert longest == max(laned.values(), default=0)
+    # every row of every laned chain exactly once, in order, and no other row
+    assert rows.tolist() == [r for first, n in laned.items()
+                             for r in range(first, first + n)]
+    assert starts.tolist()[:1] == ([0] if laned else [])
+    lanes = np.split(rows, starts[1:]) if laned else []
+    assert all(1 <= len(lane) <= longest for lane in lanes)
     # each lane starts a chain and ends where the next chain would not fit
-    assert all(first in chain_starts for first, _ in lanes)
-    for (_, n), (second, _) in zip(lanes, lanes[1:]):
-        assert n + chains[chain_starts.index(second)] > longest
+    assert all(lane[0] in laned for lane in lanes)
+    for lane, second in zip(lanes, lanes[1:]):
+        assert len(lane) + laned[second[0]] > longest
 
 
 def test_a_16384x1_strip_of_cycling_filters_takes_at_most_4_steps():
     # `_unfilter` takes w + L - 1 steps; here the chains are 1 and 4 rows
-    _, longest = _lanes(_cycling_filters(1 << 14))
+    _, _, longest = _lanes(_cycling_filters(1 << 14))
     assert 1 + longest - 1 <= 4
 
 
