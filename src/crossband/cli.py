@@ -27,8 +27,7 @@ from .errors import (DegenerateFitError, ImageIOError, RegistrationError,
 from .evaluation import SimulationSpec, run_benchmark
 from .features import HarrisConfig
 from .fusion import FusionConfig, fuse_pair, fuse_scales
-from .image import (as_color, as_gray, clamp01, replicate3, to_luminance,
-                    warp_affine)
+from .image import clamp01, replicate3, to_luminance, warp_affine
 from .image_io import read_image, write_image
 from .registration import RansacConfig, register
 from .transform import load_transform, to_json_dict
@@ -43,11 +42,8 @@ class _Parser(argparse.ArgumentParser):
     # algorithmic failures, so redirect usage problems to exit code 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._report(message))
-
-    def _report(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return _EXIT_USAGE
+        raise SystemExit(_EXIT_USAGE)
 
 
 def _add_config_options(sub):
@@ -175,8 +171,7 @@ def _cmd_warp(args) -> int:
     if img.ndim == 2:
         out = warp_affine(img, t, fill=args.fill)
     else:
-        arr = as_color(img)
-        planes = [warp_affine(arr[:, :, c], t, fill=args.fill) for c in range(3)]
+        planes = [warp_affine(img[:, :, c], t, fill=args.fill) for c in range(3)]
         out = np.stack(planes, axis=2)
     _atomic_write((args.output,
                    lambda tmp: write_image(tmp, out, bitdepth=args.bits)))
@@ -215,8 +210,7 @@ def _cmd_eval(args) -> int:
                    if n.lower().endswith(_IMAGE_SUFFIXES))
     if not names:
         raise ValueError(f"no images found in {args.dataset_dir}")
-    bases = [as_gray(_load_gray(os.path.join(args.dataset_dir, n)))
-             for n in names]
+    bases = [_load_gray(os.path.join(args.dataset_dir, n)) for n in names]
     report = run_benchmark(bases, cfgmod.build(SimulationSpec, settings),
                            *_register_args(settings))
     csv = report.to_csv().encode("utf-8")

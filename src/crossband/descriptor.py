@@ -66,10 +66,6 @@ class EdgeDescriptor:
     def window(self) -> int:
         return self.edges.shape[0]
 
-    @property
-    def position(self) -> tuple[int, int]:
-        return (self.x, self.y)
-
 
 class _Windows(NamedTuple):
     """Descriptors as arrays, one row per descriptor. The score reads

@@ -41,21 +41,10 @@ class EdgeMap:
             raise ValueError("edge and direction rasters must share dimensions")
 
 
-def quantize_direction(ix, iy):
-    """Quantize gradient angles over the full circle into DIRECTION_BINS bins.
-
-    bin = floor(((atan2(iy, ix) + 2*pi) mod 2*pi) / (2*pi / DIRECTION_BINS));
-    a zero gradient lands in bin 0. Accepts scalars or arrays.
-    """
-    bins = _angle_bins(np.arctan2(iy, ix))
-    if np.isscalar(ix) and np.isscalar(iy):
-        return int(bins)
-    return bins.astype(np.int64)
-
-
 def _angle_bins(angle):
-    """quantize_direction's bins of atan2 angles, as integers in the
-    angles' float dtype, with 2*pi rounded to that dtype.
+    """The DIRECTION_BINS full-circle bins of atan2 angles, as integers in
+    the angles' float dtype, with 2*pi rounded to that dtype. A zero
+    gradient, atan2(0, 0) = 0, lands in bin 0.
 
     Equal, bit for bit, to np.floor(np.mod(angle + 2*pi, 2*pi) / (2*pi / n))
     % n with n = DIRECTION_BINS, without a branch per value: angle + 2*pi

@@ -98,19 +98,6 @@ class AccuracyReport:
         e = self.errors
         return float(median(e)) if e else float("nan")
 
-    @property
-    def max_error(self) -> float:
-        e = self.errors
-        return float(max(e)) if e else float("nan")
-
-    def per_scale_mean(self) -> dict[float, float]:
-        out: dict[float, float] = {}
-        for scale in sorted({r.scale for r in self.rows}):
-            e = [r.error_px for r in self.rows
-                 if r.scale == scale and r.status == "ok"]
-            out[scale] = float(np.mean(e)) if e else float("nan")
-        return out
-
     def to_csv(self) -> str:
         lines = ["trial,scale,tx_true,ty_true,tx_est,ty_est,error_px,support,status"]
         for r in self.rows:
@@ -235,34 +222,32 @@ def run_benchmark(bases, spec: SimulationSpec,
     if ransac_cfg is None:
         ransac_cfg = RansacConfig()
     report = AccuracyReport()
-    trial = 0
-    for scale in spec.scales:
-        for _ in range(spec.trials):
-            rng = np.random.default_rng(spec.rng_seed + trial)
-            tx, ty = rng.uniform(-spec.translation_range,
-                                 spec.translation_range, size=2)
-            if scale == 1.0:
-                t_true = AffineTransform.translation(float(tx), float(ty))
-            else:
-                t_true = AffineTransform.similarity(float(scale), 0.0,
-                                                    float(tx), float(ty))
-            img_v, img_ir, t_eff = simulate_pair(bases[trial % len(bases)],
-                                                 t_true, spec, rng)
-            try:
-                result = register(img_v, img_ir, harris_cfg, canny_cfg,
-                                  window, ransac_cfg, polarity)
-            except RegistrationError:
-                report.rows.append(TrialResult(
-                    trial, scale, float(t_eff.m[0, 2]), float(t_eff.m[1, 2]),
-                    float("nan"), float("nan"), float("nan"), 0, "failed"))
-                trial += 1
-                continue
+    schedule = [scale for scale in spec.scales for _ in range(spec.trials)]
+    for trial, scale in enumerate(schedule):
+        rng = np.random.default_rng(spec.rng_seed + trial)
+        tx, ty = rng.uniform(-spec.translation_range,
+                             spec.translation_range, size=2)
+        if scale == 1.0:
+            t_true = AffineTransform.translation(float(tx), float(ty))
+        else:
+            t_true = AffineTransform.similarity(float(scale), 0.0,
+                                                float(tx), float(ty))
+        img_v, img_ir, t_eff = simulate_pair(bases[trial % len(bases)],
+                                             t_true, spec, rng)
+        try:
+            result = register(img_v, img_ir, harris_cfg, canny_cfg,
+                              window, ransac_cfg, polarity)
+        except RegistrationError:
+            tx_est = ty_est = error = float("nan")
+            support, status = 0, "failed"
+        else:
             est = result.transform
-            report.rows.append(TrialResult(
-                trial, scale, float(t_eff.m[0, 2]), float(t_eff.m[1, 2]),
-                float(est.m[0, 2]), float(est.m[1, 2]),
-                translation_error(est, t_eff), result.support, "ok"))
-            trial += 1
+            tx_est, ty_est = float(est.m[0, 2]), float(est.m[1, 2])
+            error = translation_error(est, t_eff)
+            support, status = result.support, "ok"
+        report.rows.append(TrialResult(
+            trial, scale, float(t_eff.m[0, 2]), float(t_eff.m[1, 2]),
+            tx_est, ty_est, error, support, status))
     return report
 
 

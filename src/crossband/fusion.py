@@ -60,8 +60,13 @@ def split_frequencies(img, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     ValueError if a pixel is NaN or inf.
     """
     arr = require_finite(as_gray(img), "input")
-    lp = gaussian_blur(arr, sigma).astype(np.longdouble)
-    return lp, arr - lp
+    # zeroed, so the padding bytes of an x87 longdouble are zero too and
+    # tobytes() is the same on every call
+    lp = np.zeros(arr.shape, np.longdouble)
+    hp = np.zeros_like(lp)
+    lp[...] = gaussian_blur(arr, sigma)
+    np.subtract(arr, lp, out=hp)
+    return lp, hp
 
 
 def fuse_single_scale(visible_luma, infrared, sigma: float,

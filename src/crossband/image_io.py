@@ -11,7 +11,8 @@ whole when the row below it starts a chain of its own; only the chains
 of two or more rows (a None or Sub row and the rows that read the row
 above after it) go to a wavefront of w + L - 1 vector steps over lanes of
 at most L rows, L the longest such chain. A file this module writes has
-no such chain, so it reads back with no wavefront step.
+no such chain, so it reads back with no wavefront step. Row 0 reads zeros
+above it, so an Up or Paeth row 0 decodes as None or Sub.
 """
 
 from __future__ import annotations
@@ -202,6 +203,9 @@ _PREDICTOR_WEIGHTS = np.array([
     [1, 1, 1, 0],  # Average: (a + b) >> 1
     [0, 0, 0, 1],  # Paeth
 ], dtype=np.int16)
+# the filter type each type decodes as on row 0, whose upper neighbours are
+# zero: Up as None, Paeth (which then picks a) as Sub
+_ROW0_FILTERS = np.array([0, 1, 0, 3, 1], dtype=np.uint8)
 
 
 def _lanes(ftypes: np.ndarray):
@@ -220,8 +224,9 @@ def _lanes(ftypes: np.ndarray):
     h = len(ftypes)
     bounds = np.concatenate(([0], np.flatnonzero(ftypes[1:] < 2) + 1, [h]))
     lengths = np.diff(bounds)
-    # row 0 starts a chain whatever its filter; a lone Up, Average or Paeth
-    # row 0 still goes to the wavefront
+    # row 0 starts a chain whatever its filter. `_unfilter` decodes a row-0
+    # Up as None and Paeth as Sub, but a lone Average row 0 still goes to
+    # the wavefront: there it is x + floor(a / 2), a recurrence along the row
     laned = (lengths > 1) | (ftypes[bounds[:-1]] > 1)
     firsts, lengths = bounds[:-1][laned], lengths[laned]
     longest = int(lengths.max(initial=0))
@@ -240,12 +245,13 @@ def _lanes(ftypes: np.ndarray):
 def _unfilter(path, scanlines: np.ndarray, bpp: int) -> np.ndarray:
     """Reverse the PNG per-scanline filters (types 0-4).
 
-    A None or Sub row with no Up, Average or Paeth row below it is a chain
-    of one row, and decodes whole: a None row is its raw bytes, and a Sub
-    row their running sum over bytes bpp apart, modulo 256, all such rows
-    at once. Every file `write_image` writes is such rows only. A None or
-    Sub row that starts a longer chain stays in the wavefront, where its
-    predictor costs no extra step.
+    Row 0 reads zeros above it (RFC 2083 section 6), so an Up row 0 decodes
+    as None and a Paeth row 0 as Sub. A None or Sub row with no Up, Average
+    or Paeth row below it is a chain of one row, and decodes whole: a None
+    row is its raw bytes, and a Sub row their running sum over bytes bpp
+    apart, modulo 256, all such rows at once. Every file `write_image`
+    writes is such rows only. A None or Sub row that starts a longer chain
+    stays in the wavefront, where its predictor costs no extra step.
 
     The longer chains go to a wavefront. A byte of pixel (r, c) is
     predicted from the same byte of its left (a), upper (b) and upper-left
@@ -267,6 +273,8 @@ def _unfilter(path, scanlines: np.ndarray, bpp: int) -> np.ndarray:
     bad = np.flatnonzero(ftypes > 4)
     if bad.size:
         raise ImageIOError(path, f"unknown PNG filter type {ftypes[bad[0]]}")
+    ftypes = ftypes.copy()  # the scanlines may be a read-only buffer
+    ftypes[0] = _ROW0_FILTERS[ftypes[0]]
     chained, starts, L = _lanes(ftypes)
     out = np.empty((h, w * bpp), dtype=np.uint8)
     lone = np.ones(h, dtype=bool)

@@ -395,6 +395,8 @@ def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
             raise ValueError(f"descriptor window {window} exceeds the {name} "
                              f"image's smaller side, {min(img.shape)}")
         require_finite(img, name)
+    # an even window or an unknown polarity fails before any raster work
+    matching = MatchingConfig(window, polarity)
 
     windows = {}
     for name, img in (("visible", vis), ("infrared", ir)):
@@ -406,7 +408,7 @@ def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
             _harris_score_map(field, img.shape, harris_cfg), harris_cfg)
         edge_map = _canny(field, img.shape, canny_cfg)
         del ix, iy  # release this image's field before the next is built
-        windows[name] = _cut_windows(xs, ys, edge_map, window)
+        windows[name] = _cut_windows(xs, ys, edge_map, matching.window)
         n = len(windows[name].counts)
         if n < 4:
             raise RegistrationError(
@@ -414,7 +416,7 @@ def register(visible, infrared, harris_cfg: HarrisConfig | None = None,
                 f"{name} image (need 4)")
     win_v, win_ir = windows["visible"], windows["infrared"]
     pos_v, pos_ir = win_v.positions, win_ir.positions
-    scores = _scores(win_v, win_ir, polarity)
+    scores = _scores(win_v, win_ir, matching.polarity)
 
     rng = np.random.default_rng(cfg.rng_seed)
     per_iteration = []

@@ -2,8 +2,8 @@
 
 A transform maps a point p = (x, y) to M[:, :2] @ p + M[:, 2]. Three model
 kinds are distinguished: pure translations, similarities (uniform scale +
-rotation + translation), and general affinities. Composition and inversion
-stay within the kind; affine is the superset.
+rotation + translation), and general affinities. Inversion stays within the
+kind; affine is the superset.
 """
 
 from __future__ import annotations
@@ -23,15 +23,12 @@ class TransformKind(str, Enum):
     AFFINE = "affine"
 
     @property
-    def n_params(self) -> int:
-        return {TransformKind.TRANSLATION: 2,
-                TransformKind.SIMILARITY: 4,
-                TransformKind.AFFINE: 6}[self]
-
-    @property
     def min_matches(self) -> int:
-        # each point pair yields two linear constraints
-        return (self.n_params + 1) // 2
+        # each point pair yields two linear constraints on the 2, 4 or 6
+        # parameters
+        return {TransformKind.TRANSLATION: 1,
+                TransformKind.SIMILARITY: 2,
+                TransformKind.AFFINE: 3}[self]
 
 
 @dataclass(frozen=True)
@@ -56,10 +53,6 @@ class AffineTransform:
             if not (arr[0, 0] == arr[1, 1] and arr[0, 1] == -arr[1, 0]):
                 raise ValueError(
                     "similarity kind requires [[a, -b], [b, a]] linear part")
-
-    @staticmethod
-    def identity(kind: TransformKind = TransformKind.TRANSLATION) -> "AffineTransform":
-        return AffineTransform(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), kind)
 
     @staticmethod
     def translation(tx: float, ty: float) -> "AffineTransform":
@@ -87,23 +80,6 @@ class AffineTransform:
         """Transform an (N, 2) array (or a single (2,) point) of (x, y)."""
         return np.stack(project(self.m, points), axis=-1)
 
-    def compose(self, other: "AffineTransform") -> "AffineTransform":
-        """Return the transform applying `other` first, then self."""
-        kind = _widest_kind(self.kind, other.kind)
-        t = self.m[:, :2] @ other.m[:, 2] + self.m[:, 2]
-        if kind == TransformKind.TRANSLATION:
-            return AffineTransform.translation(float(t[0]), float(t[1]))
-        if kind == TransformKind.SIMILARITY:
-            # compose in (a, b) parameters so the exact [[a, -b], [b, a]]
-            # structure survives floating arithmetic
-            a1, b1 = float(self.m[0, 0]), float(self.m[1, 0])
-            a2, b2 = float(other.m[0, 0]), float(other.m[1, 0])
-            return AffineTransform.similarity(a1 * a2 - b1 * b2,
-                                              b1 * a2 + a1 * b2,
-                                              float(t[0]), float(t[1]))
-        a = self.m[:, :2] @ other.m[:, :2]
-        return AffineTransform(np.column_stack([a, t]), kind)
-
     def inverse(self) -> "AffineTransform":
         d = self.det()
         if not abs(d) > 1e-12:  # also catches a NaN determinant
@@ -129,11 +105,6 @@ def project(m, points) -> tuple[np.ndarray, np.ndarray]:
             m[..., 1, 0] * x + m[..., 1, 1] * y + m[..., 1, 2])
 
 
-def _widest_kind(*kinds: TransformKind) -> TransformKind:
-    order = [TransformKind.TRANSLATION, TransformKind.SIMILARITY, TransformKind.AFFINE]
-    return max(kinds, key=order.index)
-
-
 def to_json_dict(t: AffineTransform, support: int = 0, inliers: int = 0) -> dict:
     return {
         "model": t.kind.value,
@@ -150,12 +121,6 @@ def from_json_dict(obj: dict) -> AffineTransform:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed transform JSON: {exc}") from exc
     return AffineTransform(_finite(m), kind)
-
-
-def format_matrix_text(t: AffineTransform) -> str:
-    """Plain-text 2x3 matrix, one row per line."""
-    rows = (" ".join(repr(float(v)) for v in row) for row in t.m)
-    return "\n".join(rows) + "\n"
 
 
 def parse_matrix_text(text: str) -> AffineTransform:

@@ -126,12 +126,6 @@ def checkerboard(side, cell, lo=0.2, hi=0.8):
     return np.where(idx % 2 == 0, lo, hi).astype(np.float64)
 
 
-def dyadic_image(shape, rng, lsb_bits=10):
-    """Random image quantized to multiples of 2**-lsb_bits (exact doubles)."""
-    q = 1 << lsb_bits
-    return rng.integers(0, q + 1, size=shape).astype(np.float64) / q
-
-
 def circular_bin_distance(a, b):
     d = abs(int(a) - int(b)) % 16
     return min(d, 16 - d)

@@ -76,7 +76,7 @@ def test_register_invalid_config_value(tmp_path, texture_png, capsys):
 
 def test_warp_identity_roundtrip(tmp_path, texture_png):
     t = tmp_path / "id.json"
-    t.write_text(json.dumps(to_json_dict(AffineTransform.identity())))
+    t.write_text(json.dumps(to_json_dict(AffineTransform.translation(0.0, 0.0))))
     out = tmp_path / "warped.png"
     assert main(["warp", str(texture_png), str(t), str(out)]) == 0
     a = read_image(texture_png)
@@ -377,7 +377,7 @@ def test_oversize_sigma_exits_1(tmp_path, texture_png, capsys, command, outputs,
 
 def test_no_partial_output_on_unwritable_path(tmp_path, texture_png):
     t = tmp_path / "id.json"
-    t.write_text(json.dumps(to_json_dict(AffineTransform.identity())))
+    t.write_text(json.dumps(to_json_dict(AffineTransform.translation(0.0, 0.0))))
     missing_dir = tmp_path / "no" / "such" / "dir"
     out = missing_dir / "w.png"
     assert main(["warp", str(texture_png), str(t), str(out)]) == 1
@@ -386,7 +386,7 @@ def test_no_partial_output_on_unwritable_path(tmp_path, texture_png):
 
 def test_warp_to_a_name_without_extension_says_so(tmp_path, texture_png, capsys):
     t = tmp_path / "id.json"
-    t.write_text(json.dumps(to_json_dict(AffineTransform.identity())))
+    t.write_text(json.dumps(to_json_dict(AffineTransform.translation(0.0, 0.0))))
     out = tmp_path / "out"
     out.mkdir()
     assert main(["warp", str(texture_png), str(t), str(out / "out25")]) == 1

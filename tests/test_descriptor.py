@@ -75,7 +75,7 @@ def test_build_descriptors_skips_rejections():
     corners = [Corner(1, 1, 1.0), Corner(50, 50, 2.0), Corner(99, 50, 1.5)]
     descs = build_descriptors(corners, em, window=31)
     assert len(descs) == 1
-    assert descs[0].position == (50, 50)
+    assert (descs[0].x, descs[0].y) == (50, 50)
 
 
 def _corners_around(rng, shape, n=80):
@@ -335,7 +335,7 @@ def test_best_match_gate_excludes_everything():
     rng = np.random.default_rng(8)
     dp = random_descriptor(rng, x=10, y=10)
     dq = random_descriptor(rng, x=200, y=200)
-    gate = (AffineTransform.identity(), 0.0)
+    gate = (AffineTransform.translation(0.0, 0.0), 0.0)
     assert match_all([dp], [dq], gate=gate) == []
 
 
@@ -371,7 +371,7 @@ def test_best_match_no_gate_equals_infinite_gate():
                   for i in range(6)]
     ungated = match_all([dp], candidates)
     gated = match_all([dp], candidates,
-                      gate=(AffineTransform.identity(), np.inf))
+                      gate=(AffineTransform.translation(0.0, 0.0), np.inf))
     assert ungated == gated
 
 

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from crossband.edges import (DIRECTION_BINS, CannyConfig, EdgeMap, _SECTOR_STEPS,
-                             _angle_bins, _canny, _suppress, canny,
-                             quantize_direction)
+                             _angle_bins, _canny, _suppress, canny)
 from crossband.evaluation import synthetic_texture
 from crossband.image import GRADIENT_SIGMA, _magnitudes, gaussian_blur, gradients
 
@@ -15,35 +14,35 @@ from helpers import blur_f32_oracle, canny_oracle, row_bands
 
 
 def test_quantize_examples():
-    assert quantize_direction(1.0, 0.0) == 0
-    assert quantize_direction(0.0, 1.0) == 4
+    assert _angle_bins(np.arctan2(0.0, 1.0)) == 0
+    assert _angle_bins(np.arctan2(1.0, 0.0)) == 4
     # atan2(-1, -1) = -3pi/4 -> 5pi/4 -> bin 10
-    assert quantize_direction(-1.0, -1.0) == 10
+    assert _angle_bins(np.arctan2(-1.0, -1.0)) == 10
 
 
 def test_quantize_zero_gradient_is_bin_zero():
-    assert quantize_direction(0.0, 0.0) == 0
+    assert _angle_bins(np.arctan2(0.0, 0.0)) == 0
 
 
 def test_quantize_array_form():
     ix = np.array([1.0, 0.0, -1.0])
     iy = np.array([0.0, 1.0, 0.0])
-    assert np.array_equal(quantize_direction(ix, iy), [0, 4, 8])
+    assert np.array_equal(_angle_bins(np.arctan2(iy, ix)), [0, 4, 8])
 
 
 def test_quantize_rot90_property():
     rng = np.random.default_rng(0)
     ix = rng.normal(size=200)
     iy = rng.normal(size=200)
-    q = quantize_direction(ix, iy)
+    q = _angle_bins(np.arctan2(iy, ix))
     # rotating the gradient by 90 degrees maps (ix, iy) -> (-iy, ix)
-    q_rot = quantize_direction(-iy, ix)
+    q_rot = _angle_bins(np.arctan2(ix, -iy))
     assert np.array_equal(q_rot, (q + 4) % 16)
 
 
 def test_quantize_bins_in_range():
     rng = np.random.default_rng(1)
-    q = quantize_direction(rng.normal(size=500), rng.normal(size=500))
+    q = _angle_bins(np.arctan2(rng.normal(size=500), rng.normal(size=500)))
     assert DIRECTION_BINS == 16
     assert q.min() >= 0 and q.max() < 16
 
@@ -101,7 +100,7 @@ def _sector_edge_gradients():
         angle = np.arctan2(ys, ix)
         axis = angle + np.pi * (angle < 0.0)
         rounded = np.floor((axis + np.pi / 8) / (np.pi / 4)).astype(int) % 4
-        differ = np.flatnonzero(rounded != _bin_sector(quantize_direction(ix, ys)))
+        differ = np.flatnonzero(rounded != _bin_sector(_angle_bins(angle)))
         found += [(ix, ys[j]) for j in differ[:1]]
     return found
 
@@ -110,7 +109,7 @@ def test_canny_suppresses_along_the_sector_of_the_bin():
     cases = _sector_edge_gradients()
     assert cases  # the two rules disagree somewhere near the sector edges
     for gx, gy in cases:
-        b = quantize_direction(gx, gy)
+        b = int(_angle_bins(np.arctan2(gy, gx)))
         dy, dx = _SECTOR_STEPS[_bin_sector(b)]
         # magnitude 3 all round, 1 at the two neighbours along the bin's
         # sector, and about 2 in the middle

@@ -41,6 +41,18 @@ def test_split_high_pass_is_exact_residual():
     assert np.array_equal(lp, gaussian_blur(img, 1.5))
 
 
+def test_split_gives_the_same_bytes_on_every_call():
+    # a longdouble holds padding bytes on x86-64 (6 of 16); they must not
+    # keep whatever bytes freed memory leaves behind
+    img = synthetic_texture(40, 32, seed=1)
+    first = [a.tobytes() for a in split_frequencies(img, 2.0)]
+    nbytes = img.size * np.dtype(np.longdouble).itemsize
+    junk = [np.full(nbytes, 0xFF, np.uint8) for _ in range(4)]
+    del junk
+    second = [a.tobytes() for a in split_frequencies(img, 2.0)]
+    assert first == second
+
+
 def test_split_impulse_matches_kernel_oracle():
     img = np.zeros((21, 21))
     img[10, 10] = 1.0

@@ -206,9 +206,11 @@ def test_a_written_png_decodes_without_a_wavefront(tmp_path, monkeypatch,
     assert np.array_equal(read_image(p), quantize_oracle(img, bitdepth) / maxcode)
 
 
-@pytest.mark.parametrize("ftype", [0, 1])
-def test_a_1x65535_none_or_sub_strip_decodes_without_a_wavefront(tmp_path, monkeypatch,
-                                                                 ftype):
+# row 0 reads zeros above it, so Up there is None and Paeth is Sub; Average
+# there is x + floor(a / 2), a recurrence along the row, and is not tested
+@pytest.mark.parametrize("ftype", [0, 1, 2, 4])
+def test_a_1x65535_none_sub_up_or_paeth_strip_decodes_without_a_wavefront(
+        tmp_path, monkeypatch, ftype):
     monkeypatch.setattr(image_io, "_PREDICTOR_WEIGHTS", None)
     rng = np.random.default_rng(7)
     scanlines = rng.integers(0, 256, size=(1, 1 + 65535), dtype=np.uint8)

@@ -65,7 +65,7 @@ def test_match_all_gate_zero_disjoint_positions():
     rng = np.random.default_rng(1)
     a = _descriptor_grid(rng, n=4)
     b = _shift_descriptors(a, 500, 500)
-    gate = (AffineTransform.identity(), 0.0)
+    gate = (AffineTransform.translation(0.0, 0.0), 0.0)
     assert match_all(a, b, gate=gate) == []
 
 
@@ -123,7 +123,7 @@ def test_match_all_rejects_empty():
 def test_residual_examples():
     src = np.array([[0.0, 0.0]])
     m = Match(0, 0, 1.0)
-    assert residual(AffineTransform.identity(), m, src, src) == 0.0
+    assert residual(AffineTransform.translation(0.0, 0.0), m, src, src) == 0.0
     t34 = AffineTransform.translation(3, 4)
     assert residual(t34, m, src, np.array([[3.0, 4.0]])) == 0.0
     assert residual(t34, m, src, np.array([[0.0, 0.0]])) == 5.0
@@ -1032,6 +1032,20 @@ def test_register_rejects_a_window_wider_than_an_image():
         register(big, small, window=97)
 
 
+@pytest.mark.parametrize("option, message", [
+    ({"window": 30}, r"window must be odd and in \[5, 4095\], got 30"),
+    ({"polarity": "sideways"}, "unknown polarity mode 'sideways'"),
+], ids=["even-window", "unknown-polarity"])
+def test_register_rejects_a_bad_window_or_polarity_before_raster_work(
+        monkeypatch, option, message):
+    def no_raster_work(img):
+        raise AssertionError("the gradient field was built")
+    monkeypatch.setattr(registration, "_gradient_field", no_raster_work)
+    img = synthetic_texture(96, seed=34)
+    with pytest.raises(ValueError, match=message):
+        register(img, img, **option)
+
+
 @pytest.mark.parametrize("model", list(TransformKind))
 def test_register_same_for_any_band_height(model):
     v, ir = _planted_pair()
@@ -1129,7 +1143,7 @@ def test_gate_admissibility_nests():
     rng = np.random.default_rng(9)
     a = _descriptor_grid(rng, n=16, spacing=25)
     b = _shift_descriptors(a, 3, 1)
-    t = AffineTransform.identity()
+    t = AffineTransform.translation(0.0, 0.0)
     small = match_all(a, b, gate=(t, 5.0))
     large = match_all(a, b, gate=(t, 50.0))
     small_pairs = {(m.src_index, m.dst_index) for m in small}
@@ -1153,6 +1167,6 @@ def test_larger_gate_can_move_a_match_to_another_source():
     scores = np.array([[1.0], [2.0]])
     src = np.array([[0.0, 0.0], [10.0, 0.0]])
     dst = np.array([[0.0, 0.0]])
-    t = AffineTransform.identity()
+    t = AffineTransform.translation(0.0, 0.0)
     assert _best_matches(scores, src, dst, (t, 5.0)) == [Match(0, 0, 1.0)]
     assert _best_matches(scores, src, dst, (t, 50.0)) == [Match(1, 0, 2.0)]
