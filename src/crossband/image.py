@@ -7,8 +7,12 @@ Images are plain numpy arrays: a gray image is a float64 array of shape
 functions are pure and never mutate their inputs.
 
 The registration front end (the gradient field, Harris and Canny) works in
-float32, on each image scaled by a power of two (`_unit_field`); the row
-passes follow their input's dtype, so every float64 caller is unchanged.
+float32, on each image scaled by a power of two (`_unit_field`). The
+separable passes follow their input's dtype. On float32 both passes are
+one numpy tap loop (`_taps`) in ndimage.correlate1d's order, rounding to
+float32 at every tap. On float64 the vertical pass is that loop and the
+horizontal pass is ndimage.correlate1d, both ndimage's bit for bit, so
+gaussian_blur, gradients and fusion are ndimage's float64 passes.
 """
 
 from __future__ import annotations
@@ -158,59 +162,102 @@ def gradients(img) -> tuple[np.ndarray, np.ndarray]:
     return ix, iy
 
 
-def _correlate_rows(arr: np.ndarray, k: np.ndarray, rows: slice) -> np.ndarray:
-    """ndimage.correlate1d(arr, k, axis=0, mode="nearest")[rows], bit for bit,
-    computed on those rows alone.
+def _taps(ext: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+    """The correlation of k along ext's first axis: out[i] is k against
+    ext[i:i + k.size], for i < n.
 
-    k has odd length and is symmetric or antisymmetric, as every kernel here
-    is. ndimage then takes the centre tap, and adds each pair of taps from
-    the outermost in: (left + right) * w or (left - right) * w, w being the
-    left weight. This does the same in the same order, a whole row at a
-    time, which numpy vectorises where ndimage walks each column; on a
-    band of rows that stays in cache that is faster than ndimage's pass.
-    It is the library's one vertical pass. Every raster stage calls it
-    through _blur_rows and _gradient_rows, a band of 64 rows at a time:
-    gaussian_blur, gradients, harris_score_map, canny, and every fusion
-    scale (fuse_single_scale, fuse_hplp, fuse_pair).
-
-    It follows arr's dtype: k is cast to it, and a float32 band rounds to
-    float32 at every tap, where ndimage sums a float32 column in float64
-    and rounds once. On float64 input it is ndimage's pass bit for bit.
+    k has odd length, is symmetric or antisymmetric, as every kernel here
+    is, and has ext's dtype. The sum is ndimage.correlate1d's, in its
+    order: the centre tap, then each pair of taps from the outermost in,
+    (left + right) * w or (left - right) * w with w the left weight, added
+    to the sum. Each step rounds to ext's dtype.
     """
-    k = k.astype(arr.dtype, copy=False)
-    n = arr.shape[0]
-    start, stop, _ = rows.indices(n)
-    r, m = k.size // 2, stop - start
-    if start - r >= 0 and stop + r <= n:
-        ext = arr[start - r:stop + r]
-    else:  # replicate the edge rows, as mode="nearest" does
-        ext = arr[np.clip(np.arange(start - r, stop + r), 0, n - 1)]
+    r = k.size // 2
     pair = np.add if k[r + 1] == k[r - 1] else np.subtract
-    out = ext[r:r + m] * k[r]
+    out = ext[r:r + n] * k[r]
     tmp = np.empty_like(out)
     for j in range(r, 0, -1):
-        pair(ext[r - j:r - j + m], ext[r + j:r + j + m], out=tmp)
+        pair(ext[r - j:r - j + n], ext[r + j:r + j + n], out=tmp)
         tmp *= k[r - j]
         out += tmp
     return out
 
 
+def _correlate_rows(arr: np.ndarray, k: np.ndarray, rows: slice) -> np.ndarray:
+    """ndimage.correlate1d(arr, k, axis=0, mode="nearest")[rows], bit for bit
+    on float64, computed on those rows alone.
+
+    It is _taps over those rows and the k.size // 2 rows either side, the
+    edge rows replicated beyond the image, a whole row at a time: numpy
+    vectorises what ndimage walks one column at a time, and on a band of
+    rows that stays in cache that is faster than ndimage's pass. It is the
+    vertical pass of every raster stage, through _blur_rows and
+    _gradient_rows, a band of 64 rows at a time: gaussian_blur, gradients,
+    harris_score_map, canny, and every fusion scale (fuse_single_scale,
+    fuse_hplp, fuse_pair).
+
+    It follows arr's dtype: k is cast to it, and a float32 band rounds to
+    float32 at every tap (ndimage would sum it in float64 and round once).
+    """
+    k = k.astype(arr.dtype, copy=False)
+    n = arr.shape[0]
+    start, stop, _ = rows.indices(n)
+    r = k.size // 2
+    if start - r >= 0 and stop + r <= n:
+        ext = arr[start - r:stop + r]
+    else:  # replicate the edge rows, as mode="nearest" does
+        ext = arr[np.clip(np.arange(start - r, stop + r), 0, n - 1)]
+    return _taps(ext, k, stop - start)
+
+
+def _separable_rows(arr: np.ndarray, down: np.ndarray, across: np.ndarray,
+                    rows: slice) -> np.ndarray:
+    """Rows `rows` of arr correlated with `down` along its columns, then
+    with `across` along its rows, mode="nearest", computed on those rows
+    alone. Both kernels are cast to arr's dtype, and so is the result.
+
+    The vertical pass is _correlate_rows. The horizontal pass is
+    ndimage.correlate1d on float64: there it is _taps bit for bit, and
+    faster than _taps on fusion's long kernels. On float32 it is _taps,
+    rounding at every tap: the band is copied into a buffer of rows with r
+    = across.size // 2 edge-value columns on either side, and _taps runs
+    along the buffer's flat view, in which a shift by j columns is an
+    offset of j. The sums that straddle two rows land in the padding
+    columns, which are dropped.
+    """
+    across = across.astype(arr.dtype, copy=False)
+    if arr.dtype != np.float32:
+        return ndimage.correlate1d(_correlate_rows(arr, down, rows), across,
+                                   axis=1, mode="nearest")
+    mid = _correlate_rows(arr, down, rows)
+    (m, w), r = mid.shape, across.size // 2
+    width = w + 2 * r
+    # the last row's padding-column sums read 2 * r values past its end
+    flat = np.empty(m * width + r * 2, arr.dtype)
+    flat[m * width:] = 0.0
+    ext = flat[:m * width].reshape(m, width)
+    ext[:, r:r + w] = mid
+    ext[:, :r] = mid[:, :1]
+    ext[:, r + w:] = mid[:, -1:]
+    return _taps(flat, across, m * width).reshape(m, width)[:, :w]
+
+
 def _blur_rows(arr: np.ndarray, k: np.ndarray, rows: slice) -> np.ndarray:
     """gaussian_blur(arr, sigma)[rows], computed on those rows alone; k is
     gaussian_kernel(sigma), made once by the caller rather than per band.
-    Both passes use k cast to arr's dtype, and the result has that dtype."""
-    k = k.astype(arr.dtype, copy=False)
-    return ndimage.correlate1d(_correlate_rows(arr, k, rows), k, axis=1,
-                               mode="nearest")
+
+    Both passes use k cast to arr's dtype, and the result has that dtype. A
+    float64 blur is ndimage's two passes bit for bit; a float32 one rounds
+    to float32 at every tap of both passes (_separable_rows).
+    """
+    return _separable_rows(arr, k, k, rows)
 
 
 def _gradient_rows(arr: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-    """(ix[rows], iy[rows]) of gradients(arr), computed on those rows alone."""
-    ix = ndimage.correlate1d(_correlate_rows(arr, _SOBEL_SMOOTH, rows),
-                             _SOBEL_DIFF, axis=1, mode="nearest")
-    iy = ndimage.correlate1d(_correlate_rows(arr, _SOBEL_DIFF, rows),
-                             _SOBEL_SMOOTH, axis=1, mode="nearest")
-    return ix, iy
+    """(ix[rows], iy[rows]) of gradients(arr), computed on those rows alone,
+    in arr's dtype."""
+    return (_separable_rows(arr, _SOBEL_SMOOTH, _SOBEL_DIFF, rows),
+            _separable_rows(arr, _SOBEL_DIFF, _SOBEL_SMOOTH, rows))
 
 
 # rows beyond its own that a row of the field reads: the blur's, then Sobel's

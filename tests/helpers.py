@@ -78,13 +78,13 @@ def unit_float32_oracle(img):
     return np.ldexp(arr, -e).astype(np.float32)
 
 
-def vertical_f32_oracle(img, k):
-    """ndimage.correlate1d(img, k, axis=0, mode="nearest") on a float32
-    image, rounded to float32 at every tap: the centre tap, then each pair
-    of taps from the outermost in, (top + bottom) * w or (top - bottom) * w
-    with w the top weight, added to the sum. k is cast to float32."""
-    arr = np.asarray(img, dtype=np.float32)
-    k = np.asarray(k).astype(np.float32)
+def vertical_taps_oracle(img, k, dtype):
+    """ndimage.correlate1d(img, k, axis=0, mode="nearest") with img and k
+    cast to dtype, rounded to dtype at every tap: the centre tap, then each
+    pair of taps from the outermost in, (top + bottom) * w or (top - bottom)
+    * w with w the top weight, added to the sum."""
+    arr = np.asarray(img, dtype=dtype)
+    k = np.asarray(k).astype(dtype)
     r, h = k.size // 2, arr.shape[0]
     ext = np.pad(arr, ((r, r), (0, 0)), mode="edge")
     symmetric = k[r + 1] == k[r - 1]
@@ -95,23 +95,30 @@ def vertical_f32_oracle(img, k):
     return out
 
 
+def vertical_f32_oracle(img, k):
+    """vertical_taps_oracle in float32."""
+    return vertical_taps_oracle(img, k, np.float32)
+
+
+def separable_f32_oracle(img, down, across):
+    """vertical_f32_oracle with `down`, then the same pass along the rows
+    (on the transpose) with `across`."""
+    return vertical_f32_oracle(vertical_f32_oracle(img, down).T, across).T
+
+
 def blur_f32_oracle(img, sigma):
-    """The float32 Gaussian blur: vertical_f32_oracle, then ndimage's
-    horizontal pass, both with the kernel cast to float32."""
-    k = gaussian_kernel(sigma).astype(np.float32)
-    return ndimage.correlate1d(vertical_f32_oracle(img, k), k, axis=1,
-                               mode="nearest")
+    """The float32 Gaussian blur: both passes rounded to float32 at every
+    tap (separable_f32_oracle), with the kernel cast to float32."""
+    k = gaussian_kernel(sigma)
+    return separable_f32_oracle(img, k, k)
 
 
 def gradients_f32_oracle(img):
-    """The float32 Sobel gradients (ix, iy): vertical_f32_oracle, then
-    ndimage's horizontal pass."""
+    """The float32 Sobel gradients (ix, iy), both passes rounded to float32
+    at every tap (separable_f32_oracle)."""
     smooth, diff = np.array([1.0, 2.0, 1.0]), np.array([-1.0, 0.0, 1.0])
-    ix = ndimage.correlate1d(vertical_f32_oracle(img, smooth), diff, axis=1,
-                             mode="nearest")
-    iy = ndimage.correlate1d(vertical_f32_oracle(img, diff), smooth, axis=1,
-                             mode="nearest")
-    return ix, iy
+    return (separable_f32_oracle(img, smooth, diff),
+            separable_f32_oracle(img, diff, smooth))
 
 
 def field_oracle(img):

@@ -14,9 +14,10 @@ from crossband.image import (MAX_SIGMA, gaussian_blur, gaussian_kernel, gradient
                              replicate3, to_luminance, warp_affine)
 from crossband.transform import AffineTransform
 
-from helpers import (canny_oracle, correlate2d_replicate, gaussian_blur_oracle,
-                     gaussian_kernel_2d, gradients_oracle, row_bands,
-                     sobel_kernels, warp_oracle)
+from helpers import (blur_f32_oracle, canny_oracle, correlate2d_replicate,
+                     field_oracle, gaussian_blur_oracle, gaussian_kernel_2d,
+                     gradients_f32_oracle, gradients_oracle, row_bands,
+                     sobel_kernels, vertical_taps_oracle, warp_oracle)
 
 
 def test_luminance_gray_fixed_point():
@@ -381,3 +382,113 @@ def test_gradients_are_the_whole_image_passes_bit_for_bit(case):
         expected = gradients_oracle(img)
     for a, b in zip(got, expected):
         assert a.tobytes() == b.tobytes()
+
+
+# --- the float32 passes --------------------------------------------------------
+
+def _float32_raster(rng, h, w, signed_zeros):
+    if signed_zeros:
+        return rng.choice([-0.0, 0.0, -1.0, 0.5, 1.0], size=(h, w)).astype(np.float32)
+    return rng.standard_normal((h, w)).astype(np.float32)
+
+
+def _band_ends(h):
+    """Whole, first-row, last-row and end bands of an h-row image."""
+    return (slice(None), slice(0, 1), slice(h - 1, h), slice(0, min(2, h)),
+            slice(max(h - 3, 0), h))
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.5])
+@pytest.mark.parametrize("w", [1, 2, 3, 4, 11, 37])
+def test_float32_blur_rows_equal_the_tap_loop_oracle(sigma, w):
+    # sigma 1.5 is the 11-tap kernel: widths 1-3 read only replicated
+    # columns beyond an edge, and some sums read both edges
+    rng = np.random.default_rng(40 + w)
+    k = gaussian_kernel(sigma)
+    for h, signed_zeros in ((1, False), (3, True), (9, False), (26, True)):
+        img = _float32_raster(rng, h, w, signed_zeros)
+        whole = blur_f32_oracle(img, sigma)
+        for rows in _band_ends(h):
+            got = image._blur_rows(img, k, rows)
+            assert got.dtype == np.float32
+            assert got.tobytes() == whole[rows].tobytes()
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 5, 40])
+def test_float32_gradient_rows_equal_the_tap_loop_oracle(w):
+    rng = np.random.default_rng(50 + w)
+    for h, signed_zeros in ((1, True), (4, True), (17, False), (30, True)):
+        img = _float32_raster(rng, h, w, signed_zeros)
+        ix, iy = gradients_f32_oracle(img)
+        for rows in _band_ends(h):
+            got_x, got_y = image._gradient_rows(img, rows)
+            assert got_x.tobytes() == ix[rows].tobytes()
+            assert got_y.tobytes() == iy[rows].tobytes()
+
+
+def test_float32_sobel_difference_pass_is_ndimage_bit_for_bit():
+    # ndimage rounds the difference of two float32 values to float64, then
+    # to float32, which is the one float32 rounding of it; so of the float32
+    # passes this one keeps ndimage's bits, signed zeros included
+    from scipy import ndimage
+    rng = np.random.default_rng(13)
+    diff = image._SOBEL_DIFF.astype(np.float32)
+    for trial in range(30):
+        h, w = int(rng.integers(1, 20)), int(rng.integers(1, 30))
+        if trial % 2 == 0:
+            img = _float32_raster(rng, h, w, signed_zeros=True)
+        else:  # neighbours up to 2**120 apart
+            img = (rng.standard_normal((h, w))
+                   * 2.0 ** rng.integers(-60, 60, size=(h, w))).astype(np.float32)
+        smoothed = image._correlate_rows(img, image._SOBEL_SMOOTH, slice(None))
+        ix, _ = image._gradient_rows(img, slice(None))
+        expected = ndimage.correlate1d(smoothed, diff, axis=1, mode="nearest")
+        assert ix.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [gaussian_kernel(0.6), gaussian_kernel(1.0),
+                                    gaussian_kernel(1.5), gaussian_kernel(4.0),
+                                    np.array([1.0, 2.0, 1.0]),
+                                    np.array([-1.0, 0.0, 1.0])])
+def test_ndimage_row_pass_is_the_tap_loop_in_float64(kernel):
+    # the float64 horizontal pass stays ndimage's because it computes the
+    # float32 pass's definition: the same taps in the same order
+    from scipy import ndimage
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        h, w = int(rng.integers(1, 12)), int(rng.integers(1, 30))
+        if trial % 3 == 0:
+            img = rng.choice([-0.0, 0.0, -1.0, 0.5, 1.0], size=(h, w))
+        else:
+            img = rng.standard_normal((h, w)) * 10.0 ** rng.integers(-200, 200)
+        got = ndimage.correlate1d(img, kernel, axis=1, mode="nearest")
+        assert got.tobytes() == vertical_taps_oracle(img.T, kernel,
+                                                     np.float64).T.tobytes()
+
+
+@st.composite
+def _thin_images(draw):
+    """A 3xN or Nx3 image (N in 1-40) times a power of two, and a band
+    height."""
+    n = draw(st.integers(1, 40))
+    shape = (3, n) if draw(st.booleans()) else (n, 3)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    img = rng.standard_normal(shape) if draw(st.booleans()) else rng.random(shape)
+    return np.ldexp(img, draw(st.integers(-120, 120))), draw(st.integers(1, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_thin_images())
+def test_gradient_field_equals_field_oracle(case):
+    img, rows = case
+    ix, iy = field_oracle(img)
+    with row_bands(rows):
+        got_x, got_y = image._gradient_field(img)
+    assert got_x.tobytes() == ix.tobytes()
+    assert got_y.tobytes() == iy.tobytes()
+    field = image._unit_field(img)
+    for y0 in range(0, img.shape[0], rows):
+        band = slice(y0, min(y0 + rows, img.shape[0]))
+        got_x, got_y = field(band)
+        assert got_x.tobytes() == ix[band].tobytes()
+        assert got_y.tobytes() == iy[band].tobytes()

@@ -947,6 +947,28 @@ def test_register_equals_oracle_front_end(model, monkeypatch):
     assert len(fast.inliers) >= model.min_matches
 
 
+def test_the_front_end_runs_without_ndimage_correlate1d(monkeypatch):
+    # the float32 front end makes both passes with its own tap loop; only
+    # the float64 stages (fusion here) call ndimage's
+    from crossband import image
+    from crossband.fusion import fuse_pair
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ndimage.correlate1d was called")
+
+    v, ir = _planted_pair()
+    monkeypatch.setattr(image.ndimage, "correlate1d", refuse)
+    result = register(v, ir)
+    assert len(result.inliers) >= 4
+    harris_score_map(v)
+    canny(ir)
+    rgb = np.repeat(v[:, :, None], 3, axis=2)
+    with pytest.raises(AssertionError, match="correlate1d was called"):
+        fuse_pair(rgb, ir)
+    monkeypatch.undo()
+    fuse_pair(rgb, ir)
+
+
 def test_register_differentiates_each_row_once(monkeypatch):
     from crossband import edges, features, image
     rows = []
